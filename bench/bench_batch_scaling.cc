@@ -12,18 +12,16 @@
  *
  * Emits BENCH_batch_scaling.json with wall seconds and speedup per jobs
  * value, plus the measured *serial fraction* of the fan-out: the
- * coordination cost per job of the legacy per-task-future path
- * (RunOrdered) versus the indexed worker-loop path (RunIndexed) that the
- * profiling grid now uses, and the Amdahl-projected speedup each implies.
- * Measured speedups are bounded by hardware_threads — on a single-core
- * machine they sit at ~1.0 regardless of the layer — so the JSON records
- * the hardware alongside the projection rather than pretending otherwise.
+ * coordination cost per job of BatchRunner::RunIndexed, and the
+ * Amdahl-projected speedup it implies. Measured speedups are bounded by
+ * hardware_threads — on a single-core machine they sit at ~1.0 regardless
+ * of the layer — so the JSON records the hardware alongside the projection
+ * rather than pretending otherwise.
  * --fast shrinks the grid and probes jobs={2} only (CI smoke);
  * --jobs=N is ignored — this bench sweeps the worker count itself.
  */
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,49 +98,22 @@ main(int argc, char** argv)
 
     // ---- Serial-fraction measurement -----------------------------------
     // Time the dispatch machinery itself — trivial jobs, so everything
-    // measured is coordination, the part of the fan-out Amdahl's law
-    // charges as serial. The legacy path materializes a closure, a
-    // packaged_task, a future, and a bounded-queue handoff per job; the
-    // indexed path costs one atomic fetch_add per job.
+    // measured is coordination (one atomic fetch_add per job), the part of
+    // the fan-out Amdahl's law charges as serial.
     const unsigned hardware_threads =
         std::max(1u, std::thread::hardware_concurrency());
     const size_t coord_tasks = 20000;
-    const BatchRunner coord_runner(BatchOptions{2});
-    double ordered_us_per_task = 0.0;
-    double indexed_us_per_task = 0.0;
-    {
-        std::vector<std::function<int()>> trivial;
-        trivial.reserve(coord_tasks);
-        for (size_t i = 0; i < coord_tasks; ++i) {
-            trivial.push_back([i] { return static_cast<int>(i); });
-        }
-        const double start = bench::MonotonicSeconds();
-        coord_runner.RunOrdered(std::move(trivial));
-        ordered_us_per_task =
-            (bench::MonotonicSeconds() - start) * 1e6 /
-            static_cast<double>(coord_tasks);
-    }
-    {
-        const double start = bench::MonotonicSeconds();
-        coord_runner.RunIndexed<int>(
-            coord_tasks, [](size_t i) { return static_cast<int>(i); });
-        indexed_us_per_task =
-            (bench::MonotonicSeconds() - start) * 1e6 /
-            static_cast<double>(coord_tasks);
-    }
-    // The grid's serial fraction under each dispatch path: coordination
-    // time over total serial wall time. Projected speedup at N workers is
-    // Amdahl's 1 / (s + (1 - s) / N).
-    const double grid_jobs = static_cast<double>(serial_table.size());
-    const auto serial_fraction = [&](double us_per_task) {
-        if (serial_seconds <= 0.0) {
-            return 0.0;
-        }
-        const double coordination_s = us_per_task * grid_jobs * 1e-6;
-        return std::min(1.0, coordination_s / serial_seconds);
-    };
-    const double s_ordered = serial_fraction(ordered_us_per_task);
-    const double s_indexed = serial_fraction(indexed_us_per_task);
+    const double coord_start = bench::MonotonicSeconds();
+    BatchRunner(BatchOptions{2}).RunIndexed<int>(
+        coord_tasks, [](size_t i) { return static_cast<int>(i); });
+    const double us_per_task = (bench::MonotonicSeconds() - coord_start) * 1e6 /
+                               static_cast<double>(coord_tasks);
+    // The grid's serial fraction: coordination time over total serial wall
+    // time. Projected speedup at N workers is Amdahl's 1 / (s + (1 - s) / N).
+    const double coordination_s =
+        us_per_task * static_cast<double>(serial_table.size()) * 1e-6;
+    const double s_indexed =
+        serial_seconds > 0.0 ? std::min(1.0, coordination_s / serial_seconds) : 0.0;
     const auto amdahl = [](double s, int n) {
         return 1.0 / (s + (1.0 - s) / static_cast<double>(n));
     };
@@ -155,10 +126,9 @@ main(int argc, char** argv)
                      p.identical ? "yes" : "NO"});
     }
     std::printf("%s\n", text.ToString().c_str());
-    std::printf("hardware threads: %u   coordination/job: ordered %.2f us, "
-                "indexed %.2f us   serial fraction: ordered %.4f, indexed %.4f\n\n",
-                hardware_threads, ordered_us_per_task, indexed_us_per_task,
-                s_ordered, s_indexed);
+    std::printf("hardware threads: %u   coordination/job: %.2f us   "
+                "serial fraction: %.4f\n\n",
+                hardware_threads, us_per_task, s_indexed);
 
     std::string json = "{\n  \"bench\": \"batch_scaling\",\n  \"grid_configs\": " +
                        StrFormat("%zu", serial_table.size()) +
@@ -173,16 +143,12 @@ main(int argc, char** argv)
                                              : 0.0) +
                        ",\n  \"coordination\": {\"probe_jobs\": 2, \"tasks\": " +
                        StrFormat("%zu", coord_tasks) +
-                       ", \"ordered_us_per_task\": " +
-                       StrFormat("%.3f", ordered_us_per_task) +
-                       ", \"indexed_us_per_task\": " +
-                       StrFormat("%.3f", indexed_us_per_task) +
-                       "},\n  \"serial_fraction\": {\"ordered\": " +
-                       StrFormat("%.6f", s_ordered) + ", \"indexed\": " +
+                       ", \"us_per_task\": " + StrFormat("%.3f", us_per_task) +
+                       "},\n  \"serial_fraction\": " +
                        StrFormat("%.6f", s_indexed) +
-                       "},\n  \"note\": \"measured speedup is bounded by "
+                       ",\n  \"note\": \"measured speedup is bounded by "
                        "hardware_threads; amdahl_projected_speedup applies the "
-                       "measured indexed serial fraction\",\n  \"points\": [\n";
+                       "measured serial fraction\",\n  \"points\": [\n";
     for (size_t i = 0; i < points.size(); ++i) {
         json += StrFormat("    {\"jobs\": %d, \"wall_seconds\": %.4f, "
                           "\"speedup\": %.3f, \"amdahl_projected_speedup\": %.3f, "

@@ -1,10 +1,11 @@
 #include "bench_common.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <system_error>
 #include <thread>
 
 #include "common/json.h"
@@ -13,23 +14,100 @@
 
 namespace aeo::bench {
 
+namespace {
+
+/** Prints what was wrong with @p bad and the usage line, then exits 2. */
+[[noreturn]] void
+ExitWithUsage(const char* program, const char* bad,
+              std::initializer_list<BenchFlag> extra)
+{
+    std::string usage = StrFormat("usage: %s [--fast] [--jobs=N] [--runs=N] "
+                                  "[--seed=S] [--out=PATH] [--baseline=NAME] "
+                                  "[--json=PATH]",
+                                  program);
+    for (const BenchFlag& flag : extra) {
+        usage += StrFormat(" [%s=%s]", flag.name, flag.number ? "N" : "VALUE");
+    }
+    std::fprintf(stderr, "%s: unknown or malformed argument '%s'\n%s\n", program,
+                 bad, usage.c_str());
+    std::exit(2);
+}
+
+/** @p text, all of it, as a decimal integer that fits a T. */
+template <typename T>
+bool
+ParseNumber(const std::string& text, T* out)
+{
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [stop, errc] = std::from_chars(text.data(), end, value);
+    if (errc != std::errc() || stop != end) {
+        return false;
+    }
+    *out = value;
+    return true;
+}
+
+/** Stores @p value into the @p extra flag called @p name; false when there
+ * is no such flag or its number is malformed. */
+bool
+ParseExtraFlag(std::initializer_list<BenchFlag> extra, const std::string& name,
+               const std::string& value)
+{
+    for (const BenchFlag& flag : extra) {
+        if (name != flag.name) {
+            continue;
+        }
+        if (flag.number != nullptr) {
+            int number = 0;
+            if (!ParseNumber(value, &number)) {
+                return false;
+            }
+            *flag.number = number;
+            return true;
+        }
+        *flag.text = value;
+        return true;
+    }
+    return false;
+}
+
+}  // namespace
+
 BenchArgs
-ParseBenchArgs(int argc, char** argv)
+ParseBenchArgs(int argc, char** argv, std::initializer_list<BenchFlag> extra)
 {
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--fast") == 0) {
+        const std::string arg = argv[i];
+        if (arg == "--fast") {
             args.fast = true;
-        } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            args.batch.jobs = std::atoi(argv[i] + 7);
-        } else if (std::strncmp(argv[i], "--runs=", 7) == 0) {
-            args.runs = std::atoi(argv[i] + 7);
-        } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-            args.out = argv[i] + 6;
-        } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-            args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
-        } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-            args.baseline = argv[i] + 11;
+            continue;
+        }
+        const size_t eq = arg.find('=');
+        if (eq == std::string::npos) {
+            ExitWithUsage(argv[0], argv[i], extra);  // the rest take a value
+        }
+        const std::string name = arg.substr(0, eq);
+        const std::string value = arg.substr(eq + 1);
+        bool ok = true;
+        if (name == "--jobs") {
+            ok = ParseNumber(value, &args.batch.jobs);
+        } else if (name == "--runs") {
+            ok = ParseNumber(value, &args.runs);
+        } else if (name == "--seed") {
+            ok = ParseNumber(value, &args.seed);
+        } else if (name == "--out") {
+            args.out = value;
+        } else if (name == "--baseline") {
+            args.baseline = value;
+        } else if (name == "--json") {
+            args.json = value;
+        } else {
+            ok = ParseExtraFlag(extra, name, value);
+        }
+        if (!ok) {
+            ExitWithUsage(argv[0], argv[i], extra);
         }
     }
     return args;
@@ -43,17 +121,6 @@ MonotonicSeconds()
     using WallClock = std::chrono::steady_clock;
     return std::chrono::duration<double>(WallClock::now().time_since_epoch())
         .count();
-}
-
-std::string
-JsonPathArg(int argc, char** argv, const std::string& default_path)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            return argv[i] + 7;
-        }
-    }
-    return default_path;
 }
 
 void

@@ -6,6 +6,8 @@
 #ifndef AEO_BENCH_BENCH_COMMON_H_
 #define AEO_BENCH_BENCH_COMMON_H_
 
+#include <initializer_list>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,9 @@ struct BenchArgs {
     int runs = 0;
     /** --out=PATH: overrides the bench's CSV artifact path. */
     std::string out;
+    /** --json=PATH: overrides the path of the bench's determinism-gated
+     * snapshot. */
+    std::string json;
     /** --seed=S: overrides the bench's root seed (0 = use the bench
      * default). Every derived seed (profiler, devices, campaigns) is an
      * offset of this root, so one flag re-seeds the whole experiment. */
@@ -52,6 +57,12 @@ struct BenchArgs {
         return out.empty() ? default_name : out;
     }
 
+    /** Snapshot path: the --json override if given, else @p default_name. */
+    std::string JsonPath(const std::string& default_name) const
+    {
+        return json.empty() ? default_name : json;
+    }
+
     /** Root seed: the --seed override if given, else @p fallback. */
     uint64_t SeedOr(uint64_t fallback) const
     {
@@ -59,9 +70,33 @@ struct BenchArgs {
     }
 };
 
-/** Parses --fast, --jobs=N, --runs=N, --seed=S and --out=PATH anywhere in
- * argv; ignores everything else. */
-BenchArgs ParseBenchArgs(int argc, char** argv);
+/** A bench's own `--name=VALUE` flag, accepted besides the shared ones. */
+struct BenchFlag {
+    BenchFlag(const char* flag_name, std::string* text_value)
+        : name(flag_name), text(text_value)
+    {
+    }
+    BenchFlag(const char* flag_name, std::optional<int>* number_value)
+        : name(flag_name), number(number_value)
+    {
+    }
+
+    /** The flag including its dashes, e.g. "--replay". */
+    const char* name;
+    /** Receives VALUE verbatim, or (number) parsed as a decimal integer. */
+    std::string* text = nullptr;
+    std::optional<int>* number = nullptr;
+};
+
+/**
+ * Parses the shared flags --fast, --jobs=N, --runs=N, --seed=S, --out=PATH,
+ * --baseline=NAME and --json=PATH, plus the bench's own @p extra flags,
+ * anywhere in argv. Any other argument or a malformed number prints a usage
+ * line to stderr and exits with status 2, so a misspelt flag can never
+ * silently run the full sweep.
+ */
+BenchArgs ParseBenchArgs(int argc, char** argv,
+                         std::initializer_list<BenchFlag> extra = {});
 
 /**
  * Monotonic wall time in seconds, for perf sidecars and progress lines.
@@ -71,11 +106,6 @@ BenchArgs ParseBenchArgs(int argc, char** argv);
  * wall-clock read can never silently leak into gated bytes.
  */
 double MonotonicSeconds();
-
-/** The --json=PATH override if present, else @p default_path. Benches that
- * emit a determinism-gated snapshot all accept this flag. */
-std::string JsonPathArg(int argc, char** argv,
-                        const std::string& default_path);
 
 /** Writes @p json_text to @p path and prints a "Wrote" line. */
 void WriteSnapshotFile(const std::string& path, const std::string& json_text);

@@ -20,10 +20,8 @@
  * (campaign mode) or the replay diverges (replay mode).
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -178,25 +176,17 @@ main(int argc, char** argv)
 {
     using namespace aeo;
     SetLogLevel(LogLevel::kQuiet);
-    const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
+    std::string replay_path;
+    std::optional<int> campaigns_flag;
+    std::string bundle_path = "chaos_crash_bundle.json";
+    const bench::BenchArgs args = bench::ParseBenchArgs(
+        argc, argv,
+        {{"--replay", &replay_path}, {"--campaigns", &campaigns_flag},
+         {"--bundle", &bundle_path}});
     const bool fast = args.fast;
     const uint64_t seed = args.SeedOr(kDefaultSeed);
-
-    std::string replay_path;
-    int campaigns = fast ? 4 : 8;
-    std::string json_path = "BENCH_chaos_campaign.json";
-    std::string bundle_path = "chaos_crash_bundle.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--replay=", 9) == 0) {
-            replay_path = argv[i] + 9;
-        } else if (std::strncmp(argv[i], "--campaigns=", 12) == 0) {
-            campaigns = std::atoi(argv[i] + 12);
-        } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-        } else if (std::strncmp(argv[i], "--bundle=", 9) == 0) {
-            bundle_path = argv[i] + 9;
-        }
-    }
+    const int campaigns = campaigns_flag.value_or(fast ? 4 : 8);
+    const std::string json_path = args.JsonPath("BENCH_chaos_campaign.json");
     if (!replay_path.empty()) {
         return RunReplay(replay_path, args);
     }
@@ -225,17 +215,13 @@ main(int argc, char** argv)
     options.spec = BenchSpec(fast);
 
     // Each campaign is seeded and self-contained: fan them out.
-    std::vector<std::function<chaos::CampaignReport()>> tasks;
-    for (int i = 0; i < campaigns; ++i) {
-        const uint64_t campaign_seed = CampaignSeed(seed, i);
-        tasks.push_back([&options, campaign_seed] {
-            const chaos::ChaosScenario scenario =
-                chaos::GenerateScenario(options.spec, campaign_seed);
-            return chaos::RunCampaign(options, scenario);
-        });
-    }
     const std::vector<chaos::CampaignReport> reports =
-        BatchRunner(args.batch).RunOrdered(std::move(tasks));
+        BatchRunner(args.batch).RunIndexed<chaos::CampaignReport>(
+            static_cast<size_t>(campaigns), [&options, seed](size_t i) {
+                const chaos::ChaosScenario scenario = chaos::GenerateScenario(
+                    options.spec, CampaignSeed(seed, static_cast<int>(i)));
+                return chaos::RunCampaign(options, scenario);
+            });
 
     TextTable text({"Campaign", "Seed", "Cycles", "Faults", "Degraded",
                     "Safe", "Fallback", "Violations", "First violation"});

@@ -15,9 +15,7 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -221,12 +219,7 @@ main(int argc, char** argv)
     const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
     const bool fast = args.fast;
     const uint64_t seed = args.SeedOr(kDefaultSeed);
-    std::string json_path = "BENCH_fault_sweep.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-        }
-    }
+    const std::string json_path = args.JsonPath("BENCH_fault_sweep.json");
     bench::PrintHeader("R1 / robustness",
                        "Fault-rate sweep: hardened controller vs injected "
                        "sysfs/PMU/meter failures");
@@ -269,15 +262,11 @@ main(int argc, char** argv)
 
     // Each rate's controlled run is seeded and self-contained: fan them out,
     // then do the vs-fault-free math in rate order (0.0 is first).
-    std::vector<std::function<SweepRow()>> sweep_tasks;
-    for (const double rate : rates) {
-        sweep_tasks.push_back(
-            [&table, target, rate, seed] {
-                return RunAtRate(table, target, rate, seed);
-            });
-    }
     const std::vector<SweepRow> sweep_rows =
-        BatchRunner(args.batch).RunOrdered(std::move(sweep_tasks));
+        BatchRunner(args.batch).RunIndexed<SweepRow>(
+            rates.size(), [&table, &rates, target, seed](size_t i) {
+                return RunAtRate(table, target, rates[i], seed);
+            });
 
     double fault_free_energy = 0.0;
     double fault_free_violation = 0.0;

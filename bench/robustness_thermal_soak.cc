@@ -18,9 +18,7 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -173,12 +171,7 @@ main(int argc, char** argv)
     const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
     const bool fast = args.fast;
     const uint64_t seed = args.SeedOr(kDefaultSeed);
-    std::string json_path = "BENCH_thermal_soak.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-        }
-    }
+    const std::string json_path = args.JsonPath("BENCH_thermal_soak.json");
     bench::PrintHeader("R2 / thermal soak",
                        "Sustained load under msm_thermal staging: clamp-aware "
                        "vs clamp-oblivious control");
@@ -196,14 +189,12 @@ main(int argc, char** argv)
     const SimTime duration =
         fast ? SimTime::FromSeconds(60) : SimTime::FromSeconds(180);
 
-    // The two soaks are independent seeded runs — one batch job each.
-    std::vector<std::function<SoakRun()>> soak_tasks;
-    soak_tasks.push_back(
-        [&] { return RunSoak(table, target, duration, true, seed); });
-    soak_tasks.push_back(
-        [&] { return RunSoak(table, target, duration, false, seed); });
+    // The two soaks are independent seeded runs — one batch job each, the
+    // read-back-verifying controller first.
     std::vector<SoakRun> soaks =
-        BatchRunner(args.batch).RunOrdered(std::move(soak_tasks));
+        BatchRunner(args.batch).RunIndexed<SoakRun>(2, [&](size_t i) {
+            return RunSoak(table, target, duration, i == 0, seed);
+        });
     const SoakRun aware = std::move(soaks[0]);
     const SoakRun oblivious = std::move(soaks[1]);
 

@@ -16,9 +16,7 @@
  * copy (results are bit-identical at any worker count).
  */
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -157,12 +155,7 @@ main(int argc, char** argv)
     const bool fast = args.fast;
     const uint64_t seed = args.SeedOr(kDefaultSeed);
 
-    std::string json_path = "BENCH_timing_soak.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-        }
-    }
+    const std::string json_path = args.JsonPath("BENCH_timing_soak.json");
 
     bench::PrintHeader("R4 / timing soak",
                        "Deadline-aware control under jitter x suspend "
@@ -188,8 +181,8 @@ main(int argc, char** argv)
                                  {0.8, 0.5}, {0.4, 1.0}, {0.8, 1.0}};
     const int runs_per_cell = fast ? 2 : 3;
 
-    // Every cell run is seeded and self-contained: fan the whole grid out.
-    std::vector<std::function<chaos::CampaignReport()>> tasks;
+    // Every cell run is seeded and self-contained: fan the whole grid out,
+    // cell-major.
     std::vector<chaos::CampaignOptions> cell_options(cells.size());
     for (size_t c = 0; c < cells.size(); ++c) {
         chaos::CampaignOptions& options = cell_options[c];
@@ -197,18 +190,18 @@ main(int argc, char** argv)
         options.table = &table;
         options.target_gips = kTargetGips;
         options.spec = CellSpec(cells[c], fast);
-        for (int r = 0; r < runs_per_cell; ++r) {
-            const uint64_t scenario_seed = CellSeed(seed, c, r);
-            const Cell cell = cells[c];
-            tasks.push_back([&options, cell, scenario_seed] {
-                return chaos::RunCampaign(
-                    options,
-                    CellScenario(cell, options.spec, scenario_seed));
-            });
-        }
     }
+    const size_t runs = static_cast<size_t>(runs_per_cell);
     const std::vector<chaos::CampaignReport> reports =
-        BatchRunner(args.batch).RunOrdered(std::move(tasks));
+        BatchRunner(args.batch).RunIndexed<chaos::CampaignReport>(
+            cells.size() * runs, [&cells, &cell_options, runs, seed](size_t i) {
+                const size_t c = i / runs;
+                const chaos::CampaignOptions& options = cell_options[c];
+                const uint64_t scenario_seed =
+                    CellSeed(seed, c, static_cast<int>(i % runs));
+                return chaos::RunCampaign(
+                    options, CellScenario(cells[c], options.spec, scenario_seed));
+            });
 
     TextTable text({"Jitter", "Suspend", "Cycles", "Jit/Miss/Gap ticks",
                     "Stale-guard", "Degraded", "Fallback", "Violations"});

@@ -118,8 +118,7 @@ main(int argc, char** argv)
         }
     }
     doc.Set("rows", std::move(rows));
-    const std::string json_path =
-        bench::JsonPathArg(argc, argv, "BENCH_table4.json");
+    const std::string json_path = args.JsonPath("BENCH_table4.json");
     bench::WriteSnapshotFile(json_path, doc.Dump(2) + "\n");
     bench::WritePerfMeta(json_path, wall_seconds, events_executed);
     return 0;

@@ -217,8 +217,7 @@ main(int argc, char** argv)
             StrFormat("%.6g", (1.0 - total_ours / total_int) * 100.0));
     doc.Set("total_energy_vs_lulzactive_pct",
             StrFormat("%.6g", (1.0 - total_ours / total_lulz) * 100.0));
-    const std::string json_path =
-        bench::JsonPathArg(argc, argv, "BENCH_table6.json");
+    const std::string json_path = args.JsonPath("BENCH_table6.json");
     bench::WriteSnapshotFile(json_path, doc.Dump(2) + "\n");
     bench::WritePerfMeta(json_path, wall_seconds, events_executed);
     return 0;

@@ -9,6 +9,7 @@
 #define AEO_COMMON_SYSTEM_CONFIG_H_
 
 #include <compare>
+#include <cstddef>
 #include <string>
 
 namespace aeo {
@@ -23,6 +24,14 @@ inline constexpr int kGpuDefaultGovernor = -1;
 /** Sentinel LITTLE-cluster level: no LITTLE cluster under control (the
  * homogeneous single-cluster SoC, the paper's Nexus 6). */
 inline constexpr int kNoLittleCluster = -1;
+
+/**
+ * Most CPU frequency domains a SoC may have. The configuration tuple below
+ * names two (cpu_level, little_level), and the plant's per-cluster arrays
+ * (power inputs, execution rates) are fixed-capacity at this bound so the
+ * hot path never allocates.
+ */
+inline constexpr size_t kMaxCpuClusters = 2;
 
 /**
  * Foreground thread-placement codes, value-compatible with
@@ -58,6 +67,14 @@ struct SystemConfig {
 
     /** True when a LITTLE cluster is controller-managed (big.LITTLE). */
     bool controls_little() const { return little_level != kNoLittleCluster; }
+
+    /** Level of cluster @p index: cpu_level for the primary, else
+     * little_level. */
+    int
+    cluster_level(size_t index) const
+    {
+        return index == 0 ? cpu_level : little_level;
+    }
 
     /** Paper-style label, e.g. "(5, 1)" with 1-based level numbers; the GPU
      * level is appended only when controlled, e.g. "(5, 1, g3)", and the

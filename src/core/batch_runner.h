@@ -5,15 +5,15 @@
  * profiling alone is up to 18×13 configurations × 3 runs — and each run
  * constructs its own Device from a seed, so runs share no mutable state.
  * BatchRunner fans a vector of such self-contained jobs across a fixed-size
- * ThreadPool and returns the results **in submission order**:
+ * ThreadPool and returns the results **by job index**:
  *
- *  - with jobs == 1 no thread machinery is touched at all — the tasks run
+ *  - with jobs == 1 no thread machinery is touched at all — the jobs run
  *    inline, in order, on the calling thread, reproducing the historical
  *    serial path byte-for-byte;
- *  - with jobs == N the tasks run concurrently, but because every task is
- *    seeded and self-contained, and results are collected through futures
- *    in submission order, the output vector is bit-identical to jobs == 1
- *    regardless of worker count or completion order.
+ *  - with jobs == N the jobs run concurrently, but because every job is
+ *    seeded and self-contained, and each result lands in its index's slot,
+ *    the output vector is bit-identical to jobs == 1 regardless of worker
+ *    count or completion order.
  *
  * The determinism contract therefore is: parallelism changes wall-clock
  * time and nothing else. A ctest (batch_determinism_test) asserts it.
@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <future>
 #include <optional>
 #include <utility>
@@ -43,7 +42,7 @@ struct BatchOptions {
 /** @p options.jobs with the <=0 default resolved to the hardware. */
 int ResolveJobs(const BatchOptions& options);
 
-/** Runs vectors of self-contained jobs with submission-order results. */
+/** Runs grids of self-contained jobs with results placed by index. */
 class BatchRunner {
   public:
     explicit BatchRunner(BatchOptions options = {});
@@ -52,50 +51,10 @@ class BatchRunner {
     int jobs() const { return jobs_; }
 
     /**
-     * Runs every task and returns their results in submission order. A task
-     * that throws has its exception rethrown here (after which remaining
-     * tasks may or may not have run). Tasks must be self-contained: no
-     * shared mutable state, all inputs captured by value or const ref.
-     */
-    template <typename R>
-    std::vector<R>
-    RunOrdered(std::vector<std::function<R()>> tasks) const
-    {
-        std::vector<R> results;
-        results.reserve(tasks.size());
-        if (jobs_ == 1 || tasks.size() <= 1) {
-            // The serial path: inline, in order, no threads — bit-identical
-            // to the code this layer replaced.
-            for (auto& task : tasks) {
-                results.push_back(task());
-            }
-            return results;
-        }
-        const size_t workers =
-            std::min(static_cast<size_t>(jobs_), tasks.size());
-        ThreadPool pool(workers);
-        std::vector<std::future<R>> futures;
-        futures.reserve(tasks.size());
-        // Submit() blocks when the bounded queue fills; workers drain it, so
-        // this loop cannot deadlock.
-        for (auto& task : tasks) {
-            futures.push_back(pool.Submit(std::move(task)));
-        }
-        for (auto& future : futures) {
-            results.push_back(future.get());
-        }
-        return results;
-    }
-
-    /**
      * Indexed parallel-for: runs @p fn(0) … fn(count - 1) and returns the
-     * results by index. Same determinism contract as RunOrdered — results
-     * are placed by index, so the output is bit-identical at any worker
-     * count — but the serial fraction is a single atomic fetch_add per job
-     * instead of a per-job closure + packaged_task + future + bounded-queue
-     * handoff: the coordination cost no longer grows with the grid. This is
-     * the fan-out path for homogeneous grids (offline profiling, sweeps);
-     * RunOrdered remains for heterogeneous task vectors.
+     * results by index, so the output is bit-identical at any worker count.
+     * The serial fraction is a single atomic fetch_add per job: the
+     * coordination cost does not grow with the grid.
      *
      * @p fn must be safe to invoke concurrently from multiple threads for
      * distinct indices. If any invocation throws, one such exception is

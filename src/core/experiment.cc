@@ -33,13 +33,10 @@ ExperimentHarness::RunDefault(const std::string& app_name, BackgroundKind load,
     device->UseDefaultGovernors();
     if (!cpu_governor.empty() && cpu_governor != "interactive") {
         // Alternative stock baseline (e.g. lulzactive): only the CPU
-        // governor changes; bus and GPU stay with their Android defaults.
-        AEO_ASSERT(device->cpufreq().SetGovernor(cpu_governor),
-                   "unknown baseline CPU governor '%s'", cpu_governor.c_str());
-        if (CpufreqPolicy* little = device->little_cpufreq()) {
-            AEO_ASSERT(little->SetGovernor(cpu_governor),
-                       "unknown baseline LITTLE governor '%s'",
-                       cpu_governor.c_str());
+        // governors change; bus and GPU stay with their Android defaults.
+        for (size_t i = 0; i < device->num_clusters(); ++i) {
+            AEO_ASSERT(device->cpufreq(i).SetGovernor(cpu_governor),
+                       "unknown baseline CPU governor '%s'", cpu_governor.c_str());
         }
     }
     device->LaunchApp(MakeAppSpecByName(app_name));
@@ -124,16 +121,12 @@ std::vector<ExperimentOutcome>
 ExperimentHarness::RunComparisons(std::vector<ComparisonJob> jobs,
                                   const BatchOptions& batch) const
 {
-    const BatchRunner runner(batch);
-    if (runner.jobs() > 1) {
-        // The comparison is the unit of parallelism; its inner profiling
-        // runs serially so pools never nest (and the worker count never
-        // multiplies).
-        for (ComparisonJob& job : jobs) {
-            job.options.batch.jobs = 1;
-        }
+    // The comparison is the unit of parallelism; its inner profiling runs
+    // serially so pools never nest and @p batch is the whole thread budget.
+    for (ComparisonJob& job : jobs) {
+        job.options.batch.jobs = 1;
     }
-    return runner.RunIndexed<ExperimentOutcome>(
+    return BatchRunner(batch).RunIndexed<ExperimentOutcome>(
         jobs.size(), [this, &jobs](size_t i) {
             const ComparisonJob& job = jobs[i];
             return RunComparison(job.app_name, job.options);

@@ -57,9 +57,9 @@ struct ExperimentOptions {
     uint64_t seed = 7;
     /**
      * Parallel fan-out for the profiling stage of this comparison (see
-     * ProfilerOptions::batch). Ignored — forced serial — when the
-     * comparison itself runs inside a RunComparisons() fan-out, so pools
-     * never nest.
+     * ProfilerOptions::batch). Ignored — forced serial — inside a
+     * RunComparisons() sweep, whose own BatchOptions is the whole thread
+     * budget, so pools never nest.
      */
     BatchOptions batch;
 };
@@ -111,9 +111,10 @@ class ExperimentHarness {
     /**
      * Runs a sweep of independent comparisons across the batch layer and
      * returns the outcomes in @p jobs order. Each comparison is one batch
-     * job (its inner profiling is forced serial so pools never nest); every
-     * outcome is bit-identical to calling RunComparison() directly,
-     * regardless of worker count.
+     * job and its inner profiling is always serial, so @p batch bounds the
+     * threads the whole sweep uses (BatchOptions{1} runs everything on the
+     * calling thread). Every outcome is bit-identical to calling
+     * RunComparison() directly, regardless of worker count.
      */
     std::vector<ExperimentOutcome> RunComparisons(std::vector<ComparisonJob> jobs,
                                                   const BatchOptions& batch = {}) const;

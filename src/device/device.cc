@@ -51,42 +51,39 @@ RegisterStockCpufreqGovernors(CpufreqPolicy* policy)
 
 }  // namespace
 
+Device::ClusterDomain::ClusterDomain(const ClusterSpec& cluster_spec)
+    : spec(&cluster_spec),
+      cluster(cluster_spec.table, cluster_spec.num_cores),
+      residency(static_cast<size_t>(cluster_spec.table.size()))
+{
+}
+
 Device::Device(DeviceConfig config)
     : config_(config),
       topology_(config_.topology ? *config_.topology : MakeNexus6Topology()),
-      cluster_(topology_.primary().table, topology_.primary().num_cores),
       bus_(topology_.bandwidth_table()),
       gpu_(MakeAdreno420()),
       engine_(config.exec_params),
       power_model_(config.power_params),
       loadavg_(6.0),
-      cpu_residency_(static_cast<size_t>(topology_.primary().table.size())),
       bw_residency_(static_cast<size_t>(topology_.bandwidth_table().size())),
-      gpu_residency_(static_cast<size_t>(kAdreno420Levels)),
-      little_residency_(static_cast<size_t>(
-          topology_.is_heterogeneous() ? topology_.little().table.size() : 1))
+      gpu_residency_(static_cast<size_t>(kAdreno420Levels))
 {
     Rng seeder(config_.seed);
-    placement_ = topology_.is_heterogeneous() ? ThreadPlacement::kBoth
-                                              : ThreadPlacement::kBigOnly;
+    // The foreground may use every cluster until told otherwise: the widest
+    // admissible placement.
+    placement_ = topology_.AdmissiblePlacements().back();
 
-    // On big.LITTLE each domain gets its policyN directory; the homogeneous
-    // build keeps the legacy per-cpu root so node paths (and anything keyed
-    // on them, e.g. fault rules) are unchanged.
-    const std::string cpufreq_root =
-        topology_.is_heterogeneous()
-            ? CpufreqPolicyRoot(topology_.primary().first_cpu)
-            : std::string(kCpufreqSysfsRoot);
-    cpufreq_ = std::make_unique<CpufreqPolicy>(&sim_, &cluster_, &load_meter_,
-                                               &sysfs_, cpufreq_root);
-    RegisterStockCpufreqGovernors(cpufreq_.get());
-    if (topology_.is_heterogeneous()) {
-        little_cluster_.emplace(topology_.little().table,
-                                topology_.little().num_cores);
-        little_cpufreq_ = std::make_unique<CpufreqPolicy>(
-            &sim_, &*little_cluster_, &little_load_meter_, &sysfs_,
-            CpufreqPolicyRoot(topology_.little().first_cpu));
-        RegisterStockCpufreqGovernors(little_cpufreq_.get());
+    for (int i = 0; i < topology_.num_clusters(); ++i) {
+        const ClusterSpec& spec = topology_.cluster(i);
+        ClusterDomain& domain = clusters_.emplace_back(spec);
+        const std::string root =
+            CpufreqRoot(spec.first_cpu, topology_.num_clusters());
+        domain.cpufreq = std::make_unique<CpufreqPolicy>(
+            &sim_, &domain.cluster, &domain.load_meter, &sysfs_, root);
+        RegisterStockCpufreqGovernors(domain.cpufreq.get());
+        domain.governor_node = sysfs_.Open(root + "/scaling_governor");
+        domain.setspeed_node = sysfs_.Open(root + "/scaling_setspeed");
     }
 
     devfreq_ = std::make_unique<DevfreqPolicy>(&sim_, &bus_, &traffic_meter_,
@@ -129,22 +126,14 @@ Device::Device(DeviceConfig config)
 
     // Governors and perf sample lazily-integrated meters; the hooks bring
     // them up to date at each sampling instant.
-    cpufreq_->SetSyncHook([this] { IntegrateToNow(); });
-    if (little_cpufreq_) {
-        little_cpufreq_->SetSyncHook([this] { IntegrateToNow(); });
-    }
     devfreq_->SetSyncHook([this] { IntegrateToNow(); });
     gpufreq_->SetSyncHook([this] { IntegrateToNow(); });
     perf_->SetSyncHook([this] { IntegrateToNow(); });
 
-    cluster_.SetPreChangeListener([this] { IntegrateToNow(); });
-    cluster_.SetPostChangeListener([this] {
-        RecomputeRates();
-        RescheduleBoundary();
-    });
-    if (little_cluster_) {
-        little_cluster_->SetPreChangeListener([this] { IntegrateToNow(); });
-        little_cluster_->SetPostChangeListener([this] {
+    for (ClusterDomain& domain : clusters_) {
+        domain.cpufreq->SetSyncHook([this] { IntegrateToNow(); });
+        domain.cluster.SetPreChangeListener([this] { IntegrateToNow(); });
+        domain.cluster.SetPostChangeListener([this] {
             RecomputeRates();
             RescheduleBoundary();
         });
@@ -160,19 +149,10 @@ Device::Device(DeviceConfig config)
         RescheduleBoundary();
     });
 
-    cpu_governor_node_ = sysfs_.Open(cpufreq_root + "/scaling_governor");
     bw_governor_node_ = sysfs_.Open(std::string(kDevfreqSysfsRoot) + "/governor");
     gpu_governor_node_ = sysfs_.Open(std::string(kGpuSysfsRoot) + "/governor");
-    cpu_setspeed_node_ =
-        sysfs_.Open(cpufreq_root + "/scaling_setspeed");
     bw_setfreq_node_ =
         sysfs_.Open(std::string(kDevfreqSysfsRoot) + "/userspace/set_freq");
-    if (little_cpufreq_) {
-        const std::string little_root =
-            CpufreqPolicyRoot(topology_.little().first_cpu);
-        little_governor_node_ = sysfs_.Open(little_root + "/scaling_governor");
-        little_setspeed_node_ = sysfs_.Open(little_root + "/scaling_setspeed");
-    }
 
     last_update_ = sim_.Now();
     RecomputeRates();
@@ -206,9 +186,8 @@ Device::SetBackground(const BackgroundEnv& env)
 void
 Device::UseDefaultGovernors()
 {
-    sysfs_.Write(cpu_governor_node_, "interactive");
-    if (little_cpufreq_) {
-        sysfs_.Write(little_governor_node_, "interactive");
+    for (const ClusterDomain& domain : clusters_) {
+        sysfs_.Write(domain.governor_node, "interactive");
     }
     sysfs_.Write(bw_governor_node_, "cpubw_hwmon");
     sysfs_.Write(gpu_governor_node_, "msm-adreno-tz");
@@ -217,10 +196,11 @@ Device::UseDefaultGovernors()
 void
 Device::EnableMpdecision(MpdecisionParams params)
 {
-    mpdecision_ = std::make_unique<Mpdecision>(&sim_, &cluster_, &load_meter_,
-                                               params);
-    if (little_cluster_) {
-        mpdecision_->AddCluster(&*little_cluster_, &little_load_meter_);
+    ClusterDomain& primary = clusters_.front();
+    mpdecision_ = std::make_unique<Mpdecision>(&sim_, &primary.cluster,
+                                               &primary.load_meter, params);
+    for (auto it = std::next(clusters_.begin()); it != clusters_.end(); ++it) {
+        mpdecision_->AddCluster(&it->cluster, &it->load_meter);
     }
     mpdecision_->SetSyncHook([this] { IntegrateToNow(); });
     mpdecision_->Start();
@@ -248,7 +228,7 @@ Device::EnableInputBoost(InputBoostParams params)
     if (!raw.empty() && ParseInt64(raw, &khz) && khz > 0) {
         params.boost_freq = Gigahertz(static_cast<double>(khz) / 1e6);
     }
-    input_boost_ = std::make_unique<InputBoost>(&sim_, cpufreq_.get(), params);
+    input_boost_ = std::make_unique<InputBoost>(&sim_, &cpufreq(), params);
 }
 
 void
@@ -265,7 +245,7 @@ Device::EnableThermal(ThermalParams thermal_params, MsmThermalParams msm_params)
     AEO_ASSERT(thermal_ == nullptr, "thermal subsystem enabled twice");
     Sync();
     thermal_ = std::make_unique<ThermalModel>(thermal_params);
-    msm_thermal_ = std::make_unique<MsmThermal>(&sim_, cpufreq_.get(),
+    msm_thermal_ = std::make_unique<MsmThermal>(&sim_, &cpufreq(),
                                                 thermal_.get(), &sysfs_,
                                                 msm_params);
     msm_thermal_->SetSyncHook([this] { IntegrateToNow(); });
@@ -278,46 +258,44 @@ Device::EnableThermal(ThermalParams thermal_params, MsmThermalParams msm_params)
 void
 Device::UseUserspaceGovernors()
 {
-    sysfs_.Write(cpu_governor_node_, "userspace");
-    if (little_cpufreq_) {
-        sysfs_.Write(little_governor_node_, "userspace");
+    for (const ClusterDomain& domain : clusters_) {
+        sysfs_.Write(domain.governor_node, "userspace");
     }
     sysfs_.Write(bw_governor_node_, "userspace");
+}
+
+void
+Device::WriteSetspeed(const ClusterDomain& domain, int level)
+{
+    const long long khz =
+        std::llround(domain.cluster.table().FrequencyAt(level).kilohertz());
+    sysfs_.Write(domain.setspeed_node, StrFormat("%lld", khz));
 }
 
 void
 Device::PinConfiguration(int cpu_level, int bw_level)
 {
     UseUserspaceGovernors();
-    const long long khz =
-        std::llround(cluster_.table().FrequencyAt(cpu_level).kilohertz());
+    WriteSetspeed(clusters_.front(), cpu_level);
     const long long mbps =
         std::llround(bus_.table().BandwidthAt(bw_level).value());
-    sysfs_.Write(cpu_setspeed_node_, StrFormat("%lld", khz));
     sysfs_.Write(bw_setfreq_node_, StrFormat("%lld", mbps));
 }
 
 void
 Device::PinHetConfiguration(const HetConfig& config)
 {
-    if (!little_cpufreq_) {
-        AEO_ASSERT(config.little_level == 0 &&
-                       config.placement == ThreadPlacement::kBigOnly,
-                   "heterogeneous config %s on a homogeneous device",
+    for (size_t i = clusters_.size(); i < kMaxCpuClusters; ++i) {
+        AEO_ASSERT(config.cluster_level(i) == 0,
+                   "config %s names a cluster this device lacks",
                    config.ToString().c_str());
-        PinConfiguration(config.big_level, config.bw_level);
-        return;
     }
     UseUserspaceGovernors();
-    const long long big_khz = std::llround(
-        cluster_.table().FrequencyAt(config.big_level).kilohertz());
-    const long long little_khz = std::llround(little_cluster_->table()
-                                                  .FrequencyAt(config.little_level)
-                                                  .kilohertz());
+    for (size_t i = 0; i < clusters_.size(); ++i) {
+        WriteSetspeed(clusters_[i], config.cluster_level(i));
+    }
     const long long mbps =
         std::llround(bus_.table().BandwidthAt(config.bw_level).value());
-    sysfs_.Write(cpu_setspeed_node_, StrFormat("%lld", big_khz));
-    sysfs_.Write(little_setspeed_node_, StrFormat("%lld", little_khz));
     sysfs_.Write(bw_setfreq_node_, StrFormat("%lld", mbps));
     SetThreadPlacement(config.placement);
 }
@@ -375,24 +353,27 @@ Device::CurrentPower() const
 {
     const double overhead_mw =
         perf_->power_overhead_mw() + controller_overhead_mw_;
-    if (power_cache_valid_ && overhead_mw == power_cache_overhead_mw_) {
-        return power_cache_;
+    if (!power_cache_valid_ || overhead_mw != power_cache_overhead_mw_) {
+        power_cache_ = EvaluatePower(overhead_mw);
+        power_cache_overhead_mw_ = overhead_mw;
+        power_cache_valid_ = true;
     }
+    return power_cache_;
+}
+
+Milliwatts
+Device::EvaluatePower(double overhead_mw) const
+{
     PowerInputs inputs;
-    inputs.cpu_freq = cluster_.frequency();
-    inputs.cpu_voltage = cluster_.voltage();
-    inputs.online_cores = cluster_.online_cores();
-    inputs.busy_cores = big_busy_cores_;
-    inputs.cpu_dyn_scale = topology_.primary().dyn_power_scale;
-    inputs.cpu_leak_scale = topology_.primary().leak_power_scale;
-    if (little_cluster_) {
-        inputs.has_little = true;
-        inputs.little_freq = little_cluster_->frequency();
-        inputs.little_voltage = little_cluster_->voltage();
-        inputs.little_online = little_cluster_->online_cores();
-        inputs.little_busy = little_busy_cores_;
-        inputs.little_dyn_scale = topology_.little().dyn_power_scale;
-        inputs.little_leak_scale = topology_.little().leak_power_scale;
+    for (const ClusterDomain& domain : clusters_) {
+        ClusterPowerInputs cpu;
+        cpu.freq = domain.cluster.frequency();
+        cpu.voltage = domain.cluster.voltage();
+        cpu.online_cores = domain.cluster.online_cores();
+        cpu.busy_cores = domain.busy_cores;
+        cpu.dyn_scale = domain.spec->dyn_power_scale;
+        cpu.leak_scale = domain.spec->leak_power_scale;
+        inputs.clusters.push_back(cpu);
     }
     inputs.bw_level = bus_.level();
     inputs.mem_gbps = mem_gbps_;
@@ -408,10 +389,7 @@ Device::CurrentPower() const
     inputs.overhead_mw = overhead_mw;
     inputs.temp_c = thermal_ != nullptr ? thermal_->temperature_c()
                                         : kLeakageReferenceC;
-    power_cache_ = power_model_.TotalPower(inputs);
-    power_cache_overhead_mw_ = overhead_mw;
-    power_cache_valid_ = true;
-    return power_cache_;
+    return power_model_.TotalPower(inputs);
 }
 
 void
@@ -451,20 +429,17 @@ Device::IntegrateToNow()
         if (thermal_ != nullptr) {
             thermal_->Advance(power, dt);
         }
-        cpu_residency_.Add(static_cast<size_t>(cluster_.level()), seconds.value());
+        for (ClusterDomain& domain : clusters_) {
+            domain.residency.Add(static_cast<size_t>(domain.cluster.level()),
+                                 seconds.value());
+            domain.load_meter.Advance(domain.busy_cores, domain.max_core_load, dt);
+        }
         bw_residency_.Add(static_cast<size_t>(bus_.level()), seconds.value());
         gpu_residency_.Add(static_cast<size_t>(gpu_.level()), seconds.value());
         gpu_meter_.Advance(gpu_busy_, dt);
-        load_meter_.Advance(big_busy_cores_, max_core_load_, dt);
-        if (little_cluster_) {
-            little_residency_.Add(static_cast<size_t>(little_cluster_->level()),
-                                  seconds.value());
-            little_load_meter_.Advance(little_busy_cores_,
-                                       little_max_core_load_, dt);
-        }
         traffic_meter_.Advance(mem_gbps_, dt);
-        pmu_.Advance(fg_gips_, cluster_.frequency().value(), busy_cores_,
-                     mem_gbps_, dt);
+        pmu_.Advance(fg_gips_, clusters_.front().cluster.frequency().value(),
+                     busy_cores_, mem_gbps_, dt);
         loadavg_.Advance(busy_cores_, dt);
         if (foreground_ != nullptr) {
             foreground_->Advance(dt, fg_gips_ * seconds.value());
@@ -493,52 +468,25 @@ Device::RecomputeRates()
     // tool costs ~4 % at a 1 s sampling period).
     const double overhead = perf_->cpu_overhead_fraction();
 
-    if (little_cluster_) {
-        ClusterOperatingPoint big;
-        big.frequency = cluster_.frequency();
-        big.perf_scale = topology_.primary().perf_scale;
-        big.online_cores = cluster_.online_cores();
-        ClusterOperatingPoint little;
-        little.frequency = little_cluster_->frequency();
-        little.perf_scale = topology_.little().perf_scale;
-        little.online_cores = little_cluster_->online_cores();
-
-        const HetExecutionRates het = engine_.ComputeSharedHet(
-            fg_demand, bg_demand, big, little, placement_,
-            topology_.placement_model().span_penalty, bus_.bandwidth());
-        fg_gips_ = het.foreground.gips * (1.0 - overhead);
-        bg_gips_ = het.background.gips;
-        busy_cores_ = het.big_busy_cores + het.little_busy_cores;
-        big_busy_cores_ = het.big_busy_cores;
-        little_busy_cores_ = het.little_busy_cores;
-        mem_gbps_ = het.foreground.mem_gbps + het.background.mem_gbps;
-        max_core_load_ = het.big_max_core_load;
-        little_max_core_load_ = het.little_max_core_load;
-    } else {
-        const SharedExecutionRates rates = engine_.ComputeShared(
-            fg_demand, bg_demand, cluster_.frequency(), bus_.bandwidth(),
-            cluster_.online_cores());
-
-        fg_gips_ = rates.foreground.gips * (1.0 - overhead);
-        bg_gips_ = rates.background.gips;
-        busy_cores_ = rates.foreground.busy_cores + rates.background.busy_cores;
-        big_busy_cores_ = busy_cores_;
-        little_busy_cores_ = 0.0;
-        mem_gbps_ = rates.foreground.mem_gbps + rates.background.mem_gbps;
-
-        // The busiest core's utilization: a workload's active cores each run
-        // at gips/capacity (1.0 when compute-saturated). interactive keys
-        // off this.
-        const auto core_load = [](const ExecutionRates& rates_for) {
-            if (rates_for.capacity_gips <= 0.0) {
-                return 0.0;
-            }
-            const double load = rates_for.gips / rates_for.capacity_gips;
-            return load > 1.0 ? 1.0 : load;
-        };
-        max_core_load_ =
-            std::max(core_load(rates.foreground), core_load(rates.background));
-        little_max_core_load_ = 0.0;
+    ClusterOperatingPoints operating_points;
+    for (const ClusterDomain& domain : clusters_) {
+        ClusterOperatingPoint point;
+        point.frequency = domain.cluster.frequency();
+        point.perf_scale = domain.spec->perf_scale;
+        point.online_cores = domain.cluster.online_cores();
+        operating_points.push_back(point);
+    }
+    const SharedRates rates = engine_.ComputeShared(
+        fg_demand, bg_demand, operating_points, placement_,
+        topology_.placement_model().span_penalty, bus_.bandwidth());
+    fg_gips_ = rates.foreground.gips * (1.0 - overhead);
+    bg_gips_ = rates.background.gips;
+    mem_gbps_ = rates.foreground.mem_gbps + rates.background.mem_gbps;
+    busy_cores_ = 0.0;
+    for (size_t i = 0; i < clusters_.size(); ++i) {
+        clusters_[i].busy_cores = rates.clusters[i].busy_cores;
+        clusters_[i].max_core_load = rates.clusters[i].max_core_load;
+        busy_cores_ += rates.clusters[i].busy_cores;
     }
     power_cache_valid_ = false;
 
@@ -626,15 +574,13 @@ Device::CollectResult(const std::string& policy_name) const
         result.app_finished = foreground_->Finished();
     }
 
-    result.cpu_residency = cpu_residency_.Fractions();
+    for (size_t i = 0; i < clusters_.size(); ++i) {
+        result.cluster_residency(i) = clusters_[i].residency.Fractions();
+        result.cluster_transitions(i) = clusters_[i].cluster.transition_count();
+    }
     result.bw_residency = bw_residency_.Fractions();
     result.gpu_residency = gpu_residency_.Fractions();
-    result.cpu_transitions = cluster_.transition_count();
     result.bw_transitions = bus_.transition_count();
-    if (little_cluster_) {
-        result.little_residency = little_residency_.Fractions();
-        result.little_transitions = little_cluster_->transition_count();
-    }
     result.loadavg = loadavg_.value();
     return result;
 }

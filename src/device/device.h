@@ -22,6 +22,7 @@
 #ifndef AEO_DEVICE_DEVICE_H_
 #define AEO_DEVICE_DEVICE_H_
 
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -68,9 +69,9 @@ struct DeviceConfig {
     /**
      * Cluster topology. Absent (the default) builds the historical
      * single-cluster Nexus 6 — bit-identical to builds predating the
-     * topology parameter. A two-cluster topology adds a LITTLE frequency
-     * domain with its own cpufreq policy (.../cpufreq/policyN), load meter
-     * and governors, plus the thread-placement axis.
+     * topology parameter. Every cluster is a frequency domain with its own
+     * cpufreq policy, load meter, residency histogram and governors; a
+     * multi-cluster topology also opens the thread-placement axis.
      */
     std::optional<ClusterTopology> topology;
     /** Power-monitor setup. */
@@ -111,7 +112,8 @@ class Device {
     /** Selects the Android defaults: interactive + cpubw_hwmon. */
     void UseDefaultGovernors();
 
-    /** Selects userspace governors on both subsystems (controller mode). */
+    /** Selects userspace governors on every CPU cluster and the bus
+     * (controller mode). */
     void UseUserspaceGovernors();
 
     /**
@@ -145,11 +147,12 @@ class Device {
     void EnableThermal(ThermalParams thermal_params = {},
                        MsmThermalParams msm_params = {});
 
-    /** Pins a fixed configuration via the userspace governors. */
+    /** Pins the primary cluster's and the bus's levels via the userspace
+     * governors. */
     void PinConfiguration(int cpu_level, int bw_level);
 
     /**
-     * Pins a heterogeneous configuration: big + LITTLE frequency levels,
+     * Pins a heterogeneous configuration: every cluster's frequency level,
      * bandwidth level and thread placement, all via userspace governors.
      * On a homogeneous device little_level must be 0 and the placement
      * kBigOnly (the legacy semantics).
@@ -184,20 +187,24 @@ class Device {
     Simulator& sim() { return sim_; }
     Sysfs& sysfs() { return sysfs_; }
     const ClusterTopology& topology() const { return topology_; }
-    CpufreqPolicy& cpufreq() { return *cpufreq_; }
-    /** LITTLE-cluster cpufreq policy; nullptr on homogeneous devices. */
-    CpufreqPolicy* little_cpufreq() { return little_cpufreq_.get(); }
-    /** The LITTLE cluster; nullptr on homogeneous devices. */
-    CpuCluster* little_cluster()
+    /** Number of CPU clusters (frequency domains). */
+    size_t num_clusters() const { return clusters_.size(); }
+    /** Cluster @p index's cpufreq policy (topology order; 0 = primary). */
+    CpufreqPolicy& cpufreq(size_t index = 0) { return *clusters_.at(index).cpufreq; }
+    /** The LITTLE (last) cluster's cpufreq policy; nullptr on homogeneous
+     * devices. */
+    CpufreqPolicy*
+    little_cpufreq()
     {
-        return little_cluster_ ? &*little_cluster_ : nullptr;
+        return clusters_.size() > 1 ? clusters_.back().cpufreq.get() : nullptr;
     }
     DevfreqPolicy& devfreq() { return *devfreq_; }
     GpuFreqPolicy& gpufreq() { return *gpufreq_; }
     GpuDomain& gpu() { return gpu_; }
     PerfTool& perf() { return *perf_; }
     const Pmu& pmu() const { return pmu_; }
-    CpuCluster& cluster() { return cluster_; }
+    /** CPU cluster @p index (topology order; 0 = primary). */
+    CpuCluster& cluster(size_t index = 0) { return clusters_.at(index).cluster; }
     MemoryBus& bus() { return bus_; }
     const EnergyMeter& energy_meter() const { return energy_meter_; }
     MonsoonMonitor& monitor() { return *monitor_; }
@@ -237,42 +244,57 @@ class Device {
     void Sync();
 
   private:
+    /** One CPU frequency domain and everything the device keeps for it. */
+    struct ClusterDomain {
+        explicit ClusterDomain(const ClusterSpec& cluster_spec);
+
+        const ClusterSpec* spec;
+        CpuCluster cluster;
+        CpuLoadMeter load_meter;
+        std::unique_ptr<CpufreqPolicy> cpufreq;
+        Histogram residency;
+        /** Interned governor/setspeed nodes for the pinning helpers. */
+        SysfsHandle governor_node;
+        SysfsHandle setspeed_node;
+        /** This cluster's split of the current rates (see ClusterLoad). */
+        double busy_cores = 0.0;
+        double max_core_load = 0.0;
+    };
+
     void IntegrateToNow();
     void RecomputeRates();
     void RescheduleBoundary();
     void OnBoundary();
     void MaybeFinish();
+    /** Writes @p level's frequency to @p domain's scaling_setspeed. */
+    void WriteSetspeed(const ClusterDomain& domain, int level);
+    /** CurrentPower()'s memo miss: gathers every rail's inputs and runs the
+     * power model. Out of line, so the 5 kHz memo hit saves and restores
+     * only the registers it uses. */
+    Milliwatts EvaluatePower(double overhead_mw) const;
 
     DeviceConfig config_;
     ClusterTopology topology_;
     Simulator sim_;
     Sysfs sysfs_;
     /** Interned governor/setspeed nodes for the pinning helpers. */
-    SysfsHandle cpu_governor_node_;
     SysfsHandle bw_governor_node_;
     SysfsHandle gpu_governor_node_;
-    SysfsHandle cpu_setspeed_node_;
     SysfsHandle bw_setfreq_node_;
-    SysfsHandle little_governor_node_;
-    SysfsHandle little_setspeed_node_;
 
-    CpuCluster cluster_;
-    /** The LITTLE frequency domain; engaged only on big.LITTLE builds. */
-    std::optional<CpuCluster> little_cluster_;
+    /** One entry per topology cluster, in topology order. A deque keeps
+     * each domain at a fixed address: its policy points into it. */
+    std::deque<ClusterDomain> clusters_;
     MemoryBus bus_;
     GpuDomain gpu_;
     ExecutionEngine engine_;
     PowerModel power_model_;
 
-    CpuLoadMeter load_meter_;
-    CpuLoadMeter little_load_meter_;
     BusTrafficMeter traffic_meter_;
     GpuBusyMeter gpu_meter_;
     Pmu pmu_;
     LoadAvg loadavg_;
 
-    std::unique_ptr<CpufreqPolicy> cpufreq_;
-    std::unique_ptr<CpufreqPolicy> little_cpufreq_;
     std::unique_ptr<DevfreqPolicy> devfreq_;
     std::unique_ptr<GpuFreqPolicy> gpufreq_;
     std::unique_ptr<Mpdecision> mpdecision_;
@@ -288,20 +310,14 @@ class Device {
     BackgroundEnv background_env_;
 
     EnergyMeter energy_meter_;
-    Histogram cpu_residency_;
     Histogram bw_residency_;
     Histogram gpu_residency_;
-    Histogram little_residency_;
 
     SimTime last_update_;
     double fg_gips_ = 0.0;
     double bg_gips_ = 0.0;
+    /** Busy cores summed over the clusters. */
     double busy_cores_ = 0.0;
-    double max_core_load_ = 0.0;
-    /** Per-cluster splits; on homogeneous builds big == total, little == 0. */
-    double big_busy_cores_ = 0.0;
-    double little_busy_cores_ = 0.0;
-    double little_max_core_load_ = 0.0;
     ThreadPlacement placement_ = ThreadPlacement::kBigOnly;
     double mem_gbps_ = 0.0;
     double gpu_busy_ = 0.0;

@@ -7,6 +7,7 @@
 #ifndef AEO_DEVICE_RUN_RESULT_H_
 #define AEO_DEVICE_RUN_RESULT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -57,6 +58,21 @@ struct RunResult {
 
     /** Final /proc/loadavg value (§V-C). */
     double loadavg = 0.0;
+
+    /** Residency of CPU cluster @p index: cpu_residency for the primary,
+     * else little_residency. */
+    std::vector<double>&
+    cluster_residency(size_t index)
+    {
+        return index == 0 ? cpu_residency : little_residency;
+    }
+
+    /** DVFS transitions of CPU cluster @p index (see cluster_residency). */
+    uint64_t&
+    cluster_transitions(size_t index)
+    {
+        return index == 0 ? cpu_transitions : little_transitions;
+    }
 
     /** Performance change of this run vs @p baseline, percent (+ = faster).
      *

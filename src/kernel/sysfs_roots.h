@@ -35,6 +35,16 @@ CpufreqPolicyRoot(int first_cpu)
     return "/sys/devices/system/cpu/cpufreq/policy" + std::to_string(first_cpu);
 }
 
+/** The cpufreq directory of the domain starting at @p first_cpu on a SoC
+ * with @p num_clusters domains: the legacy root on a single cluster, so node
+ * paths (and fault rules keyed on them) keep their historical names. */
+inline std::string
+CpufreqRoot(int first_cpu, int num_clusters)
+{
+    return num_clusters == 1 ? std::string(kCpufreqSysfsRoot)
+                             : CpufreqPolicyRoot(first_cpu);
+}
+
 }  // namespace aeo
 
 #endif  // AEO_KERNEL_SYSFS_ROOTS_H_

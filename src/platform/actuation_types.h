@@ -10,6 +10,7 @@
 #ifndef AEO_PLATFORM_ACTUATION_TYPES_H_
 #define AEO_PLATFORM_ACTUATION_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/static_vector.h"
@@ -92,6 +93,9 @@ struct DwellDelivery {
     ActuationDelivery gpu;
     /** LITTLE-cluster frequency; attempted only on big.LITTLE plans. */
     ActuationDelivery little;
+
+    /** Delivery of CPU cluster @p index: cpu for the primary, else little. */
+    ActuationDelivery& cluster(size_t index) { return index == 0 ? cpu : little; }
 };
 
 /** One resolved dwell of an actuation plan: run @p config for @p seconds. */

@@ -63,37 +63,21 @@ ConfigScheduler::ConfigScheduler(Device* device, SimTime min_dwell,
     // value string, builds a path, or sorts a fallback order again.
     Sysfs& sysfs = device_->sysfs();
 
-    const FrequencyTable& cpu_table = device_->cluster().table();
-    const auto cpu_khz = [&cpu_table](int level) {
-        return static_cast<double>(
-            std::llround(cpu_table.FrequencyAt(level).megahertz() * 1000.0));
-    };
-    const std::string& cpu_root = device_->cpufreq().sysfs_root();
-    cpu_plan_.set = sysfs.Open(cpu_root + "/scaling_setspeed");
-    cpu_plan_.readback = sysfs.Open(cpu_root + "/scaling_cur_freq");
-    PrecomputeCandidates(cpu_table.size(), cpu_khz, &cpu_plan_.candidates,
-                         &cpu_plan_.levels);
-    cpu_plan_.to_level = [&cpu_table](long long khz) {
-        return cpu_table.ClosestLevel(Gigahertz(static_cast<double>(khz) / 1e6));
-    };
-
-    // A second frequency domain exists only on big.LITTLE topologies; its
-    // plan is precomputed identically from the LITTLE policy's OPP table.
-    if (CpufreqPolicy* little = device_->little_cpufreq()) {
-        has_little_ = true;
-        const FrequencyTable& little_table = little->table();
-        const auto little_khz = [&little_table](int level) {
-            return static_cast<double>(std::llround(
-                little_table.FrequencyAt(level).megahertz() * 1000.0));
+    cpu_plans_.resize(device_->num_clusters());
+    for (size_t i = 0; i < cpu_plans_.size(); ++i) {
+        const CpufreqPolicy& policy = device_->cpufreq(i);
+        const FrequencyTable& cpu_table = policy.table();
+        const auto cpu_khz = [&cpu_table](int level) {
+            return static_cast<double>(
+                std::llround(cpu_table.FrequencyAt(level).megahertz() * 1000.0));
         };
-        const std::string& little_root = little->sysfs_root();
-        little_plan_.set = sysfs.Open(little_root + "/scaling_setspeed");
-        little_plan_.readback = sysfs.Open(little_root + "/scaling_cur_freq");
-        PrecomputeCandidates(little_table.size(), little_khz,
-                             &little_plan_.candidates, &little_plan_.levels);
-        little_plan_.to_level = [&little_table](long long khz) {
-            return little_table.ClosestLevel(
-                Gigahertz(static_cast<double>(khz) / 1e6));
+        SubsystemActuator& plan = cpu_plans_[i];
+        plan.set = sysfs.Open(policy.sysfs_root() + "/scaling_setspeed");
+        plan.readback = sysfs.Open(policy.sysfs_root() + "/scaling_cur_freq");
+        PrecomputeCandidates(cpu_table.size(), cpu_khz, &plan.candidates,
+                             &plan.levels);
+        plan.to_level = [&cpu_table](long long khz) {
+            return cpu_table.ClosestLevel(Gigahertz(static_cast<double>(khz) / 1e6));
         };
     }
 
@@ -239,7 +223,7 @@ ConfigScheduler::ProbeActuationPath()
     // — that still proves the path is alive; transport-level errors
     // (EIO/EBUSY/ENOENT) prove it is not. "0" is harmless even if a
     // userspace governor were active: no table has a 0 kHz level.
-    const FaultErrc errc = device_->sysfs().TryWrite(cpu_plan_.set, "0");
+    const FaultErrc errc = device_->sysfs().TryWrite(cpu_plans_.front().set, "0");
     return errc == FaultErrc::kOk || errc == FaultErrc::kInval;
 }
 
@@ -287,7 +271,10 @@ ConfigScheduler::ApplyConfigNow(const SystemConfig& config)
     DwellDelivery delivery;
     delivery.requested_config = config;
 
-    ActuateSubsystem(cpu_plan_, config.cpu_level, &delivery.cpu);
+    // The primary cluster is always actuated; the others only when the
+    // config controls them, after the bus and GPU (the sysfs op order the
+    // fault injector's per-op stream follows).
+    ActuateSubsystem(cpu_plans_.front(), config.cpu_level, &delivery.cpu);
     if (config.controls_bandwidth()) {
         ActuateSubsystem(bw_plan_, config.bw_level, &delivery.bw);
     }
@@ -295,10 +282,13 @@ ConfigScheduler::ApplyConfigNow(const SystemConfig& config)
         ActuateSubsystem(gpu_plan_, config.gpu_level, &delivery.gpu);
     }
     if (config.controls_little()) {
-        AEO_ASSERT(has_little_,
+        AEO_ASSERT(cpu_plans_.size() > 1,
                    "config %s names a LITTLE level on a single-cluster device",
                    config.ToString().c_str());
-        ActuateSubsystem(little_plan_, config.little_level, &delivery.little);
+        for (size_t i = 1; i < cpu_plans_.size(); ++i) {
+            ActuateSubsystem(cpu_plans_[i], config.cluster_level(i),
+                             &delivery.cluster(i));
+        }
         if (config.placement != kPlacementDefault) {
             // Placement is a scheduler affinity, not a sysfs frequency node:
             // it cannot fail transiently, so it is applied directly.

@@ -133,12 +133,10 @@ class ConfigScheduler final : public Actuator {
     void NoteOpOutcome(bool ok);
 
     Device* device_;
-    SubsystemActuator cpu_plan_;
+    /** One frequency plan per CPU cluster, in topology order. */
+    std::vector<SubsystemActuator> cpu_plans_;
     SubsystemActuator bw_plan_;
     SubsystemActuator gpu_plan_;
-    /** LITTLE-cluster frequency plan; populated only on big.LITTLE. */
-    SubsystemActuator little_plan_;
-    bool has_little_ = false;
     SimTime min_dwell_;
     ActuationRetryPolicy retry_;
     ActuationStats stats_;

@@ -39,19 +39,17 @@ SimPlatform::SimPlatform(Device* device)
 {
     AEO_ASSERT(device_ != nullptr, "platform needs a device");
     Sysfs& sysfs = device_->sysfs();
-    // The policy directory differs between the historical single-cluster
+    // The policy directories differ between the historical single-cluster
     // tree (cpu0/cpufreq) and the big.LITTLE per-policy tree (cpufreq/
     // policyN); the device knows which one it built.
-    const std::string& cpu_root = device_->cpufreq().sysfs_root();
-    cap_node_ = sysfs.Open(cpu_root + "/scaling_max_freq");
+    cap_node_ = sysfs.Open(device_->cpufreq().sysfs_root() + "/scaling_max_freq");
     temp_node_ = sysfs.Open("/sys/class/thermal/thermal_zone0/temp");
-    cpu_governor_node_ = sysfs.Open(cpu_root + "/scaling_governor");
+    for (size_t i = 0; i < device_->num_clusters(); ++i) {
+        cpu_governor_nodes_.push_back(
+            sysfs.Open(device_->cpufreq(i).sysfs_root() + "/scaling_governor"));
+    }
     bw_governor_node_ = sysfs.Open(std::string(kDevfreqSysfsRoot) + "/governor");
     gpu_governor_node_ = sysfs.Open(std::string(kGpuSysfsRoot) + "/governor");
-    if (CpufreqPolicy* little = device_->little_cpufreq()) {
-        little_governor_node_ =
-            sysfs.Open(little->sysfs_root() + "/scaling_governor");
-    }
 }
 
 int
@@ -63,7 +61,7 @@ SimPlatform::num_cpu_clusters() const
 int
 SimPlatform::max_little_level() const
 {
-    const CpuCluster* little = device_->little_cluster();
+    const CpufreqPolicy* little = device_->little_cpufreq();
     return little != nullptr ? little->table().max_level() : -1;
 }
 
@@ -114,11 +112,10 @@ void
 SimPlatform::PinForControl(bool bandwidth, bool gpu)
 {
     Sysfs& sysfs = device_->sysfs();
-    TrySetGovernor(sysfs, cpu_governor_node_, "userspace");
-    if (little_governor_node_.valid()) {
-        // Both frequency domains go to userspace: the big.LITTLE controller
-        // owns the LITTLE clock alongside the big one.
-        TrySetGovernor(sysfs, little_governor_node_, "userspace");
+    // Every frequency domain goes to userspace: on big.LITTLE the controller
+    // owns the LITTLE clock alongside the big one.
+    for (const SysfsHandle node : cpu_governor_nodes_) {
+        TrySetGovernor(sysfs, node, "userspace");
     }
     if (bandwidth) {
         TrySetGovernor(sysfs, bw_governor_node_, "userspace");
@@ -141,9 +138,8 @@ SimPlatform::RestoreStock()
     Sysfs& sysfs = device_->sysfs();
     // Best effort: if even these writes fail, the device keeps whatever
     // governors it has — there is nothing further a userspace agent can do.
-    TrySetGovernor(sysfs, cpu_governor_node_, "interactive");
-    if (little_governor_node_.valid()) {
-        TrySetGovernor(sysfs, little_governor_node_, "interactive");
+    for (const SysfsHandle node : cpu_governor_nodes_) {
+        TrySetGovernor(sysfs, node, "interactive");
     }
     TrySetGovernor(sysfs, bw_governor_node_, "cpubw_hwmon");
     TrySetGovernor(sysfs, gpu_governor_node_, "msm-adreno-tz");

@@ -10,6 +10,8 @@
 #ifndef AEO_PLATFORM_SIM_PLATFORM_H_
 #define AEO_PLATFORM_SIM_PLATFORM_H_
 
+#include <vector>
+
 #include "device/device.h"
 #include "platform/config_scheduler.h"
 #include "platform/platform.h"
@@ -66,11 +68,10 @@ class SimPlatform final : public Platform,
      * (opened once at construction; no path strings built while running). */
     SysfsHandle cap_node_;
     SysfsHandle temp_node_;
-    SysfsHandle cpu_governor_node_;
+    /** One governor file per CPU cluster, in topology order. */
+    std::vector<SysfsHandle> cpu_governor_nodes_;
     SysfsHandle bw_governor_node_;
     SysfsHandle gpu_governor_node_;
-    /** LITTLE policy's governor file; open only on big.LITTLE devices. */
-    SysfsHandle little_governor_node_;
 };
 
 }  // namespace aeo::platform

@@ -33,8 +33,6 @@ PowerModel::ClusterCpuPower(Gigahertz freq, Volts voltage, int online_cores,
 PowerBreakdown
 PowerModel::Compute(const PowerInputs& inputs) const
 {
-    AEO_ASSERT(inputs.online_cores >= 1, "no cores online");
-    AEO_ASSERT(inputs.busy_cores >= 0.0, "negative busy cores");
     AEO_ASSERT(inputs.bw_level >= 0, "negative bandwidth level");
 
     PowerBreakdown out;
@@ -44,17 +42,16 @@ PowerModel::Compute(const PowerInputs& inputs) const
     const double leak_scale = std::max(
         0.0, 1.0 + params_.leak_temp_coeff_per_c * (inputs.temp_c - kLeakageReferenceC));
 
-    out.cpu_mw = ClusterCpuPower(inputs.cpu_freq, inputs.cpu_voltage,
-                                 inputs.online_cores, inputs.busy_cores,
-                                 inputs.cpu_dyn_scale, inputs.cpu_leak_scale,
-                                 leak_scale);
-    if (inputs.has_little) {
-        AEO_ASSERT(inputs.little_online >= 0, "negative LITTLE cores");
-        out.little_cpu_mw = ClusterCpuPower(
-            inputs.little_freq, inputs.little_voltage, inputs.little_online,
-            inputs.little_busy, inputs.little_dyn_scale,
-            inputs.little_leak_scale, leak_scale);
+    int online_cores = 0;
+    for (const ClusterPowerInputs& cluster : inputs.clusters) {
+        AEO_ASSERT(cluster.online_cores >= 0, "negative online cores");
+        AEO_ASSERT(cluster.busy_cores >= 0.0, "negative busy cores");
+        online_cores += cluster.online_cores;
+        out.cpu_mw.push_back(ClusterCpuPower(
+            cluster.freq, cluster.voltage, cluster.online_cores, cluster.busy_cores,
+            cluster.dyn_scale, cluster.leak_scale, leak_scale));
     }
+    AEO_ASSERT(online_cores >= 1, "no cores online");
 
     const double gv = inputs.gpu_voltage.value();
     out.gpu_mw = params_.gpu_dyn_mw_per_mhz_v2 * inputs.gpu_mhz * gv * gv *

@@ -19,6 +19,8 @@
 #ifndef AEO_POWER_POWER_MODEL_H_
 #define AEO_POWER_POWER_MODEL_H_
 
+#include "common/static_vector.h"
+#include "common/system_config.h"
 #include "common/units.h"
 
 namespace aeo {
@@ -62,25 +64,23 @@ struct PowerModelParams {
 /** Die temperature at which the leakage coefficients were calibrated, °C. */
 inline constexpr double kLeakageReferenceC = 25.0;
 
-/** Instantaneous operating state fed to the model. */
-struct PowerInputs {
-    Gigahertz cpu_freq;
-    Volts cpu_voltage;
+/** One CPU cluster's operating state fed to the model. */
+struct ClusterPowerInputs {
+    Gigahertz freq;
+    Volts voltage;
     int online_cores = 4;
     /** Busy core-seconds per second (foreground + background), 0..cores. */
     double busy_cores = 0.0;
-    /** Primary-cluster silicon power scales (ClusterSpec::*_power_scale).
-     * Exactly 1.0 on the reference cluster — an IEEE-exact no-op. */
-    double cpu_dyn_scale = 1.0;
-    double cpu_leak_scale = 1.0;
-    /** Second (LITTLE) frequency domain; absent on homogeneous SoCs. */
-    bool has_little = false;
-    Gigahertz little_freq{0.3};
-    Volts little_voltage{0.80};
-    int little_online = 0;
-    double little_busy = 0.0;
-    double little_dyn_scale = 1.0;
-    double little_leak_scale = 1.0;
+    /** Silicon power scales (ClusterSpec::*_power_scale). Exactly 1.0 on
+     * the reference cluster — an IEEE-exact no-op. */
+    double dyn_scale = 1.0;
+    double leak_scale = 1.0;
+};
+
+/** Instantaneous operating state fed to the model. */
+struct PowerInputs {
+    /** One entry per CPU cluster, in topology order (primary first). */
+    StaticVector<ClusterPowerInputs, kMaxCpuClusters> clusters;
     /** Current 0-based bandwidth level. */
     int bw_level = 0;
     /** Actual bus traffic, GB/s. */
@@ -101,10 +101,8 @@ struct PowerInputs {
 
 /** Per-rail decomposition of device power. */
 struct PowerBreakdown {
-    /** Primary (big/unified) CPU cluster rail. */
-    double cpu_mw = 0.0;
-    /** LITTLE cluster rail; 0 on homogeneous SoCs. */
-    double little_cpu_mw = 0.0;
+    /** One CPU rail per cluster, in topology order (primary first). */
+    StaticVector<double, kMaxCpuClusters> cpu_mw;
     double gpu_mw = 0.0;
     double mem_mw = 0.0;
     double base_mw = 0.0;
@@ -115,8 +113,11 @@ struct PowerBreakdown {
     double
     total_mw() const
     {
-        return cpu_mw + little_cpu_mw + gpu_mw + mem_mw + base_mw +
-               app_component_mw + overhead_mw;
+        double cpu = 0.0;
+        for (const double rail : cpu_mw) {
+            cpu += rail;
+        }
+        return cpu + gpu_mw + mem_mw + base_mw + app_component_mw + overhead_mw;
     }
 };
 

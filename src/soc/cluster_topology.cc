@@ -88,7 +88,8 @@ ClusterTopology::AdmissiblePlacements() const
 void
 ClusterTopology::Validate() const
 {
-    AEO_ASSERT(!clusters_.empty() && clusters_.size() <= 2,
+    // The plant's per-cluster arrays are fixed-capacity (kMaxCpuClusters).
+    AEO_ASSERT(!clusters_.empty() && clusters_.size() <= kMaxCpuClusters,
                "topology must have 1 or 2 clusters, got %zu", clusters_.size());
     for (const ClusterSpec& spec : clusters_) {
         AEO_ASSERT(spec.num_cores > 0, "cluster '%s' has no cores",

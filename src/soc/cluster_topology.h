@@ -27,10 +27,12 @@
 #ifndef AEO_SOC_CLUSTER_TOPOLOGY_H_
 #define AEO_SOC_CLUSTER_TOPOLOGY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/system_config.h"
 #include "soc/bandwidth_table.h"
 #include "soc/frequency_table.h"
 
@@ -168,6 +170,14 @@ struct HetConfig {
     ThreadPlacement placement = ThreadPlacement::kBigOnly;
 
     constexpr auto operator<=>(const HetConfig&) const = default;
+
+    /** Level of cluster @p index: big_level for the primary, else
+     * little_level. */
+    int
+    cluster_level(size_t index) const
+    {
+        return index == 0 ? big_level : little_level;
+    }
 
     /** "(b3, l1, w2, both)"-style label with 1-based level numbers. */
     std::string ToString() const;

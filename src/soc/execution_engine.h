@@ -14,9 +14,10 @@
  *  - a background load steals bandwidth and core time.
  *
  * Per-instruction latency is modelled as serial compute + memory time
- * (no overlap):
+ * (no overlap), with a workload's compute summed over the cores it holds on
+ * each cluster (eq_i = f_i · perf_scale_i):
  *
- *     t_instr = 1 / (f · ipc · parallelism) + bytes_per_instr / bw_effective
+ *     t_instr = 1 / Σ_i (eq_i · ipc) · cores_i + bytes_per_instr / bw_effective
  *     rate    = min(demand, 1 / t_instr)
  */
 #ifndef AEO_SOC_EXECUTION_ENGINE_H_
@@ -24,6 +25,8 @@
 
 #include <limits>
 
+#include "common/static_vector.h"
+#include "common/system_config.h"
 #include "common/units.h"
 #include "soc/cluster_topology.h"
 
@@ -83,12 +86,6 @@ struct ExecutionModelParams {
     double prefetch_gbps_per_busy_core = 0.15;
 };
 
-/** Combined foreground + background rates at one configuration. */
-struct SharedExecutionRates {
-    ExecutionRates foreground;
-    ExecutionRates background;
-};
-
 /** One cluster's operating point as the execution model sees it. */
 struct ClusterOperatingPoint {
     Gigahertz frequency{1.0};
@@ -97,22 +94,28 @@ struct ClusterOperatingPoint {
     int online_cores = 0;
 };
 
+/** The SoC's clusters in topology order: primary (fastest) first. */
+using ClusterOperatingPoints = StaticVector<ClusterOperatingPoint, kMaxCpuClusters>;
+
+/** What one cluster carries under the shared rates. */
+struct ClusterLoad {
+    /** Busy core-seconds per second on the cluster (fg + bg). */
+    double busy_cores = 0.0;
+    /** Busiest-core load: what the cluster's cpufreq governor sees. */
+    double max_core_load = 0.0;
+};
+
 /**
- * Shared rates on a heterogeneous SoC, with the per-cluster split the
- * device needs to drive per-cluster load meters and the power model. The
- * analytic model runs a workload's assigned cores in lockstep, so one
- * utilization per (workload, cluster) pair captures the busiest core.
+ * Foreground + background rates at one configuration, with the per-cluster
+ * split the device needs to drive per-cluster load meters and the power
+ * model. The analytic model runs a workload's assigned cores in lockstep,
+ * so one utilization per (workload, cluster) pair captures the busiest core.
  */
-struct HetExecutionRates {
+struct SharedRates {
     ExecutionRates foreground;
     ExecutionRates background;
-    /** Busy core-seconds per second on the big cluster (fg + bg). */
-    double big_busy_cores = 0.0;
-    /** Busy core-seconds per second on the LITTLE cluster (fg + bg). */
-    double little_busy_cores = 0.0;
-    /** Busiest-core load per cluster (what each policy's governor sees). */
-    double big_max_core_load = 0.0;
-    double little_max_core_load = 0.0;
+    /** One entry per cluster, in topology order. */
+    StaticVector<ClusterLoad, kMaxCpuClusters> clusters;
 };
 
 /** Evaluates the analytic performance model. Stateless and copyable. */
@@ -120,60 +123,31 @@ class ExecutionEngine {
   public:
     explicit ExecutionEngine(ExecutionModelParams params = {});
 
-    /** Rates for a single workload running alone. */
-    ExecutionRates Compute(const WorkloadDemand& demand, Gigahertz freq,
-                           MegabytesPerSecond bandwidth, int online_cores) const;
-
     /**
-     * Rates when a foreground workload shares the SoC with a background
-     * load. The background is serviced first up to @c background_share of
-     * capacity (kernel timeslicing keeps background tasks alive); the
-     * foreground then sees the remaining bandwidth and cores.
+     * Rates when a foreground workload shares the SoC's clusters with a
+     * background load. The background is serviced first, slowest-cluster
+     * first (Android's HMP bias for background residents), on
+     * @c background_share of each cluster's cores and of the bandwidth, and
+     * capped at that share of the compute its threads would get on the
+     * whole SoC: the kernel keeps background residents alive regardless of
+     * foreground load. The foreground then fills the clusters @p placement
+     * admits, fastest-cluster first, on the cores and bandwidth the
+     * background leaves. A pool spanning more than one cluster loses
+     * @p span_penalty of its compute (migrations, coherence).
+     *
+     * A one-cluster SoC is the homogeneous case of the same formula; DESIGN.md
+     * §15 gives the operation order that keeps it bit-identical to the
+     * historical homogeneous model.
      */
-    SharedExecutionRates ComputeShared(const WorkloadDemand& foreground,
-                                       const WorkloadDemand& background,
-                                       Gigahertz freq,
-                                       MegabytesPerSecond bandwidth,
-                                       int online_cores) const;
-
-    /**
-     * Shared rates on a big.LITTLE SoC. The foreground's threads fill the
-     * placement's admissible clusters fastest-core-first; the background
-     * models Android's HMP bias and fills LITTLE-first regardless of the
-     * foreground's confinement. Spanning both clusters costs
-     * @p span_penalty of pool throughput (migrations, coherence).
-     */
-    HetExecutionRates ComputeSharedHet(const WorkloadDemand& foreground,
-                                       const WorkloadDemand& background,
-                                       const ClusterOperatingPoint& big,
-                                       const ClusterOperatingPoint& little,
-                                       ThreadPlacement placement,
-                                       double span_penalty,
-                                       MegabytesPerSecond bandwidth) const;
+    SharedRates ComputeShared(const WorkloadDemand& foreground,
+                              const WorkloadDemand& background,
+                              const ClusterOperatingPoints& clusters,
+                              ThreadPlacement placement, double span_penalty,
+                              MegabytesPerSecond bandwidth) const;
 
     const ExecutionModelParams& params() const { return params_; }
 
   private:
-    /** A core pool assembled from one or two clusters. */
-    struct PoolAssignment {
-        double throughput_ghz = 0.0;
-        double cores = 0.0;
-        double big_cores = 0.0;
-        double little_cores = 0.0;
-    };
-
-    static PoolAssignment AssignPool(double parallelism, double big_eq_ghz,
-                                     double big_cores, double little_eq_ghz,
-                                     double little_cores, bool big_first,
-                                     double span_penalty);
-
-    ExecutionRates ComputeWith(const WorkloadDemand& demand, Gigahertz freq,
-                               double effective_gbps, double max_cores) const;
-
-    ExecutionRates ComputeWithPool(const WorkloadDemand& demand,
-                                   const PoolAssignment& pool,
-                                   double effective_gbps) const;
-
     ExecutionModelParams params_;
 };
 

@@ -7,7 +7,6 @@
 #include "chaos/campaign.h"
 
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -213,14 +212,11 @@ TEST(ChaosCampaignTest, FailureShrinksToMinimalFaultListAndReplays)
     for (const int jobs : {1, 4}) {
         BatchOptions batch;
         batch.jobs = jobs;
-        std::vector<std::function<CampaignReport()>> tasks;
-        for (int i = 0; i < 3; ++i) {
-            tasks.push_back([&replay, &read] {
-                return RunCampaign(replay, read.bundle.scenario);
-            });
-        }
         const std::vector<CampaignReport> replays =
-            BatchRunner(batch).RunOrdered(std::move(tasks));
+            BatchRunner(batch).RunIndexed<CampaignReport>(
+                3, [&replay, &read](size_t) {
+                    return RunCampaign(replay, read.bundle.scenario);
+                });
         for (const CampaignReport& report : replays) {
             EXPECT_EQ(report.first_violation_cycle,
                       minimal.first_violation_cycle)

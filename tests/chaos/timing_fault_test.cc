@@ -9,7 +9,6 @@
 #include "chaos/timing_fault.h"
 
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -193,14 +192,11 @@ TEST(TimingFaultTest, PlantedStaleActuationBugIsCaughtShrunkAndReplayed)
     for (const int jobs : {1, 4}) {
         BatchOptions batch;
         batch.jobs = jobs;
-        std::vector<std::function<CampaignReport()>> tasks;
-        for (int i = 0; i < 3; ++i) {
-            tasks.push_back([&replay, &read] {
-                return RunCampaign(replay, read.bundle.scenario);
-            });
-        }
         const std::vector<CampaignReport> replays =
-            BatchRunner(batch).RunOrdered(std::move(tasks));
+            BatchRunner(batch).RunIndexed<CampaignReport>(
+                3, [&replay, &read](size_t) {
+                    return RunCampaign(replay, read.bundle.scenario);
+                });
         for (const CampaignReport& run : replays) {
             EXPECT_EQ(run.first_violation_cycle,
                       minimal.first_violation_cycle)

@@ -1,11 +1,12 @@
 /**
  * @file
  * The batch layer's determinism contract: parallelism changes wall-clock
- * time and nothing else. RunOrdered returns submission-order results at any
- * worker count, and an offline profile is bit-identical (down to the CSV
- * text) whether it runs serially or fanned out across workers.
+ * time and nothing else. RunIndexed returns results by index at any worker
+ * count, and an offline profile is bit-identical (down to the CSV text)
+ * whether it runs serially or fanned out across workers.
  */
-#include <functional>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -31,11 +32,8 @@ TEST(BatchRunnerTest, ResolveJobsDefaultsToHardware)
 TEST(BatchRunnerTest, ReturnsResultsInSubmissionOrder)
 {
     const BatchRunner runner(BatchOptions{4});
-    std::vector<std::function<int()>> tasks;
-    for (int i = 0; i < 64; ++i) {
-        tasks.push_back([i] { return 1000 + i; });
-    }
-    const std::vector<int> results = runner.RunOrdered(std::move(tasks));
+    const std::vector<int> results = runner.RunIndexed<int>(
+        64, [](size_t i) { return 1000 + static_cast<int>(i); });
     ASSERT_EQ(results.size(), 64u);
     for (int i = 0; i < 64; ++i) {
         EXPECT_EQ(results[static_cast<size_t>(i)], 1000 + i);
@@ -44,17 +42,11 @@ TEST(BatchRunnerTest, ReturnsResultsInSubmissionOrder)
 
 TEST(BatchRunnerTest, InlineAndParallelAgree)
 {
-    const auto build = [] {
-        std::vector<std::function<double()>> tasks;
-        for (int i = 1; i <= 40; ++i) {
-            tasks.push_back([i] { return 1.0 / i; });
-        }
-        return tasks;
-    };
+    const auto job = [](size_t i) { return 1.0 / static_cast<double>(i + 1); };
     const std::vector<double> serial =
-        BatchRunner(BatchOptions{1}).RunOrdered(build());
+        BatchRunner(BatchOptions{1}).RunIndexed<double>(40, job);
     const std::vector<double> parallel =
-        BatchRunner(BatchOptions{4}).RunOrdered(build());
+        BatchRunner(BatchOptions{4}).RunIndexed<double>(40, job);
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i], parallel[i]);  // bitwise, not approximate
@@ -64,11 +56,13 @@ TEST(BatchRunnerTest, InlineAndParallelAgree)
 TEST(BatchRunnerTest, TaskExceptionRethrownToCaller)
 {
     const BatchRunner runner(BatchOptions{2});
-    std::vector<std::function<int()>> tasks;
-    tasks.push_back([] { return 1; });
-    tasks.push_back([]() -> int { throw std::runtime_error("job died"); });
-    tasks.push_back([] { return 3; });
-    EXPECT_THROW(runner.RunOrdered(std::move(tasks)), std::runtime_error);
+    const auto job = [](size_t i) -> int {
+        if (i == 1) {
+            throw std::runtime_error("job died");
+        }
+        return static_cast<int>(i);
+    };
+    EXPECT_THROW(runner.RunIndexed<int>(3, job), std::runtime_error);
 }
 
 /** A profile grid big enough to keep several workers busy, small enough for
@@ -124,6 +118,33 @@ TEST(BatchDeterminismTest, RunComparisonsMatchesSerialComparisons)
         EXPECT_EQ(batched[i].table.ToCsv(), serial.table.ToCsv());
         ++i;
     }
+}
+
+TEST(BatchDeterminismTest, SerialSweepRunsEveryDeviceOnTheCallingThread)
+{
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    const DeviceFactory inner = MakeDefaultDeviceFactory();
+    ExperimentHarness harness([&](uint64_t seed) {
+        {
+            const std::lock_guard<std::mutex> lock(mutex);
+            threads.insert(std::this_thread::get_id());
+        }
+        return inner(seed);
+    });
+    ExperimentOptions options;
+    options.profile_runs = 1;
+    options.profile_duration = SimTime::FromSeconds(2);
+    options.seed = 99;
+    // A profiling fan-out of its own must not escape the sweep's budget.
+    options.batch.jobs = 4;
+
+    std::vector<ComparisonJob> jobs;
+    jobs.push_back(ComparisonJob{"AngryBirds", options});
+    jobs.push_back(ComparisonJob{"Spotify", options});
+    harness.RunComparisons(jobs, BatchOptions{1});
+
+    EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
 }
 
 }  // namespace

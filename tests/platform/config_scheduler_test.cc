@@ -274,7 +274,7 @@ TEST_F(HetConfigSchedulerTest, ApplyConfigNowSetsBothClustersAndPlacement)
     EXPECT_TRUE(scheduler_.ApplyConfigNow(config));
 
     EXPECT_EQ(device_.cluster().level(), 3);
-    EXPECT_EQ(device_.little_cluster()->level(), 4);
+    EXPECT_EQ(device_.cluster(1).level(), 4);
     EXPECT_EQ(device_.bus().level(), 2);
     EXPECT_EQ(device_.thread_placement(), ThreadPlacement::kBoth);
 
@@ -289,11 +289,11 @@ TEST_F(HetConfigSchedulerTest, ApplyConfigNowSetsBothClustersAndPlacement)
 
 TEST_F(HetConfigSchedulerTest, BigOnlyConfigLeavesTheLittleClusterAlone)
 {
-    device_.little_cluster()->SetLevel(2);
+    device_.cluster(1).SetLevel(2);
     scheduler_.ApplyConfigNow(SystemConfig{5, 1});
 
     EXPECT_EQ(device_.cluster().level(), 5);
-    EXPECT_EQ(device_.little_cluster()->level(), 2);
+    EXPECT_EQ(device_.cluster(1).level(), 2);
     EXPECT_FALSE(scheduler_.cycle_deliveries().back().little.attempted);
 }
 
@@ -305,7 +305,7 @@ TEST_F(HetConfigSchedulerTest, DefaultPlacementCodeKeepsTheCurrentPlacement)
     EXPECT_EQ(config.placement, kPlacementDefault);
     scheduler_.ApplyConfigNow(config);
 
-    EXPECT_EQ(device_.little_cluster()->level(), 1);
+    EXPECT_EQ(device_.cluster(1).level(), 1);
     EXPECT_EQ(device_.thread_placement(), ThreadPlacement::kBigOnly);
 }
 

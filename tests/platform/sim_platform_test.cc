@@ -111,7 +111,7 @@ TEST(SimPlatformTest, BigLittlePlatformExposesBothDomains)
     EXPECT_EQ(plat.num_cpu_clusters(), 2);
     EXPECT_EQ(plat.max_cpu_level(), device.cluster().table().max_level());
     EXPECT_EQ(plat.max_little_level(),
-              device.little_cluster()->table().max_level());
+              device.cluster(1).table().max_level());
 }
 
 TEST(SimPlatformTest, BigLittlePinTakesBothFrequencyDomains)

@@ -10,11 +10,13 @@ namespace {
 PowerInputs
 BaseInputs()
 {
+    ClusterPowerInputs cpu;
+    cpu.freq = Gigahertz(1.0);
+    cpu.voltage = Volts(0.9);
+    cpu.online_cores = 4;
+    cpu.busy_cores = 2.0;
     PowerInputs inputs;
-    inputs.cpu_freq = Gigahertz(1.0);
-    inputs.cpu_voltage = Volts(0.9);
-    inputs.online_cores = 4;
-    inputs.busy_cores = 2.0;
+    inputs.clusters.push_back(cpu);
     inputs.bw_level = 0;
     inputs.mem_gbps = 0.1;
     return inputs;
@@ -28,7 +30,7 @@ TEST(PowerModelTest, BreakdownSumsToTotal)
     inputs.overhead_mw = 15.0;
     const PowerBreakdown breakdown = model.Compute(inputs);
     EXPECT_NEAR(breakdown.total_mw(),
-                breakdown.cpu_mw + breakdown.gpu_mw + breakdown.mem_mw +
+                breakdown.cpu_mw[0] + breakdown.gpu_mw + breakdown.mem_mw +
                     breakdown.base_mw + breakdown.app_component_mw +
                     breakdown.overhead_mw,
                 1e-9);
@@ -41,21 +43,21 @@ TEST(PowerModelTest, PowerIncreasesWithFrequencyAndVoltage)
     const PowerModel model;
     PowerInputs low = BaseInputs();
     PowerInputs high = BaseInputs();
-    high.cpu_freq = Gigahertz(2.6496);
-    high.cpu_voltage = Volts(1.15);
-    EXPECT_GT(model.Compute(high).cpu_mw, model.Compute(low).cpu_mw);
+    high.clusters[0].freq = Gigahertz(2.6496);
+    high.clusters[0].voltage = Volts(1.15);
+    EXPECT_GT(model.Compute(high).cpu_mw[0], model.Compute(low).cpu_mw[0]);
 }
 
 TEST(PowerModelTest, PowerIncreasesWithBusyCores)
 {
     const PowerModel model;
     PowerInputs idle = BaseInputs();
-    idle.busy_cores = 0.0;
+    idle.clusters[0].busy_cores = 0.0;
     PowerInputs busy = BaseInputs();
-    busy.busy_cores = 4.0;
-    EXPECT_GT(model.Compute(busy).cpu_mw, model.Compute(idle).cpu_mw);
+    busy.clusters[0].busy_cores = 4.0;
+    EXPECT_GT(model.Compute(busy).cpu_mw[0], model.Compute(idle).cpu_mw[0]);
     // Idle cores still leak and burn a residue.
-    EXPECT_GT(model.Compute(idle).cpu_mw, 0.0);
+    EXPECT_GT(model.Compute(idle).cpu_mw[0], 0.0);
 }
 
 TEST(PowerModelTest, MemoryPowerScalesWithLevelAndTraffic)
@@ -77,10 +79,10 @@ TEST(PowerModelTest, BusyAboveCoreCountIsClamped)
 {
     const PowerModel model;
     PowerInputs a = BaseInputs();
-    a.busy_cores = 4.0;
+    a.clusters[0].busy_cores = 4.0;
     PowerInputs b = BaseInputs();
-    b.busy_cores = 7.0;  // meters can transiently report more
-    EXPECT_DOUBLE_EQ(model.Compute(a).cpu_mw, model.Compute(b).cpu_mw);
+    b.clusters[0].busy_cores = 7.0;  // meters can transiently report more
+    EXPECT_DOUBLE_EQ(model.Compute(a).cpu_mw[0], model.Compute(b).cpu_mw[0]);
 }
 
 TEST(PowerModelTest, TotalPowerHelperAgrees)
@@ -112,7 +114,7 @@ TEST(PowerModelDeathTest, RejectsInvalidInputs)
 {
     const PowerModel model;
     PowerInputs inputs = BaseInputs();
-    inputs.online_cores = 0;
+    inputs.clusters[0].online_cores = 0;
     EXPECT_DEATH(model.Compute(inputs), "no cores online");
 }
 
