@@ -3,15 +3,17 @@
  * E9 — §V-A1: controller overhead analysis.
  *
  * google-benchmark microbenchmarks of the per-cycle computation (performance
- * regulation + energy optimization across backends and table sizes, up to
- * the full 234-configuration Nexus 6 space), followed by a report comparing
- * the modelled measurement/actuation overheads against the paper's numbers:
+ * regulation + the hull optimizer, timed beside the src/lp reference
+ * solvers, across table sizes up to the full 234-configuration Nexus 6
+ * space), followed by a report comparing the modelled
+ * measurement/actuation overheads against the paper's numbers:
  * perf costs 4 % CPU and 15 mW at a 1 s period; the regulator+optimizer run
  * in <10 ms at ~25 mW; frequency transitions cost ~14 mW.
  */
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -19,6 +21,7 @@
 #include "core/online_controller.h"
 #include "core/performance_regulator.h"
 #include "kernel/perf_tool.h"
+#include "lp/schedule_lp.h"
 #include "paper_data.h"
 #include "sim/simulator.h"
 #include "stats/comparison.h"
@@ -46,7 +49,7 @@ void
 BM_EnergyOptimizerHull(benchmark::State& state)
 {
     const ProfileTable table = MakeTable(static_cast<int>(state.range(0)));
-    const EnergyOptimizer optimizer(&table, OptimizerBackend::kConvexHull);
+    const EnergyOptimizer optimizer(&table);
     Rng rng(7);
     for (auto _ : state) {
         const double s = rng.Uniform(table.min_speedup(), table.max_speedup());
@@ -55,32 +58,31 @@ BM_EnergyOptimizerHull(benchmark::State& state)
 }
 BENCHMARK(BM_EnergyOptimizerHull)->Arg(18)->Arg(117)->Arg(234);
 
-void
-BM_EnergyOptimizerPairSearch(benchmark::State& state)
-{
-    // The paper's O(N²) formulation.
-    const ProfileTable table = MakeTable(static_cast<int>(state.range(0)));
-    const EnergyOptimizer optimizer(&table, OptimizerBackend::kPairSearch);
-    Rng rng(7);
-    for (auto _ : state) {
-        const double s = rng.Uniform(table.min_speedup(), table.max_speedup());
-        benchmark::DoNotOptimize(optimizer.Optimize(s, 2.0));
-    }
-}
-BENCHMARK(BM_EnergyOptimizerPairSearch)->Arg(18)->Arg(117)->Arg(234);
+/** A src/lp reference solver of the schedule LP (4)–(7). */
+using ScheduleSolver = LpSolution (*)(const std::vector<double>&,
+                                      const std::vector<double>&, double, double);
 
 void
-BM_EnergyOptimizerSimplex(benchmark::State& state)
+BM_ReferenceSolver(benchmark::State& state, ScheduleSolver solve)
 {
     const ProfileTable table = MakeTable(static_cast<int>(state.range(0)));
-    const EnergyOptimizer optimizer(&table, OptimizerBackend::kSimplex);
+    std::vector<double> speedups;
+    std::vector<double> powers;
+    for (const ProfileEntry& entry : table.entries()) {
+        speedups.push_back(entry.speedup);
+        powers.push_back(entry.power_mw.value());
+    }
     Rng rng(7);
     for (auto _ : state) {
         const double s = rng.Uniform(table.min_speedup(), table.max_speedup());
-        benchmark::DoNotOptimize(optimizer.Optimize(s, 2.0));
+        benchmark::DoNotOptimize(solve(speedups, powers, s, 2.0));
     }
 }
-BENCHMARK(BM_EnergyOptimizerSimplex)->Arg(18)->Arg(117)->Arg(234);
+// The paper's O(N²) formulation, and the LP solved by two-phase simplex.
+BENCHMARK_CAPTURE(BM_ReferenceSolver, PairSearch, &SolveSchedulePairs)
+    ->Arg(18)->Arg(117)->Arg(234);
+BENCHMARK_CAPTURE(BM_ReferenceSolver, Simplex, &SolveScheduleLp)
+    ->Arg(18)->Arg(117)->Arg(234);
 
 void
 BM_PerformanceRegulatorStep(benchmark::State& state)
@@ -104,7 +106,7 @@ BM_FullControlCycleComputation(benchmark::State& state)
     // Regulator step + optimization over the full 234-config space: the
     // computation the paper bounds at <10 ms per 2 s cycle.
     const ProfileTable table = MakeTable(234);
-    const EnergyOptimizer optimizer(&table, OptimizerBackend::kConvexHull);
+    const EnergyOptimizer optimizer(&table);
     RegulatorConfig config;
     config.target_gips = 0.2;
     config.initial_base_speed = 0.2 / table.min_speedup();

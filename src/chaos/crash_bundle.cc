@@ -1,6 +1,8 @@
 #include "chaos/crash_bundle.h"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -55,6 +57,30 @@ ReportFromJson(const JsonValue& json)
         }
     }
     return report;
+}
+
+/**
+ * Reads the required count @p field into @p out. A missing, non-numeric,
+ * non-integral or out-of-range value (below 1 or above INT_MAX) sets
+ * @p error, naming the field, and returns false: the replay must refuse
+ * the bundle rather than run a profiler or controller with it.
+ */
+bool
+ReadCount(const JsonValue& doc, const char* field, int* out, std::string* error)
+{
+    if (!doc.Has(field) || !doc.At(field).is_number()) {
+        *error = StrFormat("bundle has no numeric %s", field);
+        return false;
+    }
+    const double value = doc.At(field).AsDouble();
+    if (!(value >= 1.0 && value <= std::numeric_limits<int>::max()) ||
+        value != std::floor(value)) {
+        *error = StrFormat("bundle %s must be an integer in [1, %d], got %.15g",
+                           field, std::numeric_limits<int>::max(), value);
+        return false;
+    }
+    *out = static_cast<int>(value);
+    return true;
 }
 
 }  // namespace
@@ -114,8 +140,9 @@ ParseCrashBundle(const std::string& text)
     }
     bundle.profile_seed =
         doc.Has("profile_seed") ? SeedFromJson(doc.At("profile_seed")) : 0;
-    bundle.profile_runs =
-        static_cast<int>(doc.GetDouble("profile_runs", 1.0));
+    if (!ReadCount(doc, "profile_runs", &bundle.profile_runs, &result.error)) {
+        return result;
+    }
     bundle.device_seed =
         doc.Has("device_seed") ? SeedFromJson(doc.At("device_seed")) : 0;
     if (bundle.device_seed == 0) {
@@ -125,8 +152,10 @@ ParseCrashBundle(const std::string& text)
     bundle.enable_thermal = doc.GetBool("enable_thermal", true);
     bundle.readback_verification =
         doc.GetBool("readback_verification", true);
-    bundle.cap_confirm_cycles =
-        static_cast<int>(doc.GetDouble("cap_confirm_cycles", 2.0));
+    if (!ReadCount(doc, "cap_confirm_cycles", &bundle.cap_confirm_cycles,
+                   &result.error)) {
+        return result;
+    }
     bundle.reengage = doc.GetBool("reengage", true);
     std::string error;
     if (!doc.Has("spec") ||

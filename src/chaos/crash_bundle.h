@@ -61,7 +61,7 @@ struct CrashBundleReadResult {
     std::string error;
 };
 
-/** Parses a bundle from JSON text (validates version and scenario). */
+/** Parses a bundle from JSON text (validates version, counts and scenario). */
 CrashBundleReadResult ParseCrashBundle(const std::string& text);
 
 /** Writes @p bundle to @p path as indented JSON. False on I/O failure. */

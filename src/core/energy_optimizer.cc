@@ -1,12 +1,7 @@
 #include "core/energy_optimizer.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "common/logging.h"
 #include "common/math_util.h"
-#include "lp/schedule_lp.h"
 
 namespace aeo {
 
@@ -30,8 +25,7 @@ SplitDwell(double s_low, double s_high, double required, double cycle_seconds,
 
 }  // namespace
 
-EnergyOptimizer::EnergyOptimizer(const ProfileTable* table, OptimizerBackend backend)
-    : table_(table), backend_(backend)
+EnergyOptimizer::EnergyOptimizer(const ProfileTable* table) : table_(table)
 {
     AEO_ASSERT(table_ != nullptr, "optimizer needs a profile table");
 
@@ -111,20 +105,6 @@ EnergyOptimizer::Optimize(double required_speedup, double cycle_seconds) const
     AEO_ASSERT(cycle_seconds > 0.0, "cycle duration must be positive");
     const double speedup =
         Clamp(required_speedup, table_->min_speedup(), table_->max_speedup());
-    switch (backend_) {
-      case OptimizerBackend::kConvexHull:
-        return OptimizeHull(speedup, cycle_seconds);
-      case OptimizerBackend::kPairSearch:
-        return OptimizePairs(speedup, cycle_seconds);
-      case OptimizerBackend::kSimplex:
-        return OptimizeSimplex(speedup, cycle_seconds);
-    }
-    AEO_PANIC("unreachable optimizer backend");
-}
-
-ConfigSchedule
-EnergyOptimizer::OptimizeHull(double speedup, double cycle_seconds) const
-{
     const auto& entries = table_->entries();
     // Hull vertices are sorted by speedup. Find the bracketing segment.
     size_t low = hull_.front();
@@ -140,94 +120,6 @@ EnergyOptimizer::OptimizeHull(double speedup, double cycle_seconds) const
         }
     }
     return MakePair(low, high, speedup, cycle_seconds);
-}
-
-ConfigSchedule
-EnergyOptimizer::OptimizePairs(double speedup, double cycle_seconds) const
-{
-    // The paper's O(N²) search: enumerate every (c_l, c_h) bracketing pair,
-    // split the cycle to meet the speedup, keep the cheapest. Candidate
-    // sides are filtered inline — one comparison per visited pair — so the
-    // per-cycle search allocates nothing, and each surviving pair is costed
-    // arithmetically with the winning schedule constructed exactly once at
-    // the end. The (l, h) visit order matches the old filtered-list walk:
-    // ascending l over rows with speedup <= target, ascending h over rows
-    // with speedup >= target.
-    const auto& entries = table_->entries();
-    size_t best_l = entries.size();
-    size_t best_h = entries.size();
-    double best_power = std::numeric_limits<double>::infinity();
-    for (size_t l = 0; l < entries.size(); ++l) {
-        if (entries[l].speedup > speedup) {
-            continue;
-        }
-        for (size_t h = 0; h < entries.size(); ++h) {
-            if (entries[h].speedup < speedup) {
-                continue;
-            }
-            // Same arithmetic (and accumulation order) as MakePair, without
-            // materializing the candidate.
-            double t_low = 0.0;
-            double t_high = 0.0;
-            SplitDwell(entries[l].speedup, entries[h].speedup, speedup,
-                       cycle_seconds, &t_low, &t_high);
-            double power_time = 0.0;
-            if (t_low > 0.0) {
-                power_time += entries[l].power_mw.value() * t_low;
-            }
-            if (t_high > 0.0 && h != l) {
-                power_time += entries[h].power_mw.value() * t_high;
-            }
-            const double power = power_time / cycle_seconds;
-            if (power < best_power) {
-                best_power = power;
-                best_l = l;
-                best_h = h;
-            }
-        }
-    }
-    AEO_ASSERT(best_l < entries.size(), "pair search found no feasible schedule");
-    return MakePair(best_l, best_h, speedup, cycle_seconds);
-}
-
-// aeo: hot-path-stop -- the LP backend is the reference implementation
-// (DESIGN.md §7); it allocates its tableau by design. The default hull and
-// pairs backends are the allocation-free per-cycle paths.
-ConfigSchedule
-EnergyOptimizer::OptimizeSimplex(double speedup, double cycle_seconds) const
-{
-    const auto& entries = table_->entries();
-    std::vector<double> speedups;
-    std::vector<double> powers;
-    speedups.reserve(entries.size());
-    powers.reserve(entries.size());
-    for (const ProfileEntry& entry : entries) {
-        speedups.push_back(entry.speedup);
-        powers.push_back(entry.power_mw.value());
-    }
-    const LpSolution solution =
-        SolveScheduleLp(speedups, powers, speedup, cycle_seconds);
-    AEO_ASSERT(solution.feasible, "schedule LP infeasible for speedup %f", speedup);
-
-    ConfigSchedule schedule;
-    double power_time = 0.0;
-    double speedup_time = 0.0;
-    for (size_t i = 0; i < solution.x.size(); ++i) {
-        if (solution.x[i] > 1e-9) {
-            schedule.slots.push_back(ScheduleSlot{i, solution.x[i]});
-            power_time += powers[i] * solution.x[i];
-            speedup_time += speedups[i] * solution.x[i];
-        }
-    }
-    // Present lower-speedup slot first, like the other backends.
-    if (schedule.slots.size() == 2 &&
-        speedups[schedule.slots[1].entry_index] <
-            speedups[schedule.slots[0].entry_index]) {
-        std::swap(schedule.slots[0], schedule.slots[1]);
-    }
-    schedule.expected_power_mw = Milliwatts(power_time / cycle_seconds);
-    schedule.expected_speedup = speedup_time / cycle_seconds;
-    return schedule;
 }
 
 }  // namespace aeo

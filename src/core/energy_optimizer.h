@@ -7,14 +7,10 @@
  *
  * As the paper notes, an optimal solution exists with at most two non-zero
  * dwell times, for configurations c_l, c_h bracketing the required speedup
- * (Fig. 3). Three interchangeable backends implement the optimization:
- *
- *  - kConvexHull: the efficient geometric solution — optimal schedules lie
- *    on the lower convex hull of the (speedup, power) point set;
- *  - kPairSearch: the paper's O(N²) enumeration of bracketing pairs;
- *  - kSimplex:    the LP (4)–(7) solved by the general simplex solver.
- *
- * Property tests assert all three agree; the controller uses kConvexHull.
+ * (Fig. 3), and those two lie on the lower convex hull of the (speedup,
+ * power) point set. The optimizer walks that hull. The paper's O(N²) pair
+ * enumeration and the general simplex solve of the LP are reference solvers
+ * in src/lp (lp/schedule_lp.h); property tests check the hull against both.
  */
 #ifndef AEO_CORE_ENERGY_OPTIMIZER_H_
 #define AEO_CORE_ENERGY_OPTIMIZER_H_
@@ -52,22 +48,11 @@ struct ConfigSchedule {
     double expected_speedup = 0.0;
 };
 
-/** Optimizer backend selection. */
-enum class OptimizerBackend {
-    kConvexHull,
-    kPairSearch,
-    kSimplex,
-};
-
 /** Solves the per-cycle energy minimization over a profile table. */
 class EnergyOptimizer {
   public:
-    /**
-     * @param table   Profile table; must outlive the optimizer.
-     * @param backend Algorithm to use.
-     */
-    explicit EnergyOptimizer(const ProfileTable* table,
-                             OptimizerBackend backend = OptimizerBackend::kConvexHull);
+    /** @param table Profile table; must outlive the optimizer. */
+    explicit EnergyOptimizer(const ProfileTable* table);
 
     /**
      * Computes the minimum-energy schedule achieving @p required_speedup on
@@ -76,22 +61,14 @@ class EnergyOptimizer {
      */
     ConfigSchedule Optimize(double required_speedup, double cycle_seconds) const;
 
-    /** The backend in use. */
-    OptimizerBackend backend() const { return backend_; }
-
     /** Indices of table rows on the lower convex hull (for inspection). */
     const std::vector<size_t>& hull_indices() const { return hull_; }
 
   private:
-    ConfigSchedule OptimizeHull(double speedup, double cycle_seconds) const;
-    ConfigSchedule OptimizePairs(double speedup, double cycle_seconds) const;
-    ConfigSchedule OptimizeSimplex(double speedup, double cycle_seconds) const;
-
     ConfigSchedule MakePair(size_t low, size_t high, double speedup,
                             double cycle_seconds) const;
 
     const ProfileTable* table_;
-    OptimizerBackend backend_;
     std::vector<size_t> hull_;
 };
 

@@ -122,7 +122,7 @@ ExperimentHarness::RunComparisons(std::vector<ComparisonJob> jobs,
                                   const BatchOptions& batch) const
 {
     // The comparison is the unit of parallelism; its inner profiling runs
-    // serially so pools never nest and @p batch is the whole thread budget.
+    // serially so fan-outs never nest and @p batch is the whole thread budget.
     for (ComparisonJob& job : jobs) {
         job.options.batch.jobs = 1;
     }

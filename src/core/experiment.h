@@ -59,7 +59,7 @@ struct ExperimentOptions {
      * Parallel fan-out for the profiling stage of this comparison (see
      * ProfilerOptions::batch). Ignored — forced serial — inside a
      * RunComparisons() sweep, whose own BatchOptions is the whole thread
-     * budget, so pools never nest.
+     * budget, so fan-outs never nest.
      */
     BatchOptions batch;
 };

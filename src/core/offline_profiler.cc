@@ -19,7 +19,7 @@ struct RunSample {
 /**
  * One pinned run on a fresh device. Self-contained: the device is built
  * from a seed derived only from (options.seed, config, run), so the sample
- * is identical whether the run executes serially or on a pool worker.
+ * is identical whether the run executes serially or on a batch worker.
  */
 RunSample
 MeasureOneRun(const DeviceFactory& factory, const AppSpec& app,

@@ -45,7 +45,7 @@ OnlineController::OnlineController(platform::Platform* platform,
     : platform_(platform),
       table_(std::move(table)),
       config_(config),
-      optimizer_(&table_, config.backend),
+      optimizer_(&table_),
       regulator_(MakeRegulatorConfig(table_, config)),
       drift_(table_.size(), config.drift),
       machine_(MakeStateMachineOptions(config)),
@@ -415,8 +415,7 @@ OnlineController::RefreshWorkingTable(int cpu_cap, int bw_cap)
     }
     working_table_ = std::make_unique<ProfileTable>(table_.app_name(), rows,
                                                     table_.base_speed_gips());
-    working_optimizer_ = std::make_unique<EnergyOptimizer>(working_table_.get(),
-                                                           config_.backend);
+    working_optimizer_ = std::make_unique<EnergyOptimizer>(working_table_.get());
     active_table_ = working_table_.get();
     active_optimizer_ = working_optimizer_.get();
     ++table_version_;

@@ -64,8 +64,6 @@ struct ControllerConfig {
     SimTime control_cycle = SimTime::FromSeconds(2);
     /** Minimum dwell per configuration (§V-A: 200 ms). */
     SimTime min_dwell = SimTime::Millis(200);
-    /** Optimizer backend. */
-    OptimizerBackend backend = OptimizerBackend::kConvexHull;
     /** Kalman tuning. */
     double kalman_process_var = 1e-5;
     double kalman_measurement_var = 1e-4;

@@ -10,6 +10,9 @@ namespace aeo {
 
 namespace {
 
+/** Pivoting / feasibility tolerance. */
+constexpr double kTolerance = 1e-9;
+
 /**
  * Dense simplex tableau with an explicit basis. Phase 1 minimizes the sum
  * of artificial variables; phase 2 minimizes the real objective over the
@@ -17,7 +20,7 @@ namespace {
  */
 class Tableau {
   public:
-    Tableau(const LpProblem& problem, double tol) : tol_(tol)
+    explicit Tableau(const LpProblem& problem)
     {
         m_ = problem.eq_lhs.size();
         n_ = problem.objective.size();
@@ -55,7 +58,7 @@ class Tableau {
             // Phase 1 is always bounded (objective ≥ 0).
             AEO_PANIC("phase-1 simplex reported unbounded");
         }
-        if (CurrentObjective(phase1) > tol_ * 10.0) {
+        if (CurrentObjective(phase1) > kTolerance * 10.0) {
             out->feasible = false;
             return;
         }
@@ -117,7 +120,7 @@ class Tableau {
                 if (InBasis(c)) {
                     continue;
                 }
-                if (ReducedCost(obj, c) < -tol_) {
+                if (ReducedCost(obj, c) < -kTolerance) {
                     enter = c;
                     break;
                 }
@@ -129,10 +132,10 @@ class Tableau {
             size_t leave = m_;
             double best_ratio = std::numeric_limits<double>::infinity();
             for (size_t r = 0; r < m_; ++r) {
-                if (a_[r][enter] > tol_) {
+                if (a_[r][enter] > kTolerance) {
                     const double ratio = a_[r][cols_] / a_[r][enter];
-                    if (ratio < best_ratio - tol_ ||
-                        (std::fabs(ratio - best_ratio) <= tol_ && leave < m_ &&
+                    if (ratio < best_ratio - kTolerance ||
+                        (std::fabs(ratio - best_ratio) <= kTolerance && leave < m_ &&
                          basis_[r] < basis_[leave])) {
                         best_ratio = ratio;
                         leave = r;
@@ -157,7 +160,8 @@ class Tableau {
     Pivot(size_t leave_row, size_t enter_col)
     {
         const double pivot = a_[leave_row][enter_col];
-        AEO_ASSERT(std::fabs(pivot) > tol_ / 10.0, "degenerate pivot %g", pivot);
+        AEO_ASSERT(std::fabs(pivot) > kTolerance / 10.0, "degenerate pivot %g",
+                   pivot);
         for (double& value : a_[leave_row]) {
             value /= pivot;
         }
@@ -185,7 +189,7 @@ class Tableau {
                 continue;
             }
             for (size_t c = 0; c < n_; ++c) {
-                if (!InBasis(c) && std::fabs(a_[r][c]) > tol_) {
+                if (!InBasis(c) && std::fabs(a_[r][c]) > kTolerance) {
                     Pivot(r, c);
                     break;
                 }
@@ -193,7 +197,6 @@ class Tableau {
         }
     }
 
-    double tol_;
     size_t m_ = 0;
     size_t n_ = 0;
     size_t cols_ = 0;
@@ -205,12 +208,12 @@ class Tableau {
 }  // namespace
 
 LpSolution
-SolveSimplex(const LpProblem& problem, double tolerance)
+SolveSimplex(const LpProblem& problem)
 {
     AEO_ASSERT(!problem.objective.empty(), "LP with no variables");
     AEO_ASSERT(!problem.eq_lhs.empty(), "LP with no constraints");
     LpSolution solution;
-    Tableau tableau(problem, tolerance);
+    Tableau tableau(problem);
     tableau.Solve(problem.objective, &solution);
     return solution;
 }

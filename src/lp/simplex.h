@@ -8,9 +8,9 @@
  *
  * The paper's energy optimizer (§III-B3, equations (4)–(7)) is exactly such
  * a program with two equality rows and N ≤ 234 variables, so a dense
- * tableau with Bland's anti-cycling rule is more than sufficient. The
- * specialized convex-hull optimizer in core/ is cross-checked against this
- * solver by property tests.
+ * tableau with Bland's anti-cycling rule is more than sufficient. It is a
+ * reference solver: the controller's convex-hull optimizer in core/ is
+ * cross-checked against it by property tests and timed beside it by E9.
  */
 #ifndef AEO_LP_SIMPLEX_H_
 #define AEO_LP_SIMPLEX_H_
@@ -42,12 +42,12 @@ struct LpSolution {
 };
 
 /**
- * Solves the LP with two-phase simplex.
+ * Solves the LP with two-phase simplex (pivoting/feasibility tolerance
+ * 1e-9).
  *
- * @param problem  The program; panics on inconsistent dimensions.
- * @param tolerance Pivoting / feasibility tolerance.
+ * @param problem The program; panics on inconsistent dimensions.
  */
-LpSolution SolveSimplex(const LpProblem& problem, double tolerance = 1e-9);
+LpSolution SolveSimplex(const LpProblem& problem);
 
 }  // namespace aeo
 

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/app_registry.h"
@@ -241,12 +242,51 @@ TEST(ChaosCampaignTest, ReportJsonCarriesVerdictsAndTail)
               "actuation-consistency");
 }
 
+/** A bundle that parses, with @p field set to @p value, or dropped when
+ * @p value is null. */
+std::string
+BundleWith(const std::string& field, const JsonValue& value)
+{
+    CrashBundle bundle;
+    bundle.app = kApp;
+    bundle.target_gips = 0.2;
+    bundle.device_seed = kSeed;
+    const JsonValue full = CrashBundleToJson(bundle);
+    JsonValue doc = JsonValue::MakeObject();
+    for (const auto& [key, member] : full.members()) {
+        if (key != field) {
+            doc.Set(key, member);
+        }
+    }
+    if (!value.is_null()) {
+        doc.Set(field, value);
+    }
+    return doc.Dump();
+}
+
 TEST(ChaosCampaignTest, BundleParserRejectsGarbage)
 {
     EXPECT_FALSE(ParseCrashBundle("not json").ok);
     EXPECT_FALSE(ParseCrashBundle("{}").ok);
     EXPECT_FALSE(
         ParseCrashBundle("{\"version\": 999, \"app\": \"X\"}").ok);
+
+    // The counts a replay feeds the profiler and the controller: a missing,
+    // non-integral or out-of-range value is an error naming the field,
+    // never a default, a truncation or an undefined conversion.
+    ASSERT_TRUE(ParseCrashBundle(BundleWith("", JsonValue())).ok);
+    for (const char* field : {"profile_runs", "cap_confirm_cycles"}) {
+        for (const JsonValue& value :
+             {JsonValue(), JsonValue(0), JsonValue(-3), JsonValue(2.5),
+              JsonValue(1e300), JsonValue(2147483648.0), JsonValue("2")}) {
+            const CrashBundleReadResult read =
+                ParseCrashBundle(BundleWith(field, value));
+            EXPECT_FALSE(read.ok) << field << " = " << value.Dump();
+            EXPECT_NE(read.error.find(field), std::string::npos) << read.error;
+        }
+        EXPECT_TRUE(ParseCrashBundle(BundleWith(field, JsonValue(2147483647))).ok)
+            << field;
+    }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
  * count, and an offline profile is bit-identical (down to the CSV text)
  * whether it runs serially or fanned out across workers.
  */
+#include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -63,6 +65,25 @@ TEST(BatchRunnerTest, TaskExceptionRethrownToCaller)
         return static_cast<int>(i);
     };
     EXPECT_THROW(runner.RunIndexed<int>(3, job), std::runtime_error);
+}
+
+TEST(BatchRunnerTest, FirstExceptionStopsHandingOutIndices)
+{
+    // Job 0 throws at once and every other job takes 200 µs. Once the throw
+    // is captured no worker may pull another index, so the exception
+    // reaches the caller long before the 2000 jobs could all have run.
+    std::atomic<int> invocations{0};
+    const auto job = [&invocations](size_t i) -> int {
+        invocations.fetch_add(1);
+        if (i == 0) {
+            throw std::runtime_error("job 0 died");
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        return static_cast<int>(i);
+    };
+    EXPECT_THROW(BatchRunner(BatchOptions{2}).RunIndexed<int>(2000, job),
+                 std::runtime_error);
+    EXPECT_LT(invocations.load(), 1000);
 }
 
 /** A profile grid big enough to keep several workers busy, small enough for

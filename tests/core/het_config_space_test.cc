@@ -15,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/math_util.h"
 #include "common/random.h"
 #include "core/energy_optimizer.h"
+#include "lp/schedule_lp.h"
 #include "power/power_model.h"
 #include "soc/exynos5433.h"
 #include "soc/nexus6.h"
@@ -244,31 +246,48 @@ TEST(HetConfigSpaceTest, PrunedOptimizerIsBitIdenticalToBruteForceOn1kTables)
         total_full += full.size();
         total_pruned += pruned.size();
 
-        // Oracle: the paper's O(N²) pair enumeration over the exhaustive
-        // cross-product. Candidate: the hull walk over the pruned one.
-        const EnergyOptimizer oracle(&full, OptimizerBackend::kPairSearch);
-        const EnergyOptimizer candidate(&pruned, OptimizerBackend::kConvexHull);
+        // Oracle: the paper's O(N²) pair enumeration (the src/lp reference
+        // solver) over the exhaustive cross-product. Candidate: the hull
+        // walk over the pruned one.
+        std::vector<double> full_speedups;
+        std::vector<double> full_powers;
+        for (const ProfileEntry& entry : full.entries()) {
+            full_speedups.push_back(entry.speedup);
+            full_powers.push_back(entry.power_mw.value());
+        }
+        const EnergyOptimizer candidate(&pruned);
 
         for (int k = 0; k < 5; ++k) {
             const double s =
                 rng.Uniform(full.min_speedup() * 0.95, full.max_speedup() * 1.05);
-            const ConfigSchedule want = oracle.Optimize(s, 2.0);
+            const LpSolution want = SolveSchedulePairs(
+                full_speedups, full_powers,
+                Clamp(s, full.min_speedup(), full.max_speedup()), 2.0);
+            ASSERT_TRUE(want.feasible);
             const ConfigSchedule got = candidate.Optimize(s, 2.0);
+            // The oracle's non-zero dwells in row order, which is speedup
+            // order: lower speedup first, as in the optimizer's slots.
+            std::vector<size_t> want_rows;
+            double want_speedup_time = 0.0;
+            for (size_t i = 0; i < want.x.size(); ++i) {
+                if (want.x[i] > 0.0) {
+                    want_rows.push_back(i);
+                    want_speedup_time += full_speedups[i] * want.x[i];
+                }
+            }
 
-            // Bit-identical, not approximately equal: both backends must
+            // Bit-identical, not approximately equal: both solvers must
             // select the same rows and run the same dwell arithmetic.
-            ASSERT_EQ(got.expected_power_mw.value(),
-                      want.expected_power_mw.value())
+            ASSERT_EQ(got.expected_power_mw.value(), want.objective_value / 2.0)
                 << "trial " << trial << " speedup " << s;
-            ASSERT_EQ(got.expected_speedup, want.expected_speedup)
+            ASSERT_EQ(got.expected_speedup, want_speedup_time / 2.0)
                 << "trial " << trial << " speedup " << s;
-            ASSERT_EQ(got.slots.size(), want.slots.size());
+            ASSERT_EQ(got.slots.size(), want_rows.size());
             for (size_t i = 0; i < got.slots.size(); ++i) {
-                EXPECT_EQ(
-                    pruned.entries()[got.slots[i].entry_index].config,
-                    full.entries()[want.slots[i].entry_index].config)
+                EXPECT_EQ(pruned.entries()[got.slots[i].entry_index].config,
+                          full.entries()[want_rows[i]].config)
                     << "trial " << trial << " slot " << i;
-                EXPECT_EQ(got.slots[i].seconds, want.slots[i].seconds);
+                EXPECT_EQ(got.slots[i].seconds, want.x[want_rows[i]]);
             }
         }
     }

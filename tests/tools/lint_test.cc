@@ -63,6 +63,11 @@ TEST(AeoLintTest, LayeringBreaksAreReportedAtTheIncludeLine)
     EXPECT_TRUE(
         HasFinding(findings, "layering", "src/core/includes_chaos.cc", 2))
         << Dump(findings);
+    // core reaching into the reference LP solvers: the product has one
+    // optimizer, so src/lp is for tests and benches only.
+    EXPECT_TRUE(
+        HasFinding(findings, "layering", "src/core/includes_lp.cc", 2))
+        << Dump(findings);
     // core naming Device outside the harness seam (both mentions).
     EXPECT_TRUE(
         HasFinding(findings, "layering", "src/core/names_device.cc", 3))
@@ -70,7 +75,7 @@ TEST(AeoLintTest, LayeringBreaksAreReportedAtTheIncludeLine)
     EXPECT_TRUE(
         HasFinding(findings, "layering", "src/core/names_device.cc", 4))
         << Dump(findings);
-    EXPECT_EQ(findings.size(), 5u) << Dump(findings);
+    EXPECT_EQ(findings.size(), 6u) << Dump(findings);
 }
 
 TEST(AeoLintTest, RawSimulatorTimeInPolicyLayersIsReported)

@@ -9,11 +9,10 @@
 #include <map>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <tuple>
 
 #include "common/json.h"
-#include "common/thread_pool.h"
+#include "core/batch_runner.h"
 #include "lexer.h"
 #include "model.h"
 
@@ -52,11 +51,13 @@ struct AnalyzedFile {
 /**
  * The include-layering contract (DESIGN.md §11): each src/ directory may
  * include only from the listed directories. This is the one-way DAG
- * common → {sim,stats,lp,control} → {fault,soc} → {power,kernel,apps}
+ * common → {sim,stats,control} → {fault,soc} → {power,kernel,apps}
  * → device → platform → core → chaos, with core's device access further
  * restricted to the profiling-harness seam files below. The chaos layer
  * sits on top and may see everything; nothing below it may include it —
- * the product must not know its chaos harness exists.
+ * the product must not know its chaos harness exists. lp holds the
+ * reference LP solvers, which only tests and the E9 bench use: no layer
+ * may include it, so a second optimizer cannot re-enter the product.
  */
 const std::map<std::string, std::set<std::string>>&
 AllowedIncludes()
@@ -79,10 +80,10 @@ AllowedIncludes()
          {"common", "sim", "stats", "soc", "fault", "power", "kernel", "apps",
           "device", "platform"}},
         {"core",
-         {"common", "sim", "stats", "lp", "control", "soc", "fault", "power",
-          "apps", "platform", "core"}},
+         {"common", "sim", "stats", "control", "soc", "fault", "power", "apps",
+          "platform", "core"}},
         {"chaos",
-         {"common", "sim", "stats", "lp", "control", "soc", "fault", "power",
+         {"common", "sim", "stats", "control", "soc", "fault", "power",
           "kernel", "apps", "device", "platform", "core", "chaos"}},
     };
     return kAllowed;
@@ -96,7 +97,6 @@ IsCoreDeviceSeam(const std::string& rel_path)
     static const std::set<std::string> kSeams = {
         "src/core/experiment.h",       "src/core/experiment.cc",
         "src/core/offline_profiler.h", "src/core/offline_profiler.cc",
-        "src/core/batch_runner.h",     "src/core/batch_runner.cc",
     };
     return kSeams.count(rel_path) > 0;
 }
@@ -184,7 +184,7 @@ CheckLayering(AnalyzedFile* file)
                 AddFinding(file, line, "layering",
                            "src/core may include src/device only from the "
                            "profiling-harness seam (experiment, "
-                           "offline_profiler, batch_runner)",
+                           "offline_profiler)",
                            "route hardware access through aeo::platform "
                            "instead");
             }
@@ -193,9 +193,10 @@ CheckLayering(AnalyzedFile* file)
         if (allowed.count(target) == 0) {
             AddFinding(file, line, "layering",
                        "src/" + layer + " must not include src/" + target,
-                       "respect the include DAG: common -> sim/stats/lp/"
+                       "respect the include DAG: common -> sim/stats/"
                        "control -> fault/soc -> power/kernel/apps -> device "
-                       "-> platform -> core -> chaos");
+                       "-> platform -> core -> chaos (lp is for tests and "
+                       "benches only)");
         }
     }
 
@@ -1176,29 +1177,13 @@ RunLint(const LintOptions& options, LintStats* stats)
     }
 
     // Stage 1+2 and the per-file rules are embarrassingly parallel; the
-    // PR-3 ThreadPool fans them out. Results land in path order, so the
-    // output is deterministic at any worker count.
-    std::vector<AnalyzedFile> files(paths.size());
-    size_t jobs = options.jobs > 0
-                      ? static_cast<size_t>(options.jobs)
-                      : std::max<size_t>(1, std::thread::hardware_concurrency());
-    jobs = std::min(jobs, std::max<size_t>(1, paths.size()));
-    if (jobs <= 1) {
-        for (size_t i = 0; i < paths.size(); ++i) {
-            files[i] = AnalyzeFile(root, paths[i]);
-        }
-    } else {
-        ThreadPool pool(jobs);
-        std::vector<std::future<AnalyzedFile>> futures;
-        futures.reserve(paths.size());
-        for (size_t i = 0; i < paths.size(); ++i) {
-            futures.push_back(pool.Submit(
-                [&root, &paths, i] { return AnalyzeFile(root, paths[i]); }));
-        }
-        for (size_t i = 0; i < paths.size(); ++i) {
-            files[i] = futures[i].get();
-        }
-    }
+    // batch layer's RunIndexed fans them out. Results land in path order,
+    // so the output is deterministic at any worker count.
+    std::vector<AnalyzedFile> files =
+        BatchRunner(BatchOptions{options.jobs})
+            .RunIndexed<AnalyzedFile>(paths.size(), [&root, &paths](size_t i) {
+                return AnalyzeFile(root, paths[i]);
+            });
 
     std::map<std::string, size_t> file_index;
     for (size_t i = 0; i < files.size(); ++i) {

@@ -18,9 +18,9 @@
  * blocking job; see DESIGN.md §11/§16 for the rules and the suppression
  * mechanism.
  */
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -77,9 +77,14 @@ main(int argc, char** argv)
         } else if (std::strcmp(arg, "--github-annotations") == 0) {
             github_annotations = true;
         } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            jobs = std::atoi(arg + 7);
-            if (jobs < 0) {
-                std::fprintf(stderr, "aeo-lint: --jobs must be >= 0\n");
+            const char* value = arg + 7;
+            const char* end = value + std::strlen(value);
+            const auto [stop, errc] = std::from_chars(value, end, jobs);
+            if (errc != std::errc() || stop != end || jobs < 0) {
+                std::fprintf(stderr,
+                             "aeo-lint: --jobs must be an integer >= 0, got "
+                             "'%s'\n",
+                             value);
                 return 2;
             }
         } else if (std::strncmp(arg, "--out=", 6) == 0) {
