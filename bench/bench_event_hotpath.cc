@@ -9,13 +9,15 @@
  *  - one-shot churn (device boundary events): schedule → fire → reschedule
  *    through the free list;
  *  - schedule/cancel mix (deadline supervision): ids armed and cancelled
- *    without ever firing.
+ *    without ever firing;
+ *  - batched power sampling: a Monsoon monitor on the simulator's sample
+ *    clock, caught up by a 20 ms timer (its rate columns count samples).
  *
  * This binary overrides global operator new/delete with a counting hook, so
  * allocations per dispatch are *measured*, not inferred: after warmup the
- * periodic and one-shot paths must both report 0.000 (the property test
- * under tests/sim asserts the same invariant; this bench reports it next to
- * the throughput numbers it buys).
+ * periodic, one-shot and batched-monitor paths must report 0.000 (the
+ * property test under tests/sim asserts the same invariant for the event
+ * queue; this bench reports it next to the throughput numbers it buys).
  *
  * Emits BENCH_event_hotpath.json (events/sec, ns/dispatch,
  * allocations/dispatch per scenario). Timing fields vary run to run — this
@@ -32,6 +34,7 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "common/text_table.h"
+#include "power/monsoon.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -237,6 +240,41 @@ RunScheduleCancel(uint64_t total)
     return s;
 }
 
+/**
+ * Batched power sampling: a monitor on the sample clock (5 kHz ticks that
+ * are not events) plus a 20 ms timer whose callback catches it up, the way
+ * a device's plant changes do. Samples stand in for dispatches in the rate
+ * columns; after warmup recording them must not allocate.
+ */
+Scenario
+RunBatchedMonitor(uint64_t total)
+{
+    aeo::Simulator sim;
+    aeo::MonsoonMonitor monitor(&sim, [] { return aeo::Milliwatts(1000.0); },
+                                1);
+    sim.ScheduleEvery(aeo::SimTime::Millis(20),
+                      [&monitor] { monitor.CatchUp(); });
+    monitor.Start();
+    sim.RunFor(aeo::SimTime::Millis(20));
+
+    const uint64_t start_samples = monitor.sample_count();
+    const uint64_t start_allocs = g_alloc_count.load(std::memory_order_relaxed);
+    const double start = aeo::bench::MonotonicSeconds();
+    while (monitor.sample_count() - start_samples < total) {
+        sim.RunFor(aeo::SimTime::Millis(100));
+    }
+    const double seconds = aeo::bench::MonotonicSeconds() - start;
+    const uint64_t allocs =
+        g_alloc_count.load(std::memory_order_relaxed) - start_allocs;
+
+    Scenario s;
+    s.name = "batched_monitor";
+    s.dispatches = monitor.sample_count() - start_samples;
+    s.seconds = seconds;
+    s.allocations = allocs;
+    return s;
+}
+
 }  // namespace
 
 int
@@ -253,6 +291,7 @@ main(int argc, char** argv)
     scenarios.push_back(RunPeriodic(total, 8));
     scenarios.push_back(RunOneShotChurn(total, 8));
     scenarios.push_back(RunScheduleCancel(total / 2));
+    scenarios.push_back(RunBatchedMonitor(total));
 
     TextTable table({"Scenario", "Dispatches", "Events/s", "ns/dispatch",
                      "Allocs/dispatch"});

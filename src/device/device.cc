@@ -129,6 +129,11 @@ Device::Device(DeviceConfig config)
     devfreq_->SetSyncHook([this] { IntegrateToNow(); });
     gpufreq_->SetSyncHook([this] { IntegrateToNow(); });
     perf_->SetSyncHook([this] { IntegrateToNow(); });
+    // Starting or stopping perf changes its power overhead, a power input.
+    perf_->SetRunStateHook([this] {
+        monitor_->CatchUp();
+        power_cache_valid_ = false;
+    });
 
     for (ClusterDomain& domain : clusters_) {
         domain.cpufreq->SetSyncHook([this] { IntegrateToNow(); });
@@ -351,18 +356,15 @@ Device::RunUntilAppFinishes(SimTime max_duration)
 Milliwatts
 Device::CurrentPower() const
 {
-    const double overhead_mw =
-        perf_->power_overhead_mw() + controller_overhead_mw_;
-    if (!power_cache_valid_ || overhead_mw != power_cache_overhead_mw_) {
-        power_cache_ = EvaluatePower(overhead_mw);
-        power_cache_overhead_mw_ = overhead_mw;
+    if (!power_cache_valid_) {
+        power_cache_ = EvaluatePower();
         power_cache_valid_ = true;
     }
     return power_cache_;
 }
 
 Milliwatts
-Device::EvaluatePower(double overhead_mw) const
+Device::EvaluatePower() const
 {
     PowerInputs inputs;
     for (const ClusterDomain& domain : clusters_) {
@@ -386,7 +388,7 @@ Device::EvaluatePower(double overhead_mw) const
     inputs.gpu_mhz = gpu_.mhz();
     inputs.gpu_voltage = gpu_.voltage();
     inputs.gpu_busy = gpu_busy_;
-    inputs.overhead_mw = overhead_mw;
+    inputs.overhead_mw = perf_->power_overhead_mw() + controller_overhead_mw_;
     inputs.temp_c = thermal_ != nullptr ? thermal_->temperature_c()
                                         : kLeakageReferenceC;
     return power_model_.TotalPower(inputs);
@@ -413,6 +415,8 @@ Device::Sync()
 void
 Device::IntegrateToNow()
 {
+    // The segment's end changes power inputs (temperature, app phases).
+    monitor_->CatchUp();
     if (in_integrate_) {
         return;
     }
@@ -456,6 +460,7 @@ Device::IntegrateToNow()
 void
 Device::RecomputeRates()
 {
+    monitor_->CatchUp();
     WorkloadDemand fg_demand = IdleDemand();
     if (foreground_ != nullptr && !foreground_->Finished()) {
         fg_demand = foreground_->CurrentDemand();

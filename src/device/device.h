@@ -13,8 +13,9 @@
  *  - application phase boundaries are predicted from the current rates and
  *    scheduled as events, so integration segments never straddle a demand
  *    change;
- *  - the 5 kHz power monitor, governor timers and perf sampling are ordinary
- *    events on the same queue.
+ *  - governor timers and perf sampling are ordinary events on the same
+ *    queue; the 5 kHz power monitor runs on the simulator's sample clock
+ *    and catches up before any power input changes (DESIGN.md §14).
  *
  * A Device is built fresh per experiment run (cheap) so every run is
  * deterministic for a given seed.
@@ -269,9 +270,9 @@ class Device {
     /** Writes @p level's frequency to @p domain's scaling_setspeed. */
     void WriteSetspeed(const ClusterDomain& domain, int level);
     /** CurrentPower()'s memo miss: gathers every rail's inputs and runs the
-     * power model. Out of line, so the 5 kHz memo hit saves and restores
-     * only the registers it uses. */
-    Milliwatts EvaluatePower(double overhead_mw) const;
+     * power model. Out of line, so the memo hit saves and restores only the
+     * registers it uses. */
+    Milliwatts EvaluatePower() const;
 
     DeviceConfig config_;
     ClusterTopology topology_;
@@ -330,16 +331,14 @@ class Device {
 
     /**
      * Memoized CurrentPower(). Every input is piecewise-constant between
-     * integration boundaries — frequencies, rates, app phases, and
-     * temperature only change inside IntegrateToNow()/RecomputeRates(),
-     * which invalidate the cache — except the perf-tool overhead, whose
-     * live value is compared on each hit (PerfTool::Stop() has no sync
-     * hook). The 5 kHz power monitor reads this ~26× per boundary, so the
-     * memo removes the dominant per-sample cost without changing a single
-     * returned value.
+     * integration boundaries: frequencies, rates, app phases and
+     * temperature only change inside IntegrateToNow()/RecomputeRates(), and
+     * the perf-tool overhead only at PerfTool::Start()/Stop(), whose
+     * run-state hook invalidates the cache like those two do. A monitor on
+     * the per-sample path reads this at 5 kHz, so the memo removes the
+     * dominant per-sample cost without changing a single returned value.
      */
     mutable bool power_cache_valid_ = false;
-    mutable double power_cache_overhead_mw_ = 0.0;
     mutable Milliwatts power_cache_{0.0};
 };
 

@@ -32,12 +32,18 @@ PerfTool::Start()
     }
     last_instr_reading_ = pmu_->giga_instructions();
     last_reading_time_ = sim_->Now();
+    if (run_state_hook_) {
+        run_state_hook_();
+    }
     task_.Start(period_);
 }
 
 void
 PerfTool::Stop()
 {
+    if (run_state_hook_) {
+        run_state_hook_();
+    }
     task_.Stop();
 }
 

@@ -125,6 +125,14 @@ class PerfTool {
     /** Registers a hook that brings the PMU up to date before sampling. */
     void SetSyncHook(std::function<void()> hook) { sync_hook_ = std::move(hook); }
 
+    /** Registers a hook run by Start() and Stop() just before the overheads
+     * change. */
+    void
+    SetRunStateHook(std::function<void()> hook)
+    {
+        run_state_hook_ = std::move(hook);
+    }
+
   private:
     void TakeSample();
 
@@ -132,6 +140,7 @@ class PerfTool {
     const Pmu* pmu_;
     Rng rng_;
     std::function<void()> sync_hook_;
+    std::function<void()> run_state_hook_;
     PerfToolConfig config_;
     SimTime period_;
     PeriodicTask task_;

@@ -8,6 +8,11 @@
  * average and an optional decimated trace. Experiments read their "measured"
  * power from here — exactly as the authors did — while the exact EnergyMeter
  * integral remains available for validation.
+ *
+ * Without a FaultInjector the monitor runs on the simulator's sample clock
+ * and records the ticks in batches (CatchUp); with one, every sample is an
+ * event of its own, so the injector sees its operations in order. Both
+ * paths produce the same bytes (DESIGN.md §14 "Batched power sampling").
  */
 #ifndef AEO_POWER_MONSOON_H_
 #define AEO_POWER_MONSOON_H_
@@ -59,21 +64,38 @@ class MonsoonMonitor {
     MonsoonMonitor(const MonsoonMonitor&) = delete;
     MonsoonMonitor& operator=(const MonsoonMonitor&) = delete;
 
-    /** Starts sampling. */
+    /** Starts sampling: on the simulator's sample clock when no injector is
+     * attached, else as a repeating event. */
     void Start();
 
     /** Stops sampling. */
     void Stop();
 
+    /**
+     * Records the sample-clock ticks passed since the previous call, all at
+     * the source's current power. The caller guarantees that the source's
+     * value has not changed since then, so it calls this before anything
+     * the source reads changes. Every accessor below calls it first, and
+     * the simulator calls it when RunUntil returns. No-op on the per-sample
+     * path.
+     */
+    void CatchUp();
+
     /** Number of samples taken. */
-    uint64_t sample_count() const { return sample_count_; }
+    uint64_t
+    sample_count()
+    {
+        CatchUp();
+        return sample_count_;
+    }
 
     /** Samples lost to injected meter failures (USB glitches etc.). The
      * running average simply spans fewer samples — as with the real
      * instrument, a dropped window biases nothing, it only thins the data. */
     uint64_t dropped_sample_count() const { return dropped_sample_count_; }
 
-    /** Hooks an injector into the sampling path; nullptr disables. */
+    /** Hooks an injector into the sampling path; nullptr disables. Takes
+     * effect at the next Start(). */
     void
     SetFaultInjector(FaultInjector* injector)
     {
@@ -83,7 +105,7 @@ class MonsoonMonitor {
     }
 
     /** Average of all measured samples. */
-    Milliwatts MeasuredAveragePower() const;
+    Milliwatts MeasuredAveragePower();
 
     /**
      * Average power over the samples taken since the previous drain, then
@@ -95,30 +117,49 @@ class MonsoonMonitor {
     Milliwatts DrainWindowAveragePower();
 
     /** Samples currently accumulated in the drain window. */
-    uint64_t window_sample_count() const { return window_count_; }
+    uint64_t
+    window_sample_count()
+    {
+        CatchUp();
+        return window_count_;
+    }
 
     /** Measured energy: average power × observed duration. */
-    Joules MeasuredEnergy() const;
+    Joules MeasuredEnergy();
 
     /** Wall time spanned by the measurement (start → last sample). */
-    SimTime ObservedDuration() const;
+    SimTime ObservedDuration();
 
     /** Decimated sample trace (empty unless enabled in the config). */
-    const std::vector<PowerSample>& trace() const { return trace_; }
+    const std::vector<PowerSample>&
+    trace()
+    {
+        CatchUp();
+        return trace_;
+    }
 
     /** Clears statistics and the trace (does not stop sampling). */
     void Reset();
 
   private:
     void TakeSample();
+    /** Leaves the sample clock or cancels the series, recording nothing. */
+    void Detach();
 
     Simulator* sim_;
     std::function<Milliwatts()> power_source_;
     Rng rng_;
     MonsoonConfig config_;
-    /** The 5 kHz sampling series: scheduled directly on the event core so
-     * each sample costs one slab dispatch, no std::function hop. */
+    /** Interval between samples. */
+    SimTime period_;
+    /** The per-sample series (injector attached): scheduled directly on the
+     * event core so each sample costs one slab dispatch. */
     EventId series_ = kInvalidEventId;
+    /** Sampling on the simulator's sample clock. */
+    bool on_clock_ = false;
+    /** Clock ticks already recorded, and the time of the next one. */
+    uint64_t ticks_seen_ = 0;
+    SimTime next_tick_;
     FaultInjector* injector_ = nullptr;
     /** Memoized injector lookup for the per-sample guard. */
     FaultInjector::PathQuery fault_query_{kMonsoonFaultPath};

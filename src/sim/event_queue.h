@@ -12,8 +12,8 @@
  * directly; ids carry a generation tag so Cancel() of a stale id (already
  * ran, already cancelled, slot since reused) is detected exactly. A
  * repeating event (ScheduleEvery) re-arms its own slab record in place, so
- * steady-state periodic firing — the 5 kHz power monitor, governor timers,
- * thermal polling — allocates nothing at all.
+ * steady-state periodic firing — governor timers, thermal polling, a
+ * fault-injected power monitor — allocates nothing at all.
  *
  * The dispatch order contract is unchanged from the original
  * unordered_map-backed queue: strictly increasing (when, seq), seq assigned
@@ -129,18 +129,23 @@ class EventQueue {
         return heap_.front().when;
     }
 
-    /** Stores the earliest pending time and returns true, or returns false
-     * when no runnable events remain (the run loop's fused check). */
+    /** Stores the earliest pending (when, seq) and returns true, or returns
+     * false when no runnable events remain (the run loop's fused check). */
     bool
-    NextTimeIfAny(SimTime* when) const
+    NextIfAny(SimTime* when, uint64_t* seq) const
     {
         DropStaleHead();
         if (heap_.empty()) {
             return false;
         }
         *when = heap_.front().when;
+        *seq = heap_.front().seq;
         return true;
     }
+
+    /** The seq the next Schedule() or repeating re-arm will take; every
+     * pending event's seq is below it. */
+    uint64_t next_seq() const { return next_seq_; }
 
     /**
      * Removes and runs the earliest pending event.
