@@ -61,9 +61,11 @@ Measure(bool mpdecision, bool touch_boost, uint64_t seed)
 }  // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
     SetLogLevel(LogLevel::kWarn);
+    // No flag changes this bench, but a misspelt one still stops it.
+    bench::ParseBenchArgs(argc, argv);
     bench::PrintHeader("E14 / §IV-A methodology",
                        "Why mpdecision and touch boost are disabled while profiling");
 

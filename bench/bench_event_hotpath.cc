@@ -11,11 +11,14 @@
  *  - schedule/cancel mix (deadline supervision): ids armed and cancelled
  *    without ever firing;
  *  - batched power sampling: a Monsoon monitor on the simulator's sample
- *    clock, caught up by a 20 ms timer (its rate columns count samples).
+ *    clock, caught up by a 20 ms timer (its rate columns count samples);
+ *  - fault-injected power sampling: the same monitor guarded by a
+ *    FaultInjector, caught up by the injector's sync hook when the timer
+ *    reads another path through it.
  *
  * This binary overrides global operator new/delete with a counting hook, so
  * allocations per dispatch are *measured*, not inferred: after warmup the
- * periodic, one-shot and batched-monitor paths must report 0.000 (the
+ * periodic, one-shot and both monitor paths must report 0.000 (the
  * property test under tests/sim asserts the same invariant for the event
  * queue; this bench reports it next to the throughput numbers it buys).
  *
@@ -34,6 +37,7 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "common/text_table.h"
+#include "fault/fault_injector.h"
 #include "power/monsoon.h"
 #include "sim/simulator.h"
 
@@ -275,6 +279,51 @@ RunBatchedMonitor(uint64_t total)
     return s;
 }
 
+/**
+ * Fault-injected power sampling: the batched_monitor set-up plus an
+ * attached injector whose one rule matches another path. The 20 ms timer
+ * reads that path through the injector, whose sync hook catches the monitor
+ * up first, so every tick takes a memoized meter decision. After warmup
+ * neither may allocate.
+ */
+Scenario
+RunInjectedMonitor(uint64_t total)
+{
+    aeo::Simulator sim;
+    aeo::FaultInjector injector(1);
+    aeo::FaultRule rule;
+    rule.path_prefix = "/sys/devices/system/cpu/cpu0/cpufreq";
+    injector.AddRule(rule);
+    aeo::MonsoonMonitor monitor(&sim, [] { return aeo::Milliwatts(1000.0); },
+                                1);
+    monitor.SetFaultInjector(&injector);
+    // Built once: a sysfs path outgrows the small-string buffer, so a
+    // temporary would allocate on every read.
+    const std::string path =
+        "/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq";
+    sim.ScheduleEvery(aeo::SimTime::Millis(20),
+                      [&injector, &path] { injector.OnRead(path); });
+    monitor.Start();
+    sim.RunFor(aeo::SimTime::Millis(20));
+
+    const uint64_t start_samples = monitor.sample_count();
+    const uint64_t start_allocs = g_alloc_count.load(std::memory_order_relaxed);
+    const double start = aeo::bench::MonotonicSeconds();
+    while (monitor.sample_count() - start_samples < total) {
+        sim.RunFor(aeo::SimTime::Millis(100));
+    }
+    const double seconds = aeo::bench::MonotonicSeconds() - start;
+    const uint64_t allocs =
+        g_alloc_count.load(std::memory_order_relaxed) - start_allocs;
+
+    Scenario s;
+    s.name = "injected_monitor";
+    s.dispatches = monitor.sample_count() - start_samples;
+    s.seconds = seconds;
+    s.allocations = allocs;
+    return s;
+}
+
 }  // namespace
 
 int
@@ -292,6 +341,7 @@ main(int argc, char** argv)
     scenarios.push_back(RunOneShotChurn(total, 8));
     scenarios.push_back(RunScheduleCancel(total / 2));
     scenarios.push_back(RunBatchedMonitor(total));
+    scenarios.push_back(RunInjectedMonitor(total));
 
     TextTable table({"Scenario", "Dispatches", "Events/s", "ns/dispatch",
                      "Allocs/dispatch"});

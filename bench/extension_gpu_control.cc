@@ -86,9 +86,11 @@ RunControlled(const ProfileTable& table, double target, uint64_t seed,
 }  // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
     SetLogLevel(LogLevel::kWarn);
+    // No flag changes this bench, but a misspelt one still stops it.
+    bench::ParseBenchArgs(argc, argv);
     bench::PrintHeader("E12 / §VII extension",
                        "Coordinated GPU-frequency control (Racer3D)");
 

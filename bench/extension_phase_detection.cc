@@ -70,9 +70,11 @@ DetectPhases(const std::string& app)
 }  // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
     SetLogLevel(LogLevel::kWarn);
+    // No flag changes this bench, but a misspelt one still stops it.
+    bench::ParseBenchArgs(argc, argv);
     bench::PrintHeader("E15 / §V-B extension",
                        "Online phase detection from the controller's measurements");
 

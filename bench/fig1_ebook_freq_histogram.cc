@@ -14,10 +14,12 @@
 #include "stats/comparison.h"
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace aeo;
     SetLogLevel(LogLevel::kWarn);
+    // No flag changes this bench, but a misspelt one still stops it.
+    bench::ParseBenchArgs(argc, argv);
     bench::PrintHeader("E1 / Fig. 1",
                        "CPU frequency histogram: eBook reader, default governor");
 

@@ -15,10 +15,12 @@
 #include "stats/comparison.h"
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace aeo;
     SetLogLevel(LogLevel::kWarn);
+    // No flag changes this bench, but a misspelt one still stops it.
+    bench::ParseBenchArgs(argc, argv);
     bench::PrintHeader("E2 / Table I", "AngryBirds offline profile");
 
     const AppScenario scenario = GetAppScenario("AngryBirds");

@@ -12,9 +12,11 @@
 #include "soc/nexus6.h"
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace aeo;
+    // No flag changes this bench, but a misspelt one still stops it.
+    bench::ParseBenchArgs(argc, argv);
     bench::PrintHeader("E3 / Table II", "CPU frequencies and memory bandwidths");
 
     const FrequencyTable freqs = MakeNexus6FrequencyTable();

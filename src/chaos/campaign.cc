@@ -171,7 +171,8 @@ RunCampaign(const CampaignOptions& options, const ChaosScenario& scenario)
     // The device carries one benign sentinel rule so the fault injector
     // exists for runtime rule installation; it matches no real path and
     // draws nothing, keeping the action-free campaign bit-identical to a
-    // fault-free run.
+    // fault-free run. The meter stays on the sample clock regardless: it
+    // takes its decisions when the injector's sync hook catches it up.
     DeviceConfig device_config;
     device_config.seed = options.device_seed != 0
                              ? options.device_seed

@@ -303,8 +303,10 @@ class Device {
     std::unique_ptr<ThermalModel> thermal_;
     std::unique_ptr<MsmThermal> msm_thermal_;
     std::unique_ptr<PerfTool> perf_;
-    std::unique_ptr<MonsoonMonitor> monitor_;
+    /** Declared before the monitor, which unhooks itself from it on
+     * destruction. */
     std::unique_ptr<FaultInjector> fault_injector_;
+    std::unique_ptr<MonsoonMonitor> monitor_;
 
     std::unique_ptr<AppModel> foreground_;
     std::unique_ptr<AppModel> background_;
@@ -334,9 +336,10 @@ class Device {
      * integration boundaries: frequencies, rates, app phases and
      * temperature only change inside IntegrateToNow()/RecomputeRates(), and
      * the perf-tool overhead only at PerfTool::Start()/Stop(), whose
-     * run-state hook invalidates the cache like those two do. A monitor on
-     * the per-sample path reads this at 5 kHz, so the memo removes the
-     * dominant per-sample cost without changing a single returned value.
+     * run-state hook invalidates the cache like those two do. The
+     * monitor's catch-up and the segment integration both read it once per
+     * segment, so the second read is a hit, without changing a single
+     * returned value.
      */
     mutable bool power_cache_valid_ = false;
     mutable Milliwatts power_cache_{0.0};

@@ -55,6 +55,7 @@ FaultInjector::AddRule(FaultRule rule)
     AEO_ASSERT(rule.silent_clamp_factor > 0.0 && rule.silent_clamp_factor <= 1.0,
                "silent clamp factor for '%s' out of (0, 1]",
                rule.path_prefix.c_str());
+    Sync();
     rules_.push_back(std::move(rule));
     rule_active_.push_back(1);
     BumpVersion();
@@ -64,6 +65,7 @@ FaultInjector::AddRule(FaultRule rule)
 void
 FaultInjector::RemoveRule(int handle)
 {
+    Sync();
     if (handle >= 0 && handle < static_cast<int>(rule_active_.size())) {
         rule_active_[static_cast<size_t>(handle)] = 0;
         BumpVersion();
@@ -73,6 +75,7 @@ FaultInjector::RemoveRule(int handle)
 void
 FaultInjector::Clear()
 {
+    Sync();
     rules_.clear();
     rule_active_.clear();
     sticky_.clear();
@@ -83,25 +86,37 @@ FaultInjector::Clear()
 FaultDecision
 FaultInjector::OnRead(const std::string& path)
 {
+    Sync();
     return Decide(path, /*is_write=*/false);
 }
 
 FaultDecision
 FaultInjector::OnWrite(const std::string& path)
 {
+    Sync();
     return Decide(path, /*is_write=*/true);
 }
 
 FaultDecision
 FaultInjector::OnRead(PathQuery& query)
 {
-    return DecideCached(query, /*is_write=*/false);
-}
-
-FaultDecision
-FaultInjector::OnWrite(PathQuery& query)
-{
-    return DecideCached(query, /*is_write=*/true);
+    if (query.version_ != topology_version_) {
+        query.version_ = topology_version_;
+        query.latched_ = gone_.count(query.path_) != 0 ||
+                         sticky_.count(query.path_) != 0;
+        query.rule_ = FindRule(query.path_);
+    }
+    if (query.latched_) {
+        // Every latched operation records a trace event anyway — no point
+        // memoizing the map lookups.
+        return Decide(query.path_, /*is_write=*/false);
+    }
+    ++op_count_;
+    if (query.rule_ < 0) {
+        return FaultDecision{};
+    }
+    return Roll(rules_[static_cast<size_t>(query.rule_)], query.path_,
+                /*is_write=*/false);
 }
 
 bool
@@ -113,6 +128,7 @@ FaultInjector::IsGone(const std::string& path) const
 void
 FaultInjector::Repair(const std::string& path)
 {
+    Sync();
     sticky_.erase(path);
     gone_.erase(path);
     BumpVersion();
@@ -121,6 +137,7 @@ FaultInjector::Repair(const std::string& path)
 void
 FaultInjector::RepairPrefix(const std::string& prefix)
 {
+    Sync();
     for (auto it = sticky_.begin(); it != sticky_.end();) {
         it = StartsWith(it->first, prefix) ? sticky_.erase(it) : std::next(it);
     }
@@ -133,6 +150,7 @@ FaultInjector::RepairPrefix(const std::string& prefix)
 void
 FaultInjector::RepairAll()
 {
+    Sync();
     sticky_.clear();
     gone_.clear();
     BumpVersion();
@@ -179,28 +197,6 @@ FaultInjector::Decide(const std::string& path, bool is_write)
         return decision;
     }
     return Roll(rules_[static_cast<size_t>(rule)], path, is_write);
-}
-
-FaultDecision
-FaultInjector::DecideCached(PathQuery& query, bool is_write)
-{
-    if (query.version_ != topology_version_) {
-        query.version_ = topology_version_;
-        query.latched_ = gone_.count(query.path_) != 0 ||
-                         sticky_.count(query.path_) != 0;
-        query.rule_ = FindRule(query.path_);
-    }
-    if (query.latched_) {
-        // Every latched operation records a trace event anyway — no point
-        // memoizing the map lookups.
-        return Decide(query.path_, is_write);
-    }
-    ++op_count_;
-    if (query.rule_ < 0) {
-        return FaultDecision{};
-    }
-    return Roll(rules_[static_cast<size_t>(query.rule_)], query.path_,
-                is_write);
 }
 
 // aeo: hot-path-stop -- fault-campaign slow path: allocates only when a
@@ -265,7 +261,7 @@ void
 FaultInjector::Record(const std::string& path, bool is_write,
                       const FaultDecision& decision)
 {
-    if (trace_.size() >= trace_limit_) {
+    if (trace_.size() >= kTraceLimit) {
         return;
     }
     FaultEvent event;

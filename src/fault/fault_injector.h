@@ -21,6 +21,7 @@
 #define AEO_FAULT_FAULT_INJECTOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -125,9 +126,9 @@ class FaultInjector {
      * caches that resolution (latched? which rule?) against a topology
      * version the injector bumps whenever anything that could change the
      * answer changes (rules added/removed/spent, sticky/gone state latched
-     * or repaired). The 5 kHz power monitor consults the injector through
-     * one of these; the decision stream — RNG draws, op indices, trace —
-     * is bit-identical to the uncached path.
+     * or repaired). The power monitor decides each sample-clock tick
+     * through one of these when it catches up; the decision stream — RNG
+     * draws, op indices, trace — is bit-identical to the uncached path.
      */
     class PathQuery {
       public:
@@ -149,6 +150,20 @@ class FaultInjector {
 
     /** @param seed Seed for the decision stream. */
     explicit FaultInjector(uint64_t seed);
+
+    /** Guarded components and the sync hook's owner hold its address. */
+    FaultInjector(const FaultInjector&) = delete;
+    FaultInjector& operator=(const FaultInjector&) = delete;
+
+    /**
+     * Registers a hook that runs first in OnRead/OnWrite(path), the rule and
+     * repair mutators, op_count() and trace(): the power monitor decides its
+     * pending samples there, before anything else reads or changes the
+     * decision stream. Not in OnRead(PathQuery&), the monitor's own call,
+     * nor in IsGone(): a sample can latch only the meter's path, which no
+     * sysfs node has. nullptr removes it.
+     */
+    void SetSyncHook(std::function<void()> hook) { sync_hook_ = std::move(hook); }
 
     /**
      * Adds a failure mode; rules are consulted in insertion order and the
@@ -175,9 +190,6 @@ class FaultInjector {
     /** Like OnRead(path), resolved through the query's memo. */
     FaultDecision OnRead(PathQuery& query);
 
-    /** Like OnWrite(path), resolved through the query's memo. */
-    FaultDecision OnWrite(PathQuery& query);
-
     /** True if @p path has disappeared (hotplug-style). */
     bool IsGone(const std::string& path) const;
 
@@ -192,17 +204,34 @@ class FaultInjector {
     void RepairAll();
 
     /** Operations consulted so far (clean ones included). */
-    uint64_t op_count() const { return op_count_; }
+    uint64_t
+    op_count()
+    {
+        Sync();
+        return op_count_;
+    }
 
-    /** Non-clean decisions, in operation order (capped; see below). */
-    const std::vector<FaultEvent>& trace() const { return trace_; }
-
-    /** Caps the retained trace; older entries are kept, new ones dropped. */
-    void set_trace_limit(size_t limit) { trace_limit_ = limit; }
+    /** Non-clean decisions, in operation order. The first kTraceLimit are
+     * kept; later ones are dropped. */
+    const std::vector<FaultEvent>&
+    trace()
+    {
+        Sync();
+        return trace_;
+    }
 
   private:
+    static constexpr size_t kTraceLimit = 100000;
+
+    void
+    Sync()
+    {
+        if (sync_hook_) {
+            sync_hook_();
+        }
+    }
+
     FaultDecision Decide(const std::string& path, bool is_write);
-    FaultDecision DecideCached(PathQuery& query, bool is_write);
     /** First active, unspent rule whose prefix covers @p path; -1 none. */
     int FindRule(const std::string& path) const;
     /** Rolls the probability cascade for a matched rule. */
@@ -225,7 +254,7 @@ class FaultInjector {
     uint64_t topology_version_ = 1;
     uint64_t op_count_ = 0;
     std::vector<FaultEvent> trace_;
-    size_t trace_limit_ = 100000;
+    std::function<void()> sync_hook_;
 };
 
 }  // namespace aeo

@@ -25,6 +25,26 @@ MonsoonMonitor::~MonsoonMonitor()
 {
     // No catch-up: the power source may already be gone.
     Detach();
+    if (injector_ != nullptr) {
+        injector_->SetSyncHook(nullptr);
+    }
+}
+
+void
+MonsoonMonitor::SetFaultInjector(FaultInjector* injector)
+{
+    AEO_ASSERT(!on_clock_, "attach or detach an injector while stopped");
+    if (injector_ != nullptr) {
+        injector_->SetSyncHook(nullptr);
+    }
+    injector_ = injector;
+    // Memoized against the previous injector's topology versions.
+    fault_query_ = FaultInjector::PathQuery(kMonsoonFaultPath);
+    if (injector_ != nullptr) {
+        // Every other operation on the injector waits until the ticks
+        // before it have taken their decisions.
+        injector_->SetSyncHook([this] { CatchUp(); });
+    }
 }
 
 void
@@ -33,16 +53,10 @@ MonsoonMonitor::Start()
     Stop();
     start_time_ = sim_->Now();
     last_sample_time_ = start_time_;
-    // An injector counts every operation it is consulted on, samples
-    // included, so it must see each sample in order with the others.
-    if (injector_ == nullptr) {
-        sim_->StartSampleClock(period_, [this] { CatchUp(); });
-        on_clock_ = true;
-        ticks_seen_ = 0;
-        next_tick_ = start_time_ + period_;
-    } else {
-        series_ = sim_->ScheduleEvery(period_, [this] { TakeSample(); });
-    }
+    sim_->StartSampleClock(period_, [this] { CatchUp(); });
+    on_clock_ = true;
+    ticks_seen_ = 0;
+    next_tick_ = start_time_ + period_;
 }
 
 void
@@ -59,10 +73,6 @@ MonsoonMonitor::Detach()
         sim_->StopSampleClock();
         on_clock_ = false;
     }
-    if (series_ != kInvalidEventId) {
-        sim_->Cancel(series_);
-        series_ = kInvalidEventId;
-    }
 }
 
 // aeo: hot-path
@@ -75,56 +85,34 @@ MonsoonMonitor::CatchUp()
     const uint64_t pending = sim_->sample_ticks() - ticks_seen_;
     ticks_seen_ = sim_->sample_ticks();
     // One read serves every pending tick: the source has not changed since
-    // the previous catch-up. The draws, products and sums are TakeSample's,
-    // in its order, so the totals are bit-identical to the per-sample path.
+    // the previous catch-up. Each tick takes its meter decision, then its
+    // noise draw, in tick order; the injector's sync hook runs this before
+    // any other operation, so the decisions keep their per-sample places
+    // among the sysfs and PMU operations.
     const double true_mw = power_source_().value();
     const double stddev = config_.noise_rel_stddev;
-    const int decimation = config_.trace_decimation;
     double power_sum = power_sum_mw_;
     double window_sum = window_sum_mw_;
-    uint64_t count = sample_count_;
+    uint64_t kept = 0;
+    SimTime last_kept = last_sample_time_;
     SimTime when = next_tick_;
-    for (uint64_t i = 0; i < pending; ++i) {
+    for (uint64_t i = 0; i < pending; ++i, when += period_) {
+        if (injector_ != nullptr && !injector_->OnRead(fault_query_).ok()) {
+            ++dropped_sample_count_;
+            continue;
+        }
         const double measured_mw = true_mw * (1.0 + rng_.Gaussian(0.0, stddev));
         power_sum += measured_mw;
         window_sum += measured_mw;
-        ++count;
-        if (decimation > 0 && count % static_cast<uint64_t>(decimation) == 0) {
-            // aeo-lint: allow(hot-path-alloc) -- the decimated power trace
-            // is the meter's output artifact; growth here IS the product.
-            trace_.push_back(PowerSample{when, Milliwatts(measured_mw)});
-        }
-        when += period_;
+        ++kept;
+        last_kept = when;
     }
     power_sum_mw_ = power_sum;
     window_sum_mw_ = window_sum;
-    sample_count_ = count;
-    window_count_ += pending;
+    sample_count_ += kept;
+    window_count_ += kept;
     next_tick_ = when;
-    last_sample_time_ = when - period_;
-}
-
-void
-MonsoonMonitor::TakeSample()
-{
-    if (injector_ != nullptr && !injector_->OnRead(fault_query_).ok()) {
-        ++dropped_sample_count_;
-        return;
-    }
-    const double true_mw = power_source_().value();
-    const double measured_mw =
-        true_mw * (1.0 + rng_.Gaussian(0.0, config_.noise_rel_stddev));
-    power_sum_mw_ += measured_mw;
-    ++sample_count_;
-    window_sum_mw_ += measured_mw;
-    ++window_count_;
-    last_sample_time_ = sim_->Now();
-    if (config_.trace_decimation > 0 &&
-        sample_count_ % static_cast<uint64_t>(config_.trace_decimation) == 0) {
-        // aeo-lint: allow(hot-path-alloc) -- the decimated power trace is
-        // the meter's output artifact; growth here IS the product.
-        trace_.push_back(PowerSample{sim_->Now(), Milliwatts(measured_mw)});
-    }
+    last_sample_time_ = last_kept;
 }
 
 Milliwatts
@@ -172,7 +160,6 @@ MonsoonMonitor::Reset()
     sample_count_ = 0;
     window_sum_mw_ = 0.0;
     window_count_ = 0;
-    trace_.clear();
     start_time_ = sim_->Now();
     last_sample_time_ = start_time_;
 }

@@ -5,21 +5,21 @@
  * The paper measures whole-device power with a Monsoon monitor sampling at
  * 5 kHz (§IV-A). This model samples the device's instantaneous power at the
  * same rate, applies Gaussian measurement noise, and reports the running
- * average and an optional decimated trace. Experiments read their "measured"
- * power from here — exactly as the authors did — while the exact EnergyMeter
- * integral remains available for validation.
+ * average. Experiments read their "measured" power from here — exactly as
+ * the authors did — while the exact EnergyMeter integral remains available
+ * for validation.
  *
- * Without a FaultInjector the monitor runs on the simulator's sample clock
- * and records the ticks in batches (CatchUp); with one, every sample is an
- * event of its own, so the injector sees its operations in order. Both
- * paths produce the same bytes (DESIGN.md §14 "Batched power sampling").
+ * The monitor runs on the simulator's sample clock and records the ticks in
+ * batches (CatchUp). An attached FaultInjector decides each tick's sample in
+ * tick order at catch-up time, and its sync hook catches the monitor up
+ * before any other operation, so the injector sees every operation in the
+ * order a per-sample event would give it (DESIGN.md §14 "Batched power
+ * sampling").
  */
 #ifndef AEO_POWER_MONSOON_H_
 #define AEO_POWER_MONSOON_H_
 
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "common/random.h"
 #include "common/units.h"
@@ -37,14 +37,6 @@ struct MonsoonConfig {
     double sample_hz = 5000.0;
     /** Relative standard deviation of per-sample measurement noise. */
     double noise_rel_stddev = 0.004;
-    /** Keep every Nth sample in the trace; 0 disables the trace. */
-    int trace_decimation = 0;
-};
-
-/** One retained trace sample. */
-struct PowerSample {
-    SimTime when;
-    Milliwatts power;
 };
 
 /** Samples a power source periodically and accumulates statistics. */
@@ -64,8 +56,7 @@ class MonsoonMonitor {
     MonsoonMonitor(const MonsoonMonitor&) = delete;
     MonsoonMonitor& operator=(const MonsoonMonitor&) = delete;
 
-    /** Starts sampling: on the simulator's sample clock when no injector is
-     * attached, else as a repeating event. */
+    /** Starts sampling on the simulator's sample clock. */
     void Start();
 
     /** Stops sampling. */
@@ -73,11 +64,12 @@ class MonsoonMonitor {
 
     /**
      * Records the sample-clock ticks passed since the previous call, all at
-     * the source's current power. The caller guarantees that the source's
-     * value has not changed since then, so it calls this before anything
-     * the source reads changes. Every accessor below calls it first, and
-     * the simulator calls it when RunUntil returns. No-op on the per-sample
-     * path.
+     * the source's current power; with an injector attached, each tick's
+     * meter decision comes first and a dropped tick records nothing. The
+     * caller guarantees that the source's value has not changed since then,
+     * so it calls this before anything the source reads changes. Every
+     * accessor below calls it first, the simulator calls it when RunUntil
+     * returns, and the injector calls it before any other operation.
      */
     void CatchUp();
 
@@ -92,17 +84,20 @@ class MonsoonMonitor {
     /** Samples lost to injected meter failures (USB glitches etc.). The
      * running average simply spans fewer samples — as with the real
      * instrument, a dropped window biases nothing, it only thins the data. */
-    uint64_t dropped_sample_count() const { return dropped_sample_count_; }
-
-    /** Hooks an injector into the sampling path; nullptr disables. Takes
-     * effect at the next Start(). */
-    void
-    SetFaultInjector(FaultInjector* injector)
+    uint64_t
+    dropped_sample_count()
     {
-        injector_ = injector;
-        // Memoized against the previous injector's topology versions.
-        fault_query_ = FaultInjector::PathQuery(kMonsoonFaultPath);
+        CatchUp();
+        return dropped_sample_count_;
     }
+
+    /**
+     * Guards every sample with @p injector (nullptr detaches) and installs
+     * CatchUp() as its sync hook. The monitor must be stopped. The injector
+     * must outlive the monitor or be detached first: the destructor removes
+     * the hook.
+     */
+    void SetFaultInjector(FaultInjector* injector);
 
     /** Average of all measured samples. */
     Milliwatts MeasuredAveragePower();
@@ -130,20 +125,11 @@ class MonsoonMonitor {
     /** Wall time spanned by the measurement (start → last sample). */
     SimTime ObservedDuration();
 
-    /** Decimated sample trace (empty unless enabled in the config). */
-    const std::vector<PowerSample>&
-    trace()
-    {
-        CatchUp();
-        return trace_;
-    }
-
-    /** Clears statistics and the trace (does not stop sampling). */
+    /** Clears statistics (does not stop sampling). */
     void Reset();
 
   private:
-    void TakeSample();
-    /** Leaves the sample clock or cancels the series, recording nothing. */
+    /** Leaves the sample clock, recording nothing. */
     void Detach();
 
     Simulator* sim_;
@@ -152,16 +138,13 @@ class MonsoonMonitor {
     MonsoonConfig config_;
     /** Interval between samples. */
     SimTime period_;
-    /** The per-sample series (injector attached): scheduled directly on the
-     * event core so each sample costs one slab dispatch. */
-    EventId series_ = kInvalidEventId;
     /** Sampling on the simulator's sample clock. */
     bool on_clock_ = false;
     /** Clock ticks already recorded, and the time of the next one. */
     uint64_t ticks_seen_ = 0;
     SimTime next_tick_;
     FaultInjector* injector_ = nullptr;
-    /** Memoized injector lookup for the per-sample guard. */
+    /** Memoized injector lookup for the per-tick guard. */
     FaultInjector::PathQuery fault_query_{kMonsoonFaultPath};
     SimTime start_time_;
     SimTime last_sample_time_;
@@ -170,7 +153,6 @@ class MonsoonMonitor {
     double window_sum_mw_ = 0.0;
     uint64_t window_count_ = 0;
     uint64_t dropped_sample_count_ = 0;
-    std::vector<PowerSample> trace_;
 };
 
 }  // namespace aeo

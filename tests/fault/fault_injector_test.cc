@@ -180,6 +180,39 @@ TEST(FaultInjectorTest, ClearDropsRulesAndLatchedState)
     EXPECT_TRUE(injector.OnWrite("/sys/x/n").ok());
 }
 
+TEST(FaultInjectorTest, SyncHookRunsBeforeEveryStreamOperation)
+{
+    FaultInjector injector(29);
+    int syncs = 0;
+    injector.SetSyncHook([&syncs] { ++syncs; });
+    const auto syncs_in = [&syncs](const auto& operation) {
+        const int before = syncs;
+        operation();
+        return syncs - before;
+    };
+    int handle = -1;
+    EXPECT_EQ(syncs_in([&] { handle = injector.AddRule(BusyRule("/sys/x", 1.0)); }),
+              1);
+    EXPECT_EQ(syncs_in([&] { injector.OnRead("/sys/x/n"); }), 1);
+    EXPECT_EQ(syncs_in([&] { injector.OnWrite("/sys/x/n"); }), 1);
+    EXPECT_EQ(syncs_in([&] { injector.op_count(); }), 1);
+    EXPECT_EQ(syncs_in([&] { injector.trace(); }), 1);
+    EXPECT_EQ(syncs_in([&] { injector.Repair("/sys/x/n"); }), 1);
+    EXPECT_EQ(syncs_in([&] { injector.RepairPrefix("/sys"); }), 1);
+    EXPECT_EQ(syncs_in([&] { injector.RepairAll(); }), 1);
+    EXPECT_EQ(syncs_in([&] { injector.RemoveRule(handle); }), 1);
+    EXPECT_EQ(syncs_in([&] { injector.Clear(); }), 1);
+
+    // The meter's own memoized read is what the hook calls, and a meter
+    // sample never latches a sysfs path: neither runs the hook.
+    FaultInjector::PathQuery query("/dev/monsoon/sample");
+    EXPECT_EQ(syncs_in([&] { injector.OnRead(query); }), 0);
+    EXPECT_EQ(syncs_in([&] { injector.IsGone("/sys/x/n"); }), 0);
+
+    injector.SetSyncHook(nullptr);
+    EXPECT_EQ(syncs_in([&] { injector.OnRead("/sys/x/n"); }), 0);
+}
+
 TEST(FaultInjectorTest, ErrcNamesAreErrnoStyle)
 {
     EXPECT_STREQ(FaultErrcName(FaultErrc::kOk), "OK");

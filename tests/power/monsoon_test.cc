@@ -66,18 +66,6 @@ TEST(MonsoonTest, MeasuredEnergyMatchesAverageTimesDuration)
     EXPECT_NEAR(monitor.MeasuredEnergy().value(), 15.0, 0.01);
 }
 
-TEST(MonsoonTest, TraceDecimationKeepsEveryNth)
-{
-    Simulator sim;
-    MonsoonConfig config;
-    config.sample_hz = 1000.0;
-    config.trace_decimation = 100;
-    MonsoonMonitor monitor(&sim, [] { return Milliwatts(1.0); }, 1, config);
-    monitor.Start();
-    sim.RunUntil(SimTime::FromSeconds(1));
-    EXPECT_EQ(monitor.trace().size(), 10u);
-}
-
 TEST(MonsoonTest, StopAndResetWork)
 {
     Simulator sim;
