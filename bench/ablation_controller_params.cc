@@ -34,7 +34,7 @@ main(int argc, char** argv)
     const auto run = [&](const std::string& label, ControllerConfig config) {
         ExperimentOptions options;
         options.profile_runs = args.ProfileRuns();
-        options.seed = 2017;
+        options.seed = args.SeedOr(2017);
         options.controller = config;
         const ExperimentOutcome outcome = harness.RunComparison(app, options);
         table.AddRow({label, StrFormat("%+.2f%%", outcome.perf_delta_pct),

@@ -65,7 +65,7 @@ main(int argc, char** argv)
     for (const std::string& app : {std::string("AngryBirds"), std::string("Spotify")}) {
         ExperimentOptions sparse_options;
         sparse_options.profile_runs = args.ProfileRuns();
-        sparse_options.seed = 2017;
+        sparse_options.seed = args.SeedOr(2017);
         sparse_options.sparse_profiling = true;
         sparse_options.prune_epsilon = 0.0;  // compare raw tables
         // The dense 18×13 grid dominates this bench; fan its (config, run)

@@ -48,7 +48,7 @@ main(int argc, char** argv)
         ExperimentOptions options;
         options.profile_runs = args.ProfileRuns();
         options.profile_load = kind;
-        options.seed = 2017;
+        options.seed = args.SeedOr(2017);
         ProfileTable table = harness.ProfileApp(app, options);
         const RunResult default_run = harness.RunDefault(app, kind, options.seed);
         conditions.push_back(LoadConditionProfile{
@@ -63,7 +63,7 @@ main(int argc, char** argv)
         ExperimentOptions options;
         options.profile_runs = args.ProfileRuns();
         options.run_load = kind;
-        options.seed = 2017;
+        options.seed = args.SeedOr(2017);
 
         // Paper configuration: BL data regardless of the runtime load.
         options.profile_load = BackgroundKind::kBaseline;

@@ -24,7 +24,7 @@ main(int argc, char** argv)
     ExperimentHarness harness;
     ExperimentOptions options;
     options.profile_runs = args.ProfileRuns();
-    options.seed = 2017;
+    options.seed = args.SeedOr(2017);
 
     for (const std::string& app : EvaluationAppNames()) {
         const ExperimentOutcome outcome = harness.RunComparison(app, options);

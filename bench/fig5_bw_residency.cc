@@ -24,7 +24,7 @@ main(int argc, char** argv)
     ExperimentHarness harness;
     ExperimentOptions options;
     options.profile_runs = args.ProfileRuns();
-    options.seed = 2017;
+    options.seed = args.SeedOr(2017);
 
     double controller_bw1_sum = 0.0;
     int apps = 0;

@@ -19,8 +19,7 @@ main(int argc, char** argv)
 {
     using namespace aeo;
     SetLogLevel(LogLevel::kWarn);
-    // No flag changes this bench, but a misspelt one still stops it.
-    bench::ParseBenchArgs(argc, argv);
+    const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
     bench::PrintHeader("E2 / Table I", "AngryBirds offline profile");
 
     const AppScenario scenario = GetAppScenario("AngryBirds");
@@ -29,7 +28,7 @@ main(int argc, char** argv)
     options.cpu_levels = scenario.profile_cpu_levels;
     options.measure_duration = scenario.profile_duration;
     options.runs = 3;
-    options.seed = 20170201;
+    options.seed = args.SeedOr(20170201);
     const ProfileTable table =
         profiler.Profile(MakeAppSpecByName("AngryBirds"), options);
     std::printf("%s\n", table.ToString().c_str());

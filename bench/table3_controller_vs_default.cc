@@ -11,6 +11,7 @@
  * <snapshot>.perf.json so the gated bytes never depend on machine speed.
  */
 #include <cstdio>
+#include <string>
 
 #include "bench_common.h"
 #include "common/json.h"
@@ -33,7 +34,7 @@ main(int argc, char** argv)
     ExperimentHarness harness;
     ExperimentOptions options;
     options.profile_runs = args.ProfileRuns();
-    options.seed = 2017;
+    options.seed = args.SeedOr(2017);
     // Off by default: the gated snapshot compares against interactive.
     options.baseline_cpu_governor = args.baseline;
 
@@ -67,7 +68,7 @@ main(int argc, char** argv)
     JsonValue doc = JsonValue::MakeObject();
     doc.Set("schema", 1);
     doc.Set("bench", "table3_controller_vs_default");
-    doc.Set("root_seed", "2017");
+    doc.Set("root_seed", std::to_string(options.seed));
     doc.Set("fast", args.fast);
     doc.Set("profile_runs", options.profile_runs);
     JsonValue rows = JsonValue::MakeArray();

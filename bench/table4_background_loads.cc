@@ -12,6 +12,7 @@
  * and simulated-event throughput go to the <snapshot>.perf.json sidecar.
  */
 #include <cstdio>
+#include <string>
 
 #include "bench_common.h"
 #include "common/json.h"
@@ -32,6 +33,7 @@ main(int argc, char** argv)
                        "Background-load sensitivity (profiled under BL)");
 
     ExperimentHarness harness;
+    const uint64_t seed = args.SeedOr(2017);
 
     struct LoadCase {
         BackgroundKind kind;
@@ -50,7 +52,7 @@ main(int argc, char** argv)
         for (const LoadCase& load_case : cases) {
             ExperimentOptions options;
             options.profile_runs = args.ProfileRuns();
-            options.seed = 2017;
+            options.seed = seed;
             options.profile_load = BackgroundKind::kBaseline;  // §V-C: BL data
             options.run_load = load_case.kind;
             // Off by default: the gated snapshot compares vs interactive.
@@ -95,7 +97,7 @@ main(int argc, char** argv)
     JsonValue doc = JsonValue::MakeObject();
     doc.Set("schema", 1);
     doc.Set("bench", "table4_background_loads");
-    doc.Set("root_seed", "2017");
+    doc.Set("root_seed", std::to_string(seed));
     doc.Set("fast", args.fast);
     doc.Set("profile_runs", args.ProfileRuns());
     JsonValue rows = JsonValue::MakeArray();

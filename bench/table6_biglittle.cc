@@ -15,6 +15,7 @@
  * event throughput go to the <snapshot>.perf.json sidecar.
  */
 #include <cstdio>
+#include <string>
 
 #include "apps/app_registry.h"
 #include "bench_common.h"
@@ -63,22 +64,21 @@ struct BigLittleOutcome {
  */
 BigLittleOutcome
 RunOneApp(const ExperimentHarness& harness, const std::string& app,
-          const std::vector<SystemConfig>& grid, int profile_runs)
+          const std::vector<SystemConfig>& grid, int profile_runs, uint64_t seed)
 {
-    constexpr uint64_t kSeed = 2017;
     BigLittleOutcome outcome;
     outcome.profiled_configs = grid.size();
     outcome.interactive_run =
-        harness.RunDefault(app, BackgroundKind::kBaseline, kSeed);
+        harness.RunDefault(app, BackgroundKind::kBaseline, seed);
     outcome.lulzactive_run =
-        harness.RunDefault(app, BackgroundKind::kBaseline, kSeed, "lulzactive");
+        harness.RunDefault(app, BackgroundKind::kBaseline, seed, "lulzactive");
 
     ProfilerOptions profiler_options;
     profiler_options.configs = grid;
     profiler_options.runs = profile_runs;
     profiler_options.measure_duration = GetAppScenario(app).profile_duration;
     profiler_options.load = BackgroundKind::kBaseline;
-    profiler_options.seed = kSeed + 1000;
+    profiler_options.seed = seed + 1000;
     profiler_options.batch.jobs = 1;
     const OfflineProfiler profiler(MakeExynos5433Factory());
     ProfileTable table =
@@ -91,14 +91,14 @@ RunOneApp(const ExperimentHarness& harness, const std::string& app,
         3.0, outcome.interactive_run.avg_gips / table.base_speed_gips() * 1.02);
 
     ExperimentOptions options;
-    options.seed = kSeed;
+    options.seed = seed;
     // Phase-heterogeneous apps deliver demand bursts worth several cycles
     // of speedup; banking and slewed spending turn them into knee dwells
     // (race-to-idle) instead of being truncated at the regulator clamp.
     options.controller.regulator_surplus_band = 8.0;
     options.controller.regulator_max_step_down = 0.06;
     outcome.controller_run = harness.RunWithController(
-        app, table, outcome.interactive_run.avg_gips, options, kSeed + 2000);
+        app, table, outcome.interactive_run.avg_gips, options, seed + 2000);
     return outcome;
 }
 
@@ -135,13 +135,15 @@ main(int argc, char** argv)
     const ExperimentHarness harness(MakeExynos5433Factory());
     const std::vector<std::string> apps = EvaluationAppNames();
     const int profile_runs = args.ProfileRuns();
+    constexpr uint64_t kSeed = 2017;
+    const uint64_t seed = args.SeedOr(kSeed);
 
     const uint64_t events_before = TotalExecutedEvents();
     const double wall_start = bench::MonotonicSeconds();
     const BatchRunner runner(args.batch);
     const std::vector<BigLittleOutcome> outcomes =
         runner.RunIndexed<BigLittleOutcome>(apps.size(), [&](size_t i) {
-            return RunOneApp(harness, apps[i], grid, profile_runs);
+            return RunOneApp(harness, apps[i], grid, profile_runs, seed);
         });
     const double wall_seconds = bench::MonotonicSeconds() - wall_start;
     const uint64_t events_executed = TotalExecutedEvents() - events_before;
@@ -181,7 +183,7 @@ main(int argc, char** argv)
     JsonValue doc = JsonValue::MakeObject();
     doc.Set("schema", 1);
     doc.Set("bench", "table6_biglittle");
-    doc.Set("root_seed", "2017");
+    doc.Set("root_seed", std::to_string(seed));
     doc.Set("fast", args.fast);
     doc.Set("profile_runs", profile_runs);
     doc.Set("grid_configs", static_cast<int>(grid.size()));
