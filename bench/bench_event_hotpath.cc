@@ -11,10 +11,12 @@
  *  - schedule/cancel mix (deadline supervision): ids armed and cancelled
  *    without ever firing;
  *  - batched power sampling: a Monsoon monitor on the simulator's sample
- *    clock, caught up by a 20 ms timer (its rate columns count samples);
+ *    clock, caught up by a 20 ms timer with one noise draw per catch-up
+ *    (its rate columns count samples);
  *  - fault-injected power sampling: the same monitor guarded by a
  *    FaultInjector, caught up by the injector's sync hook when the timer
- *    reads another path through it.
+ *    reads another path through it: one meter decision per sample, one
+ *    noise draw per catch-up.
  *
  * This binary overrides global operator new/delete with a counting hook, so
  * allocations per dispatch are *measured*, not inferred: after warmup the
@@ -247,8 +249,9 @@ RunScheduleCancel(uint64_t total)
 /**
  * Batched power sampling: a monitor on the sample clock (5 kHz ticks that
  * are not events) plus a 20 ms timer whose callback catches it up, the way
- * a device's plant changes do. Samples stand in for dispatches in the rate
- * columns; after warmup recording them must not allocate.
+ * a device's plant changes do; each catch-up records its 100 samples with
+ * one noise draw. Samples stand in for dispatches in the rate columns;
+ * after warmup recording them must not allocate.
  */
 Scenario
 RunBatchedMonitor(uint64_t total)
@@ -283,8 +286,8 @@ RunBatchedMonitor(uint64_t total)
  * Fault-injected power sampling: the batched_monitor set-up plus an
  * attached injector whose one rule matches another path. The 20 ms timer
  * reads that path through the injector, whose sync hook catches the monitor
- * up first, so every tick takes a memoized meter decision. After warmup
- * neither may allocate.
+ * up first, so every tick takes a memoized meter decision and the kept ones
+ * share one noise draw. After warmup neither may allocate.
  */
 Scenario
 RunInjectedMonitor(uint64_t total)

@@ -1,5 +1,6 @@
 #include "power/monsoon.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/logging.h"
@@ -82,36 +83,43 @@ MonsoonMonitor::CatchUp()
     if (!on_clock_ || sim_->sample_ticks() == ticks_seen_) {
         return;
     }
-    const uint64_t pending = sim_->sample_ticks() - ticks_seen_;
+    const auto pending = static_cast<int64_t>(sim_->sample_ticks() - ticks_seen_);
     ticks_seen_ = sim_->sample_ticks();
-    // One read serves every pending tick: the source has not changed since
-    // the previous catch-up. Each tick takes its meter decision, then its
-    // noise draw, in tick order; the injector's sync hook runs this before
-    // any other operation, so the decisions keep their per-sample places
-    // among the sysfs and PMU operations.
-    const double true_mw = power_source_().value();
-    const double stddev = config_.noise_rel_stddev;
-    double power_sum = power_sum_mw_;
-    double window_sum = window_sum_mw_;
-    uint64_t kept = 0;
-    SimTime last_kept = last_sample_time_;
-    SimTime when = next_tick_;
-    for (uint64_t i = 0; i < pending; ++i, when += period_) {
-        if (injector_ != nullptr && !injector_->OnRead(fault_query_).ok()) {
-            ++dropped_sample_count_;
-            continue;
+    const SimTime first = next_tick_;
+    next_tick_ = first + period_ * pending;
+    int64_t kept = pending;
+    SimTime last_kept = next_tick_ - period_;
+    if (injector_ != nullptr) {
+        // Each tick takes its meter decision in tick order; the injector's
+        // sync hook runs this before any other operation, so the decisions
+        // keep their per-sample places among the sysfs and PMU operations.
+        kept = 0;
+        last_kept = last_sample_time_;
+        SimTime when = first;
+        for (int64_t i = 0; i < pending; ++i, when += period_) {
+            if (!injector_->OnRead(fault_query_).ok()) {
+                ++dropped_sample_count_;
+                continue;
+            }
+            ++kept;
+            last_kept = when;
         }
-        const double measured_mw = true_mw * (1.0 + rng_.Gaussian(0.0, stddev));
-        power_sum += measured_mw;
-        window_sum += measured_mw;
-        ++kept;
-        last_kept = when;
+        if (kept == 0) {
+            return;
+        }
     }
-    power_sum_mw_ = power_sum;
-    window_sum_mw_ = window_sum;
-    sample_count_ += kept;
-    window_count_ += kept;
-    next_tick_ = when;
+    // The source has not changed since the previous catch-up, so the kept
+    // ticks share one true power, and the sum of their k independent
+    // N(0, 1) noise terms has exactly the law of sqrt(k)·N(0, 1): one draw
+    // serves the whole block (DESIGN.md §14 "Batched power sampling").
+    const double k = static_cast<double>(kept);
+    const double measured_mw =
+        power_source_().value() *
+        (k + std::sqrt(k) * rng_.Gaussian(0.0, config_.noise_rel_stddev));
+    power_sum_mw_ += measured_mw;
+    window_sum_mw_ += measured_mw;
+    sample_count_ += static_cast<uint64_t>(kept);
+    window_count_ += static_cast<uint64_t>(kept);
     last_sample_time_ = last_kept;
 }
 

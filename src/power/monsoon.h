@@ -10,11 +10,12 @@
  * for validation.
  *
  * The monitor runs on the simulator's sample clock and records the ticks in
- * batches (CatchUp). An attached FaultInjector decides each tick's sample in
- * tick order at catch-up time, and its sync hook catches the monitor up
- * before any other operation, so the injector sees every operation in the
- * order a per-sample event would give it (DESIGN.md §14 "Batched power
- * sampling").
+ * blocks, one per catch-up (CatchUp), with one noise draw per block: the
+ * sum of k per-sample errors has exactly the law of one error scaled by
+ * sqrt(k). An attached FaultInjector decides each tick's sample in tick
+ * order at catch-up time, and its sync hook catches the monitor up before
+ * any other operation, so the injector sees every operation in the order a
+ * per-sample event would give it (DESIGN.md §14 "Batched power sampling").
  */
 #ifndef AEO_POWER_MONSOON_H_
 #define AEO_POWER_MONSOON_H_
@@ -64,12 +65,13 @@ class MonsoonMonitor {
 
     /**
      * Records the sample-clock ticks passed since the previous call, all at
-     * the source's current power; with an injector attached, each tick's
-     * meter decision comes first and a dropped tick records nothing. The
-     * caller guarantees that the source's value has not changed since then,
-     * so it calls this before anything the source reads changes. Every
-     * accessor below calls it first, the simulator calls it when RunUntil
-     * returns, and the injector calls it before any other operation.
+     * the source's current power, as one block with one noise draw; with an
+     * injector attached, each tick's meter decision comes first and a
+     * dropped tick records nothing. The caller guarantees that the source's
+     * value has not changed since then, so it calls this before anything
+     * the source reads changes. Every accessor below calls it first, the
+     * simulator calls it when RunUntil returns, and the injector calls it
+     * before any other operation.
      */
     void CatchUp();
 

@@ -44,9 +44,6 @@ TEST_P(AllAppsSweepTest, ControllerMeetsTargetAndSaves)
 TEST_P(AllAppsSweepTest, DeterministicForSameSeed)
 {
     const std::string app = GetParam();
-    if (app != "Spotify" && app != "MXPlayer") {
-        GTEST_SKIP() << "determinism spot-checked on two apps to bound runtime";
-    }
     const ExperimentHarness harness;
     ExperimentOptions options;
     options.profile_runs = 1;
