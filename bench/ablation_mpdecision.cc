@@ -64,16 +64,18 @@ int
 main(int argc, char** argv)
 {
     SetLogLevel(LogLevel::kWarn);
-    // No flag changes this bench, but a misspelt one still stops it.
-    bench::ParseBenchArgs(argc, argv);
+    // Only --seed changes this bench, but a misspelt flag still stops it.
+    const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
     bench::PrintHeader("E14 / §IV-A methodology",
                        "Why mpdecision and touch boost are disabled while profiling");
 
     // Spotify's bursty decode leaves long idle stretches: exactly where
     // hotplug distorts the power baseline of a pinned-configuration run.
-    const Probe clean = Measure(false, false, 7);
-    const Probe hotplug = Measure(true, false, 7);
-    const Probe boosted = Measure(false, true, 7);
+    // One seed for all three, so only the daemon or the boost differs.
+    const uint64_t seed = args.SeedOr(7);
+    const Probe clean = Measure(false, false, seed);
+    const Probe hotplug = Measure(true, false, seed);
+    const Probe boosted = Measure(false, true, seed);
 
     TextTable table({"configuration", "GIPS", "avg power (mW)",
                      "GIPS error", "power error"});

@@ -19,7 +19,8 @@ namespace {
 /** Prints what was wrong with @p bad and the usage line, then exits 2. */
 [[noreturn]] void
 ExitWithUsage(const char* program, const char* bad,
-              std::initializer_list<BenchFlag> extra)
+              std::initializer_list<BenchFlag> extra,
+              const char* why = "unknown or malformed argument")
 {
     std::string usage = StrFormat("usage: %s [--fast] [--jobs=N] [--runs=N] "
                                   "[--seed=S] [--out=PATH] [--baseline=NAME] "
@@ -28,8 +29,7 @@ ExitWithUsage(const char* program, const char* bad,
     for (const BenchFlag& flag : extra) {
         usage += StrFormat(" [%s=%s]", flag.name, flag.number ? "N" : "VALUE");
     }
-    std::fprintf(stderr, "%s: unknown or malformed argument '%s'\n%s\n", program,
-                 bad, usage.c_str());
+    std::fprintf(stderr, "%s: %s '%s'\n%s\n", program, why, bad, usage.c_str());
     std::exit(2);
 }
 
@@ -111,6 +111,16 @@ ParseBenchArgs(int argc, char** argv, std::initializer_list<BenchFlag> extra)
         }
     }
     return args;
+}
+
+void
+RejectSeed(const BenchArgs& args, const char* program)
+{
+    if (args.seed != 0) {
+        const std::string flag =
+            StrFormat("--seed=%llu", static_cast<unsigned long long>(args.seed));
+        ExitWithUsage(program, flag.c_str(), {}, "nothing to seed in this bench:");
+    }
 }
 
 double

@@ -99,6 +99,12 @@ BenchArgs ParseBenchArgs(int argc, char** argv,
                          std::initializer_list<BenchFlag> extra = {});
 
 /**
+ * For a bench with no randomness: when @p args carries a --seed, prints the
+ * usage line and exits with status 2 instead of ignoring the flag.
+ */
+void RejectSeed(const BenchArgs& args, const char* program);
+
+/**
  * Monotonic wall time in seconds, for perf sidecars and progress lines.
  * This is the one sanctioned wall-clock read in bench/: everything a
  * snapshot gate diffs must come from simulated time, and aeo-lint's

@@ -16,13 +16,17 @@
  *  - fault-injected power sampling: the same monitor guarded by a
  *    FaultInjector, caught up by the injector's sync hook when the timer
  *    reads another path through it: one meter decision per sample, one
- *    noise draw per catch-up.
+ *    noise draw per catch-up;
+ *  - a pinned device: the whole plant on one profiling run's shape, where
+ *    every event ends a segment and recomputes its rates and power through
+ *    the device's segment memo.
  *
  * This binary overrides global operator new/delete with a counting hook, so
  * allocations per dispatch are *measured*, not inferred: after warmup the
- * periodic, one-shot and both monitor paths must report 0.000 (the
- * property test under tests/sim asserts the same invariant for the event
- * queue; this bench reports it next to the throughput numbers it buys).
+ * periodic, one-shot, both monitor and the pinned-device paths must report
+ * 0.000 (the property test under tests/sim asserts the same invariant for
+ * the event queue; this bench reports it next to the throughput numbers it
+ * buys).
  *
  * Emits BENCH_event_hotpath.json (events/sec, ns/dispatch,
  * allocations/dispatch per scenario). Timing fields vary run to run — this
@@ -35,13 +39,18 @@
 #include <string>
 #include <vector>
 
+#include "apps/app_registry.h"
+#include "apps/background_load.h"
 #include "bench_common.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "common/text_table.h"
+#include "device/device.h"
 #include "fault/fault_injector.h"
+#include "kernel/sysfs_roots.h"
 #include "power/monsoon.h"
 #include "sim/simulator.h"
+#include "soc/exynos5433.h"
 
 namespace {
 
@@ -327,6 +336,47 @@ RunInjectedMonitor(uint64_t total)
     return s;
 }
 
+/**
+ * A pinned device in the shape of one Table VI profiling run: AngryBirds on
+ * the Exynos 5433 pinned through PinHetConfiguration, msm-adreno-tz on the
+ * GPU and the baseline background. Its events are app-phase boundaries and
+ * GPU-governor ticks; each one ends a plant segment, and most then recompute
+ * the rates and power of a state the segment memo already holds. After
+ * warmup the measured region must not allocate.
+ */
+Scenario
+RunPinnedDevice(uint64_t total)
+{
+    aeo::DeviceConfig config;
+    config.topology = aeo::MakeExynos5433Topology();
+    config.power_params = aeo::MakeExynos5433PowerParams();
+    aeo::Device device(config);
+    device.SetBackground(aeo::MakeBackgroundEnv(aeo::BackgroundKind::kBaseline));
+    device.sysfs().Write(std::string(aeo::kGpuSysfsRoot) + "/governor",
+                         "msm-adreno-tz");
+    device.PinHetConfiguration(
+        aeo::HetConfig{3, 2, 4, aeo::ThreadPlacement::kBoth});
+    device.LaunchApp(aeo::MakeAppSpecByName("AngryBirds"));
+    device.RunFor(aeo::SimTime::FromSeconds(20));
+
+    const uint64_t start_events = device.sim().executed_events();
+    const uint64_t start_allocs = g_alloc_count.load(std::memory_order_relaxed);
+    const double start = aeo::bench::MonotonicSeconds();
+    while (device.sim().executed_events() - start_events < total) {
+        device.RunFor(aeo::SimTime::FromSeconds(50));
+    }
+    const double seconds = aeo::bench::MonotonicSeconds() - start;
+    const uint64_t allocs =
+        g_alloc_count.load(std::memory_order_relaxed) - start_allocs;
+
+    Scenario s;
+    s.name = "pinned_device";
+    s.dispatches = device.sim().executed_events() - start_events;
+    s.seconds = seconds;
+    s.allocations = allocs;
+    return s;
+}
+
 }  // namespace
 
 int
@@ -345,6 +395,7 @@ main(int argc, char** argv)
     scenarios.push_back(RunScheduleCancel(total / 2));
     scenarios.push_back(RunBatchedMonitor(total));
     scenarios.push_back(RunInjectedMonitor(total));
+    scenarios.push_back(RunPinnedDevice(total / 10));
 
     TextTable table({"Scenario", "Dispatches", "Events/s", "ns/dispatch",
                      "Allocs/dispatch"});

@@ -89,19 +89,21 @@ int
 main(int argc, char** argv)
 {
     SetLogLevel(LogLevel::kWarn);
-    // No flag changes this bench, but a misspelt one still stops it.
-    bench::ParseBenchArgs(argc, argv);
+    // Only --seed changes this bench, but a misspelt flag still stops it.
+    const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
     bench::PrintHeader("E12 / §VII extension",
                        "Coordinated GPU-frequency control (Racer3D)");
 
-    const RunResult base = RunDefault(91);
+    // The profiler and the two controller runs seed from offsets of the root.
+    const uint64_t seed = args.SeedOr(91);
+    const RunResult base = RunDefault(seed);
 
     OfflineProfiler profiler;
     ProfilerOptions paper_options;
     paper_options.cpu_levels = {0, 2, 4, 6};
     paper_options.runs = 3;
     paper_options.measure_duration = SimTime::FromSeconds(20);
-    paper_options.seed = 92;
+    paper_options.seed = seed + 1;
     ProfileTable paper_table =
         profiler.Profile(MakeRacer3DSpec(), paper_options).PruneEpsilonDominated(0.01);
 
@@ -111,9 +113,9 @@ main(int argc, char** argv)
         profiler.Profile(MakeRacer3DSpec(), ext_options).PruneEpsilonDominated(0.01);
 
     const RunResult paper_run =
-        RunControlled(paper_table, base.avg_gips, 93, "controller-cpu-bw");
+        RunControlled(paper_table, base.avg_gips, seed + 2, "controller-cpu-bw");
     const RunResult ext_run =
-        RunControlled(ext_table, base.avg_gips, 94, "controller-cpu-bw-gpu");
+        RunControlled(ext_table, base.avg_gips, seed + 3, "controller-cpu-bw-gpu");
 
     TextTable table({"policy", "GIPS", "avg power (mW)", "energy savings"});
     table.AddRow({"default governors", StrFormat("%.3f", base.avg_gips),

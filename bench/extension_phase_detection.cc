@@ -35,18 +35,21 @@ struct Detection {
     std::vector<PhaseInfo> info;
 };
 
+/** @p seed seeds the baseline and the profile; the controller's device
+ * runs at @p seed + 2. */
 Detection
-DetectPhases(const std::string& app)
+DetectPhases(const std::string& app, uint64_t seed)
 {
     const ExperimentHarness harness;
     ExperimentOptions options;
     options.profile_runs = 1;
-    options.seed = 51;
-    const RunResult baseline = harness.RunDefault(app, BackgroundKind::kBaseline, 51);
+    options.seed = seed;
+    const RunResult baseline =
+        harness.RunDefault(app, BackgroundKind::kBaseline, seed);
     const ProfileTable table = harness.ProfileApp(app, options);
 
     DeviceConfig config;
-    config.seed = 53;
+    config.seed = seed + 2;
     Device device(config);
     device.LaunchApp(MakeAppSpecByName(app));
     ControllerConfig controller_config;
@@ -73,8 +76,8 @@ int
 main(int argc, char** argv)
 {
     SetLogLevel(LogLevel::kWarn);
-    // No flag changes this bench, but a misspelt one still stops it.
-    bench::ParseBenchArgs(argc, argv);
+    // Only --seed changes this bench, but a misspelt flag still stops it.
+    const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
     bench::PrintHeader("E15 / §V-B extension",
                        "Online phase detection from the controller's measurements");
 
@@ -82,7 +85,7 @@ main(int argc, char** argv)
                      "switch rate"});
     for (const std::string& app : {std::string("MobileBench"), std::string("MXPlayer"),
                                    std::string("Spotify")}) {
-        const Detection detection = DetectPhases(app);
+        const Detection detection = DetectPhases(app, args.SeedOr(51));
         std::string centroids;
         for (const PhaseInfo& phase : detection.info) {
             if (phase.hits < 2) {

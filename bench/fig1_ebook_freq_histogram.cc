@@ -18,13 +18,14 @@ main(int argc, char** argv)
 {
     using namespace aeo;
     SetLogLevel(LogLevel::kWarn);
-    // No flag changes this bench, but a misspelt one still stops it.
-    bench::ParseBenchArgs(argc, argv);
+    // Only --seed changes this bench, but a misspelt flag still stops it.
+    const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
     bench::PrintHeader("E1 / Fig. 1",
                        "CPU frequency histogram: eBook reader, default governor");
 
     ExperimentHarness harness;
-    const RunResult run = harness.RunDefault("eBook", BackgroundKind::kBaseline, 42);
+    const RunResult run =
+        harness.RunDefault("eBook", BackgroundKind::kBaseline, args.SeedOr(42));
 
     std::printf("%s\n\n", run.Summary().c_str());
     std::printf("%s\n", bench::RenderResidency(run.cpu_residency,

@@ -15,8 +15,9 @@ int
 main(int argc, char** argv)
 {
     using namespace aeo;
-    // No flag changes this bench, but a misspelt one still stops it.
-    bench::ParseBenchArgs(argc, argv);
+    // No flag changes this bench, but a misspelt one still stops it, and so
+    // does --seed: the tables hold no randomness to seed.
+    bench::RejectSeed(bench::ParseBenchArgs(argc, argv), argv[0]);
     bench::PrintHeader("E3 / Table II", "CPU frequencies and memory bandwidths");
 
     const FrequencyTable freqs = MakeNexus6FrequencyTable();

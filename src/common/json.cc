@@ -352,9 +352,20 @@ class Parser {
         case '"':
             return ParseString(out, error);
         case '[':
-            return ParseArray(out, error);
-        case '{':
-            return ParseObject(out, error);
+        case '{': {
+            // Each level recurses, so an unbounded depth would let a
+            // hostile document exhaust the stack.
+            if (depth_ == kJsonMaxDepth) {
+                *error = Where() + "nesting deeper than " +
+                         std::to_string(kJsonMaxDepth) + " levels";
+                return false;
+            }
+            ++depth_;
+            const bool ok = text_[pos_] == '[' ? ParseArray(out, error)
+                                               : ParseObject(out, error);
+            --depth_;
+            return ok;
+        }
         default:
             return ParseNumber(out, error);
         }
@@ -561,6 +572,8 @@ class Parser {
 
     const std::string& text_;
     size_t pos_ = 0;
+    /** Arrays and objects open around the current position. */
+    int depth_ = 0;
 };
 
 }  // namespace

@@ -114,7 +114,14 @@ struct JsonParseResult {
     std::string error;
 };
 
-/** Parses one JSON document (surrounding whitespace allowed). */
+/** Deepest nesting of arrays and objects ParseJson() accepts. Committed
+ * documents nest at most 5 deep. */
+inline constexpr int kJsonMaxDepth = 64;
+
+/**
+ * Parses one JSON document (surrounding whitespace allowed). A document
+ * nesting deeper than kJsonMaxDepth fails like any other malformed one.
+ */
 JsonParseResult ParseJson(const std::string& text);
 
 }  // namespace aeo

@@ -1,7 +1,9 @@
 #include "device/device.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -30,6 +32,13 @@ IdleDemand()
     demand.mem_bytes_per_instr = 0.2;
     demand.demand_gips = 0.002;
     return demand;
+}
+
+/** Exact equality: no tolerance, and 0.0 differs from -0.0. */
+bool
+SameBits(double a, double b)
+{
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
 }  // namespace
@@ -132,7 +141,7 @@ Device::Device(DeviceConfig config)
     // Starting or stopping perf changes its power overhead, a power input.
     perf_->SetRunStateHook([this] {
         monitor_->CatchUp();
-        power_cache_valid_ = false;
+        power_valid_ = false;
     });
 
     for (ClusterDomain& domain : clusters_) {
@@ -356,39 +365,66 @@ Device::RunUntilAppFinishes(SimTime max_duration)
 Milliwatts
 Device::CurrentPower() const
 {
-    if (!power_cache_valid_) {
-        power_cache_ = EvaluatePower();
-        power_cache_valid_ = true;
+    if (!power_valid_) {
+        RefreshPower();
     }
-    return power_cache_;
+    return current_->power;
 }
 
-Milliwatts
-Device::EvaluatePower() const
+void
+Device::RefreshPower() const
 {
-    PowerInputs inputs;
-    for (const ClusterDomain& domain : clusters_) {
-        ClusterPowerInputs cpu;
-        cpu.freq = domain.cluster.frequency();
-        cpu.voltage = domain.cluster.voltage();
-        cpu.online_cores = domain.cluster.online_cores();
-        cpu.busy_cores = domain.busy_cores;
-        cpu.dyn_scale = domain.spec->dyn_power_scale;
-        cpu.leak_scale = domain.spec->leak_power_scale;
-        inputs.clusters.push_back(cpu);
+    SegmentEntry& entry = *current_;
+    const double component = AppComponentPower();
+    const double overhead = perf_->power_overhead_mw() + controller_overhead_mw_;
+    // Without a thermal model every other power input is a field of the
+    // entry's key or rates, so equal component and overhead power give the
+    // same power bit for bit.
+    if (thermal_ != nullptr || !entry.has_power ||
+        !SameBits(component, entry.app_component_mw) ||
+        !SameBits(overhead, entry.overhead_mw)) {
+        entry.power = EvaluatePower(component, overhead);
+        entry.has_power = true;
+        entry.app_component_mw = component;
+        entry.overhead_mw = overhead;
     }
-    inputs.bw_level = bus_.level();
-    inputs.mem_gbps = mem_gbps_;
+    power_valid_ = true;
+}
+
+double
+Device::AppComponentPower() const
+{
     double component = 0.0;
     if (foreground_ != nullptr) {
         component += foreground_->CurrentComponentPower();
     }
     component += background_->CurrentComponentPower();
-    inputs.app_component_mw = component;
+    return component;
+}
+
+Milliwatts
+Device::EvaluatePower(double app_component_mw, double overhead_mw) const
+{
+    const SegmentRates& rates = current_->rates;
+    PowerInputs inputs;
+    for (size_t i = 0; i < clusters_.size(); ++i) {
+        const ClusterDomain& domain = clusters_[i];
+        ClusterPowerInputs cpu;
+        cpu.freq = domain.cluster.frequency();
+        cpu.voltage = domain.cluster.voltage();
+        cpu.online_cores = domain.cluster.online_cores();
+        cpu.busy_cores = rates.clusters[i].busy_cores;
+        cpu.dyn_scale = domain.spec->dyn_power_scale;
+        cpu.leak_scale = domain.spec->leak_power_scale;
+        inputs.clusters.push_back(cpu);
+    }
+    inputs.bw_level = bus_.level();
+    inputs.mem_gbps = rates.mem_gbps;
+    inputs.app_component_mw = app_component_mw;
     inputs.gpu_mhz = gpu_.mhz();
     inputs.gpu_voltage = gpu_.voltage();
-    inputs.gpu_busy = gpu_busy_;
-    inputs.overhead_mw = perf_->power_overhead_mw() + controller_overhead_mw_;
+    inputs.gpu_busy = rates.gpu_busy;
+    inputs.overhead_mw = overhead_mw;
     inputs.temp_c = thermal_ != nullptr ? thermal_->temperature_c()
                                         : kLeakageReferenceC;
     return power_model_.TotalPower(inputs);
@@ -429,50 +465,114 @@ Device::IntegrateToNow()
         // Power is evaluated once at the segment's entry temperature and
         // held constant across it — consistent for both energy and heat.
         const Milliwatts power = CurrentPower();
+        const SegmentRates& rates = current_->rates;
         energy_meter_.Accumulate(power, dt);
         if (thermal_ != nullptr) {
             thermal_->Advance(power, dt);
         }
-        for (ClusterDomain& domain : clusters_) {
+        for (size_t i = 0; i < clusters_.size(); ++i) {
+            ClusterDomain& domain = clusters_[i];
             domain.residency.Add(static_cast<size_t>(domain.cluster.level()),
                                  seconds.value());
-            domain.load_meter.Advance(domain.busy_cores, domain.max_core_load, dt);
+            domain.load_meter.Advance(rates.clusters[i].busy_cores,
+                                      rates.clusters[i].max_core_load, dt);
         }
         bw_residency_.Add(static_cast<size_t>(bus_.level()), seconds.value());
         gpu_residency_.Add(static_cast<size_t>(gpu_.level()), seconds.value());
-        gpu_meter_.Advance(gpu_busy_, dt);
-        traffic_meter_.Advance(mem_gbps_, dt);
-        pmu_.Advance(fg_gips_, clusters_.front().cluster.frequency().value(),
-                     busy_cores_, mem_gbps_, dt);
-        loadavg_.Advance(busy_cores_, dt);
+        gpu_meter_.Advance(rates.gpu_busy, dt);
+        traffic_meter_.Advance(rates.mem_gbps, dt);
+        pmu_.Advance(rates.fg_gips, clusters_.front().cluster.frequency().value(),
+                     rates.busy_cores, rates.mem_gbps, dt);
+        loadavg_.Advance(rates.busy_cores, dt);
         if (foreground_ != nullptr) {
-            foreground_->Advance(dt, fg_gips_ * seconds.value());
+            foreground_->Advance(dt, rates.fg_gips * seconds.value());
         }
-        background_->Advance(dt, bg_gips_ * seconds.value());
+        background_->Advance(dt, rates.bg_gips * seconds.value());
         last_update_ = now;
-        // Temperature and app phases advanced; the memoized power is stale.
-        power_cache_valid_ = false;
+        // The segment's end moved the temperature, or a phase change moved
+        // an app's component power: the power must be evaluated again.
+        if (power_valid_ &&
+            (thermal_ != nullptr ||
+             !SameBits(AppComponentPower(), current_->app_component_mw))) {
+            power_valid_ = false;
+        }
     }
     in_integrate_ = false;
     MaybeFinish();
+}
+
+bool
+Device::SegmentKey::operator==(const SegmentKey& other) const
+{
+    // Every byte belongs to a field, so this compares doubles bit for bit.
+    static_assert(sizeof(SegmentKey) ==
+                  2 * sizeof(WorkloadDemand) + 2 * sizeof(double) +
+                      (2 * kMaxCpuClusters + 4) * sizeof(int));
+    return std::memcmp(this, &other, sizeof(SegmentKey)) == 0;
 }
 
 void
 Device::RecomputeRates()
 {
     monitor_->CatchUp();
-    WorkloadDemand fg_demand = IdleDemand();
+    SegmentKey key;
+    key.foreground = IdleDemand();
     if (foreground_ != nullptr && !foreground_->Finished()) {
-        fg_demand = foreground_->CurrentDemand();
-        fg_demand.mem_bytes_per_instr *=
+        key.foreground = foreground_->CurrentDemand();
+        key.foreground.mem_bytes_per_instr *=
             background_env_.fg_mem_intensity_multiplier;
+        key.gpu_units_per_gi = foreground_->CurrentGpuUnitsPerGi();
     }
-    const WorkloadDemand bg_demand = background_->CurrentDemand();
-
+    key.background = background_->CurrentDemand();
     // Instrumentation steals a slice of foreground compute (§V-A1: the perf
     // tool costs ~4 % at a 1 s sampling period).
-    const double overhead = perf_->cpu_overhead_fraction();
+    key.cpu_overhead = perf_->cpu_overhead_fraction();
+    for (size_t i = 0; i < clusters_.size(); ++i) {
+        key.cluster_level[i] = clusters_[i].cluster.level();
+        key.online_cores[i] = clusters_[i].cluster.online_cores();
+    }
+    key.bw_level = bus_.level();
+    key.gpu_level = gpu_.level();
+    key.placement = placement_;
 
+    SegmentEntry* entry = FindSegment(key);
+    if (entry == nullptr) {
+        entry = &segments_[next_victim_];
+        next_victim_ = (next_victim_ + 1) % kSegmentMemoEntries;
+        entry->key = key;
+        entry->rates = ComputeRates(key);
+        entry->has_power = false;
+    }
+    if (entry != current_) {
+        previous_ = current_;
+        current_ = entry;
+    }
+    power_valid_ = false;
+}
+
+Device::SegmentEntry*
+Device::FindSegment(const SegmentKey& key)
+{
+    // Frame apps alternate between a compute and a slack state, so the
+    // state before the current one is the likeliest match, then the current
+    // one itself (a recompute after a change that moved no input).
+    if (previous_->key == key) {
+        return previous_;
+    }
+    if (current_->key == key) {
+        return current_;
+    }
+    for (SegmentEntry& entry : segments_) {
+        if (&entry != previous_ && &entry != current_ && entry.key == key) {
+            return &entry;
+        }
+    }
+    return nullptr;
+}
+
+Device::SegmentRates
+Device::ComputeRates(const SegmentKey& key) const
+{
     ClusterOperatingPoints operating_points;
     for (const ClusterDomain& domain : clusters_) {
         ClusterOperatingPoint point;
@@ -481,36 +581,31 @@ Device::RecomputeRates()
         point.online_cores = domain.cluster.online_cores();
         operating_points.push_back(point);
     }
-    const SharedRates rates = engine_.ComputeShared(
-        fg_demand, bg_demand, operating_points, placement_,
+    const SharedRates shared = engine_.ComputeShared(
+        key.foreground, key.background, operating_points, key.placement,
         topology_.placement_model().span_penalty, bus_.bandwidth());
-    fg_gips_ = rates.foreground.gips * (1.0 - overhead);
-    bg_gips_ = rates.background.gips;
-    mem_gbps_ = rates.foreground.mem_gbps + rates.background.mem_gbps;
-    busy_cores_ = 0.0;
+    SegmentRates rates;
+    rates.fg_gips = shared.foreground.gips * (1.0 - key.cpu_overhead);
+    rates.bg_gips = shared.background.gips;
+    rates.mem_gbps = shared.foreground.mem_gbps + shared.background.mem_gbps;
     for (size_t i = 0; i < clusters_.size(); ++i) {
-        clusters_[i].busy_cores = rates.clusters[i].busy_cores;
-        clusters_[i].max_core_load = rates.clusters[i].max_core_load;
-        busy_cores_ += rates.clusters[i].busy_cores;
+        rates.clusters[i] = shared.clusters[i];
+        rates.busy_cores += shared.clusters[i].busy_cores;
     }
-    power_cache_valid_ = false;
 
     // GPU demand follows the foreground's progress (render work per Gi).
     // When the GPU cannot keep up it co-bottlenecks the application.
-    gpu_busy_ = 0.0;
-    if (foreground_ != nullptr && !foreground_->Finished()) {
-        const double units_per_gi = foreground_->CurrentGpuUnitsPerGi();
-        if (units_per_gi > 0.0 && fg_gips_ > 0.0) {
-            const double demand_units = fg_gips_ * units_per_gi;
-            const double capacity = gpu_.CapacityAt(gpu_.level());
-            if (demand_units > capacity) {
-                fg_gips_ *= capacity / demand_units;
-                gpu_busy_ = 1.0;
-            } else {
-                gpu_busy_ = demand_units / capacity;
-            }
+    if (key.gpu_units_per_gi > 0.0 && rates.fg_gips > 0.0) {
+        const double demand_units = rates.fg_gips * key.gpu_units_per_gi;
+        const double capacity = gpu_.CapacityAt(key.gpu_level);
+        if (demand_units > capacity) {
+            rates.fg_gips *= capacity / demand_units;
+            rates.gpu_busy = 1.0;
+        } else {
+            rates.gpu_busy = demand_units / capacity;
         }
     }
+    return rates;
 }
 
 void
@@ -522,9 +617,10 @@ Device::RescheduleBoundary()
     }
     std::optional<SimTime> next;
     if (foreground_ != nullptr) {
-        next = foreground_->TimeToBoundary(fg_gips_);
+        next = foreground_->TimeToBoundary(current_->rates.fg_gips);
     }
-    const std::optional<SimTime> bg_next = background_->TimeToBoundary(bg_gips_);
+    const std::optional<SimTime> bg_next =
+        background_->TimeToBoundary(current_->rates.bg_gips);
     if (bg_next && (!next || *bg_next < *next)) {
         next = bg_next;
     }

@@ -23,6 +23,7 @@
 #ifndef AEO_DEVICE_DEVICE_H_
 #define AEO_DEVICE_DEVICE_H_
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -226,8 +227,11 @@ class Device {
      * runtime load signature the §V-C extension keys on. */
     double free_memory_mb() const { return background_env_.free_memory_mb; }
 
+    /** The background load's app model. */
+    const AppModel& background() const { return *background_; }
+
     /** Current foreground instruction rate (for tests). */
-    double foreground_gips() const { return fg_gips_; }
+    double foreground_gips() const { return current_->rates.fg_gips; }
 
     /** Current true device power (the monitor's source). */
     Milliwatts CurrentPower() const;
@@ -257,22 +261,80 @@ class Device {
         /** Interned governor/setspeed nodes for the pinning helpers. */
         SysfsHandle governor_node;
         SysfsHandle setspeed_node;
-        /** This cluster's split of the current rates (see ClusterLoad). */
-        double busy_cores = 0.0;
-        double max_core_load = 0.0;
     };
+
+    /**
+     * The complete input of RecomputeRates(). Keys compare byte for byte,
+     * so two keys match only when every double is bit-identical.
+     */
+    struct SegmentKey {
+        /** After the background's memory multiplier; IdleDemand() when
+         * there is no app or it has finished. */
+        WorkloadDemand foreground;
+        WorkloadDemand background;
+        double cpu_overhead = 0.0;
+        /** 0 for an idle foreground, which skips the GPU co-bottleneck
+         * exactly as having no app does. */
+        double gpu_units_per_gi = 0.0;
+        std::array<int, kMaxCpuClusters> cluster_level{};
+        std::array<int, kMaxCpuClusters> online_cores{};
+        /** -1 only in an entry never filled, so it matches no state. */
+        int bw_level = -1;
+        int gpu_level = 0;
+        ThreadPlacement placement = ThreadPlacement::kBigOnly;
+        /** Keeps the struct free of padding bytes; always 0. */
+        int unused = 0;
+
+        bool operator==(const SegmentKey& other) const;
+    };
+
+    /** What RecomputeRates() derives from a SegmentKey. */
+    struct SegmentRates {
+        double fg_gips = 0.0;
+        double bg_gips = 0.0;
+        double mem_gbps = 0.0;
+        /** Busy cores summed over the clusters. */
+        double busy_cores = 0.0;
+        /** Each cluster's split of the rates, in topology order. */
+        std::array<ClusterLoad, kMaxCpuClusters> clusters{};
+        double gpu_busy = 0.0;
+    };
+
+    /** One operating state the plant has evaluated. */
+    struct SegmentEntry {
+        SegmentKey key;
+        SegmentRates rates;
+        /** Set once the power has been evaluated at this state, with the
+         * app component and overhead power it was evaluated with. */
+        bool has_power = false;
+        Milliwatts power{0.0};
+        double app_component_mw = 0.0;
+        double overhead_mw = 0.0;
+    };
+
+    /** Entries in the segment memo; see RecomputeRates(). */
+    static constexpr size_t kSegmentMemoEntries = 4;
 
     void IntegrateToNow();
     void RecomputeRates();
+    /** RecomputeRates()'s memo miss: the execution model and the GPU
+     * co-bottleneck at @p key, which is the device's current state. */
+    SegmentRates ComputeRates(const SegmentKey& key) const;
+    /** The memo entry whose key is @p key, or nullptr. */
+    SegmentEntry* FindSegment(const SegmentKey& key);
     void RescheduleBoundary();
     void OnBoundary();
     void MaybeFinish();
     /** Writes @p level's frequency to @p domain's scaling_setspeed. */
     void WriteSetspeed(const ClusterDomain& domain, int level);
-    /** CurrentPower()'s memo miss: gathers every rail's inputs and runs the
-     * power model. Out of line, so the memo hit saves and restores only the
-     * registers it uses. */
-    Milliwatts EvaluatePower() const;
+    /** Foreground plus background component power, mW. */
+    double AppComponentPower() const;
+    /** CurrentPower()'s slow path: reuses the current entry's power when
+     * its inputs still match, else evaluates it. Out of line, so the fast
+     * path saves and restores only the registers it uses. */
+    void RefreshPower() const;
+    /** Gathers every rail's inputs and runs the power model. */
+    Milliwatts EvaluatePower(double app_component_mw, double overhead_mw) const;
 
     DeviceConfig config_;
     ClusterTopology topology_;
@@ -317,13 +379,7 @@ class Device {
     Histogram gpu_residency_;
 
     SimTime last_update_;
-    double fg_gips_ = 0.0;
-    double bg_gips_ = 0.0;
-    /** Busy cores summed over the clusters. */
-    double busy_cores_ = 0.0;
     ThreadPlacement placement_ = ThreadPlacement::kBigOnly;
-    double mem_gbps_ = 0.0;
-    double gpu_busy_ = 0.0;
     double controller_overhead_mw_ = 0.0;
 
     EventId boundary_event_ = kInvalidEventId;
@@ -332,17 +388,26 @@ class Device {
     bool in_integrate_ = false;
 
     /**
-     * Memoized CurrentPower(). Every input is piecewise-constant between
-     * integration boundaries: frequencies, rates, app phases and
-     * temperature only change inside IntegrateToNow()/RecomputeRates(), and
-     * the perf-tool overhead only at PerfTool::Start()/Stop(), whose
-     * run-state hook invalidates the cache like those two do. The
-     * monitor's catch-up and the segment integration both read it once per
-     * segment, so the second read is a hit, without changing a single
-     * returned value.
+     * The segment memo. A pinned device alternates between a handful of
+     * operating states, so RecomputeRates() looks its complete input up
+     * here and reuses the stored rates instead of running the execution
+     * model again; a miss overwrites the entries round-robin. Every stored
+     * value came from the same pure functions on bit-identical inputs, so a
+     * hit changes no result (DESIGN.md §14 "Segment memo").
      */
-    mutable bool power_cache_valid_ = false;
-    mutable Milliwatts power_cache_{0.0};
+    std::array<SegmentEntry, kSegmentMemoEntries> segments_{};
+    size_t next_victim_ = 0;
+    /** The entry holding the current rates, and the one before it. */
+    SegmentEntry* current_ = &segments_[0];
+    SegmentEntry* previous_ = &segments_[0];
+    /**
+     * Whether current_->power is the power now. Cleared when the rates
+     * change, when perf starts or stops (its overhead is a power input)
+     * and when a segment's end moves the temperature or an app's
+     * component power; RefreshPower() then reuses the entry's power only
+     * if no thermal model is attached and both powers still match.
+     */
+    mutable bool power_valid_ = false;
 };
 
 }  // namespace aeo
