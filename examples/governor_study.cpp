@@ -7,6 +7,7 @@
  * plane, and none of them is energy-optimal for the application at hand.
  */
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,19 @@ using namespace aeo;
 
 namespace {
 
+/** Selects @p governor through @p path. A rejected name (misspelt, or no
+ * longer registered) ends the study: running on under whatever governor
+ * was active would silently report the wrong row. */
+void
+SelectGovernor(Device& device, const std::string& path, const std::string& governor)
+{
+    if (!device.sysfs().Write(path, governor)) {
+        std::fprintf(stderr, "%s rejected governor '%s'\n", path.c_str(),
+                     governor.c_str());
+        std::exit(1);
+    }
+}
+
 RunResult
 RunWithGovernors(const std::string& app, const std::string& cpu_governor,
                  const std::string& bus_governor, uint64_t seed)
@@ -27,9 +41,10 @@ RunWithGovernors(const std::string& app, const std::string& cpu_governor,
     DeviceConfig config;
     config.seed = seed;
     Device device(config);
-    device.sysfs().Write(std::string(kCpufreqSysfsRoot) + "/scaling_governor",
-                         cpu_governor);
-    device.sysfs().Write(std::string(kDevfreqSysfsRoot) + "/governor", bus_governor);
+    SelectGovernor(device, std::string(kCpufreqSysfsRoot) + "/scaling_governor",
+                   cpu_governor);
+    SelectGovernor(device, std::string(kDevfreqSysfsRoot) + "/governor",
+                   bus_governor);
     device.LaunchApp(MakeAppSpecByName(app));
     device.RunFor(SimTime::FromSeconds(60));
     return device.CollectResult(cpu_governor + "+" + bus_governor);

@@ -31,6 +31,8 @@ class ForwardingPlatform : public platform::Platform {
     }
     platform::Thermals& thermals() override { return inner_->thermals(); }
     int max_cpu_level() const override { return inner_->max_cpu_level(); }
+    int num_cpu_clusters() const override { return inner_->num_cpu_clusters(); }
+    int max_little_level() const override { return inner_->max_little_level(); }
     void SetControllerOverheadPower(double mw) override
     {
         inner_->SetControllerOverheadPower(mw);

@@ -36,7 +36,6 @@
 #include "fault/fault_injector.h"
 #include "kernel/cpufreq.h"
 #include "kernel/devfreq.h"
-#include "kernel/gpufreq.h"
 #include "kernel/input_boost.h"
 #include "kernel/mpdecision.h"
 #include "kernel/msm_thermal.h"

@@ -1,57 +1,23 @@
 /**
  * @file
- * The cpufreq subsystem: separation of policy (governors) and mechanism
- * (the driver setting the cluster frequency), mirroring Linux's design
- * (§II-A). Governors are pluggable and selected at runtime through the
- * scaling_governor sysfs file, exactly the interface the paper's controller
- * uses to take over frequency control.
+ * The cpufreq policy of one CPU frequency domain (the Nexus 6 has a single
+ * 4-core cluster): the DvfsPolicy framework over a CpuCluster, with the
+ * cluster's OPP table, its busy-time meter and the kHz codec of the
+ * scaling_* files (§II-A).
  */
 #ifndef AEO_KERNEL_CPUFREQ_H_
 #define AEO_KERNEL_CPUFREQ_H_
 
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
 
+#include "kernel/dvfs_policy.h"
 #include "kernel/meters.h"
-#include "kernel/sysfs.h"
-#include "sim/simulator.h"
 #include "soc/cpu_cluster.h"
 
 namespace aeo {
 
-class CpufreqPolicy;
-
-/** Base class for CPU frequency governors. */
-class CpufreqGovernor {
-  public:
-    virtual ~CpufreqGovernor() = default;
-
-    /** Governor name as it appears in scaling_governor. */
-    virtual std::string name() const = 0;
-
-    /** Called when the governor takes control of the policy. */
-    virtual void Start() = 0;
-
-    /** Called when the governor is replaced. */
-    virtual void Stop() = 0;
-
-    /**
-     * Handles a scaling_setspeed write (only the userspace governor
-     * accepts).
-     *
-     * @return true if the speed request was accepted.
-     */
-    virtual bool SetSpeed(Gigahertz) { return false; }
-};
-
-/** Factory producing a governor bound to a policy. */
-using CpufreqGovernorFactory =
-    std::function<std::unique_ptr<CpufreqGovernor>(CpufreqPolicy*)>;
-
-/** One frequency domain (the Nexus 6 has a single 4-core cluster). */
-class CpufreqPolicy {
+/** One CPU frequency domain. */
+class CpufreqPolicy : public DvfsPolicy {
   public:
     /**
      * @param sim        Simulation executive; must outlive the policy.
@@ -65,102 +31,22 @@ class CpufreqPolicy {
                   const CpuLoadMeter* load_meter, Sysfs* sysfs,
                   std::string sysfs_root);
 
-    ~CpufreqPolicy();
-
-    CpufreqPolicy(const CpufreqPolicy&) = delete;
-    CpufreqPolicy& operator=(const CpufreqPolicy&) = delete;
-
-    /** Registers a governor under its name; panics on duplicates. */
-    void RegisterGovernor(const std::string& name, CpufreqGovernorFactory factory);
-
-    /** Switches governors; returns false for an unknown name. */
-    bool SetGovernor(const std::string& name);
-
-    /** Name of the active governor ("none" before the first SetGovernor). */
-    std::string governor_name() const;
-
-    /** Names of all registered governors, space-separated (sysfs format). */
-    std::string AvailableGovernors() const;
-
-    // --- Interface used by governors -------------------------------------
-
-    /** Requests a frequency level; clamped to the scaling min/max limits. */
-    void RequestLevel(int level);
-
     /** Requests the lowest level whose frequency is ≥ @p freq. */
     void RequestFrequencyAtOrAbove(Gigahertz freq);
-
-    /** Current 0-based level. */
-    int current_level() const { return cluster_->level(); }
 
     /** The cluster's OPP table. */
     const FrequencyTable& table() const { return cluster_->table(); }
 
-    /** Cores in the domain. */
-    int num_cores() const { return cluster_->num_cores(); }
-
     /** Busy-time meter for load sampling. */
     const CpuLoadMeter* load_meter() const { return load_meter_; }
 
-    /**
-     * Registers a hook that brings the meters up to date (the device model
-     * integrates lazily); governors invoke it before sampling.
-     */
-    void SetSyncHook(std::function<void()> hook) { sync_hook_ = std::move(hook); }
-
-    /** Brings the meters up to date; no-op when no hook is registered. */
-    void
-    SyncMeters() const
-    {
-        if (sync_hook_) {
-            sync_hook_();
-        }
-    }
-
-    /** The simulation executive (for governor timers). */
-    Simulator* sim() const { return sim_; }
-
-    /** The policy's sysfs directory (e.g. ".../cpufreq/policy4"). */
-    const std::string& sysfs_root() const { return sysfs_root_; }
-
-    /** Lower scaling limit (scaling_min_freq), as a level. */
-    int min_level_limit() const { return min_level_limit_; }
-
-    /** Upper scaling limit (scaling_max_freq), as a level. */
-    int max_level_limit() const { return max_level_limit_; }
-
-    /** Sets the scaling limits (inclusive level range). */
-    void SetLevelLimits(int min_level, int max_level);
-
-    /**
-     * Thermal ceiling imposed by the msm_thermal driver, as a level. Unlike
-     * the user limits it is owned by the kernel: userspace cannot raise it,
-     * requests above it are clamped *silently* (the write still succeeds),
-     * and scaling_max_freq reads report the effective — thermally capped —
-     * limit, exactly how msm_thermal mutates policy->max on hardware.
-     */
-    void SetThermalCapLevel(int level);
-
-    /** Current thermal ceiling (table max when unthrottled). */
-    int thermal_cap_level() const { return thermal_cap_level_; }
-
-    /** The binding upper limit: min(user limit, thermal cap). */
-    int effective_max_level() const;
+    /** The scaling_* files' codec: kHz. */
+    double ValueOfLevel(int level) const override;
+    int LevelOfValue(long long khz) const override;
 
   private:
-    void RegisterSysfsFiles();
-
-    Simulator* sim_;
     CpuCluster* cluster_;
     const CpuLoadMeter* load_meter_;
-    Sysfs* sysfs_;
-    std::string sysfs_root_;
-    std::map<std::string, CpufreqGovernorFactory> factories_;
-    std::unique_ptr<CpufreqGovernor> governor_;
-    std::function<void()> sync_hook_;
-    int min_level_limit_ = 0;
-    int max_level_limit_ = 0;
-    int thermal_cap_level_ = 0;
 };
 
 }  // namespace aeo

@@ -1,0 +1,215 @@
+/**
+ * @file
+ * Linux's DVFS policy framework (§II-A), written once for every frequency
+ * domain: separation of policy (pluggable governors, selected by name
+ * through sysfs — exactly the interface the paper's controller uses to take
+ * over frequency control) and mechanism (the domain's level), the scaling
+ * limits and the kernel-owned thermal cap under one clamp rule, and the
+ * sysfs files, named per directory from a constant table.
+ *
+ * cpufreq (a CPU cluster), devfreq (the memory bus) and kgsl (the GPU) are
+ * thin subclasses: each adds its typed table, its meter, and the codec
+ * between a level and its sysfs value (kHz, MB/s, MHz).
+ */
+#ifndef AEO_KERNEL_DVFS_POLICY_H_
+#define AEO_KERNEL_DVFS_POLICY_H_
+
+#include <functional>
+#include <map>
+#include <memory>
+#include <string>
+
+#include "common/logging.h"
+#include "kernel/sysfs.h"
+#include "sim/simulator.h"
+#include "soc/level_domain.h"
+
+namespace aeo {
+
+class DvfsPolicy;
+
+/** Base class for the governors of any DVFS domain. */
+class DvfsGovernor {
+  public:
+    virtual ~DvfsGovernor() = default;
+
+    /** Governor name as it appears in the governor sysfs file. */
+    virtual std::string name() const = 0;
+
+    /** Called when the governor takes control of the policy. */
+    virtual void Start() = 0;
+
+    /**
+     * Called when the governor is replaced, and from the policy's base
+     * destructor — where the subclass is already gone, so Stop() must not
+     * reach a policy's level↔value hooks.
+     */
+    virtual void Stop() = 0;
+
+    /**
+     * Handles a write to the userspace target file (scaling_setspeed,
+     * userspace/set_freq), which the policy has already resolved to the
+     * closest level. Only the userspace governor accepts.
+     *
+     * @return true if the request was accepted.
+     */
+    virtual bool SetTargetLevel(int) { return false; }
+};
+
+/** Factory producing a governor bound to a policy. */
+using DvfsGovernorFactory =
+    std::function<std::unique_ptr<DvfsGovernor>(DvfsPolicy*)>;
+
+/**
+ * The file names of one policy directory. A null name means the directory
+ * has no such file.
+ */
+struct DvfsSysfsNames {
+    const char* governor;
+    const char* available_governors;
+    const char* cur_freq;
+    const char* available_frequencies;
+    const char* min_freq;
+    const char* max_freq;
+    /** The userspace governor's target file. */
+    const char* set_freq;
+    /** True when set_freq reads "<unsupported>" unless the userspace
+     * governor is active (cpufreq's scaling_setspeed). */
+    bool set_freq_needs_userspace;
+};
+
+/** One frequency domain's policy. */
+class DvfsPolicy {
+  public:
+    /** Stops the active governor. */
+    virtual ~DvfsPolicy();
+
+    DvfsPolicy(const DvfsPolicy&) = delete;
+    DvfsPolicy& operator=(const DvfsPolicy&) = delete;
+
+    /** Registers a governor under its name; panics on duplicates. */
+    void RegisterGovernor(const std::string& name, DvfsGovernorFactory factory);
+
+    /** Switches governors; returns false for an unknown name. */
+    bool SetGovernor(const std::string& name);
+
+    /** Name of the active governor ("none" before the first SetGovernor). */
+    std::string governor_name() const;
+
+    /** Names of all registered governors, space-separated (sysfs format). */
+    std::string AvailableGovernors() const;
+
+    // --- Interface used by governors -------------------------------------
+
+    /**
+     * Requests a level, clamped into [min(min limit, ceiling), ceiling]
+     * with ceiling = min(max limit, thermal cap): when the thermal cap sits
+     * below the lower limit, the cap wins (as on hardware, where
+     * msm_thermal writes policy->max underneath userspace).
+     */
+    void RequestLevel(int level);
+
+    /** Current 0-based level. */
+    int current_level() const { return domain_->level(); }
+
+    /**
+     * Registers a hook that brings the meters up to date (the device model
+     * integrates lazily); governors invoke it before sampling.
+     */
+    void SetSyncHook(std::function<void()> hook) { sync_hook_ = std::move(hook); }
+
+    /** Brings the meters up to date; no-op when no hook is registered. */
+    void
+    SyncMeters() const
+    {
+        if (sync_hook_) {
+            sync_hook_();
+        }
+    }
+
+    /** The simulation executive (for governor timers). */
+    Simulator* sim() const { return sim_; }
+
+    /** The policy's sysfs directory (e.g. ".../cpufreq/policy4"). */
+    const std::string& sysfs_root() const { return sysfs_root_; }
+
+    /** Lower scaling limit (min_freq), as a level. */
+    int min_level_limit() const { return min_level_limit_; }
+
+    /** Upper scaling limit (max_freq), as a level. */
+    int max_level_limit() const { return max_level_limit_; }
+
+    /** Sets the scaling limits (inclusive level range). */
+    void SetLevelLimits(int min_level, int max_level);
+
+    /**
+     * Thermal ceiling imposed by the msm_thermal driver, as a level. Unlike
+     * the user limits it is owned by the kernel: userspace cannot raise it,
+     * requests above it are clamped *silently* (the write still succeeds),
+     * and max_freq reads report the effective — thermally capped — limit,
+     * exactly how msm_thermal mutates policy->max on hardware.
+     */
+    void SetThermalCapLevel(int level);
+
+    /** The binding upper limit: min(user limit, thermal cap). */
+    int effective_max_level() const;
+
+    // --- The domain's codec ----------------------------------------------
+
+    /** The sysfs value of @p level (kHz, MB/s or MHz), before rounding. */
+    virtual double ValueOfLevel(int level) const = 0;
+
+    /** The level closest to the sysfs value @p value. */
+    virtual int LevelOfValue(long long value) const = 0;
+
+  protected:
+    /**
+     * @param sim        Simulation executive; must outlive the policy.
+     * @param domain     The managed domain; must outlive the policy.
+     * @param sysfs      Virtual sysfs in which to expose the policy files.
+     * @param sysfs_root Directory for the files, e.g.
+     *                   "/sys/devices/system/cpu/cpu0/cpufreq".
+     * @param names      The directory's file names.
+     */
+    DvfsPolicy(Simulator* sim, LevelDomain* domain, Sysfs* sysfs,
+               std::string sysfs_root, const DvfsSysfsNames& names);
+
+  private:
+    void RegisterSysfsFiles(const DvfsSysfsNames& names);
+
+    /** @p level's sysfs value, rounded to an integer string. */
+    std::string FormatLevel(int level) const;
+
+    /** Parses a written value; false unless it is a positive integer. */
+    static bool ParseValue(const std::string& text, long long* value);
+
+    Simulator* sim_;
+    LevelDomain* domain_;
+    Sysfs* sysfs_;
+    std::string sysfs_root_;
+    std::map<std::string, DvfsGovernorFactory> factories_;
+    std::unique_ptr<DvfsGovernor> governor_;
+    std::function<void()> sync_hook_;
+    int min_level_limit_ = 0;
+    int max_level_limit_ = 0;
+    int thermal_cap_level_ = 0;
+};
+
+/**
+ * The typed policy a governor factory binds to. Panics when a governor is
+ * registered on the wrong kind of policy (a CPU governor on the bus).
+ */
+template <typename Policy>
+Policy*
+PolicyAs(DvfsPolicy* policy)
+{
+    Policy* typed = dynamic_cast<Policy*>(policy);
+    AEO_ASSERT(typed != nullptr,
+               "governor registered on the wrong kind of policy ('%s')",
+               policy->sysfs_root().c_str());
+    return typed;
+}
+
+}  // namespace aeo
+
+#endif  // AEO_KERNEL_DVFS_POLICY_H_

@@ -88,11 +88,12 @@ CpufreqInteractiveGovernor::Sample()
     at_or_above_hispeed_ = now_hispeed;
 }
 
-CpufreqGovernorFactory
+DvfsGovernorFactory
 MakeCpufreqInteractiveFactory(InteractiveParams params)
 {
-    return [params](CpufreqPolicy* policy) {
-        return std::make_unique<CpufreqInteractiveGovernor>(policy, params);
+    return [params](DvfsPolicy* policy) {
+        return std::make_unique<CpufreqInteractiveGovernor>(
+            PolicyAs<CpufreqPolicy>(policy), params);
     };
 }
 

@@ -43,7 +43,7 @@ struct InteractiveParams {
 };
 
 /** The Android-default responsive load-tracking governor. */
-class CpufreqInteractiveGovernor : public CpufreqGovernor {
+class CpufreqInteractiveGovernor : public DvfsGovernor {
   public:
     CpufreqInteractiveGovernor(CpufreqPolicy* policy, InteractiveParams params = {});
 
@@ -66,7 +66,7 @@ class CpufreqInteractiveGovernor : public CpufreqGovernor {
 };
 
 /** Factory with default parameters. */
-CpufreqGovernorFactory MakeCpufreqInteractiveFactory(InteractiveParams params = {});
+DvfsGovernorFactory MakeCpufreqInteractiveFactory(InteractiveParams params = {});
 
 }  // namespace aeo
 

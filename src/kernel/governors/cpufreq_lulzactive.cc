@@ -65,11 +65,12 @@ CpufreqLulzactiveGovernor::Sample()
     }
 }
 
-CpufreqGovernorFactory
+DvfsGovernorFactory
 MakeCpufreqLulzactiveFactory(LulzactiveParams params)
 {
-    return [params](CpufreqPolicy* policy) {
-        return std::make_unique<CpufreqLulzactiveGovernor>(policy, params);
+    return [params](DvfsPolicy* policy) {
+        return std::make_unique<CpufreqLulzactiveGovernor>(
+            PolicyAs<CpufreqPolicy>(policy), params);
     };
 }
 

@@ -44,7 +44,7 @@ struct LulzactiveParams {
 };
 
 /** Fixed-ramp load-threshold governor. */
-class CpufreqLulzactiveGovernor : public CpufreqGovernor {
+class CpufreqLulzactiveGovernor : public DvfsGovernor {
   public:
     CpufreqLulzactiveGovernor(CpufreqPolicy* policy, LulzactiveParams params = {});
 
@@ -64,7 +64,7 @@ class CpufreqLulzactiveGovernor : public CpufreqGovernor {
 };
 
 /** Factory with default parameters. */
-CpufreqGovernorFactory MakeCpufreqLulzactiveFactory(LulzactiveParams params = {});
+DvfsGovernorFactory MakeCpufreqLulzactiveFactory(LulzactiveParams params = {});
 
 }  // namespace aeo
 

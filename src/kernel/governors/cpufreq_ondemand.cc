@@ -48,11 +48,12 @@ CpufreqOndemandGovernor::Sample()
     policy_->RequestFrequencyAtOrAbove(Gigahertz(f_needed));
 }
 
-CpufreqGovernorFactory
+DvfsGovernorFactory
 MakeCpufreqOndemandFactory(OndemandParams params)
 {
-    return [params](CpufreqPolicy* policy) {
-        return std::make_unique<CpufreqOndemandGovernor>(policy, params);
+    return [params](DvfsPolicy* policy) {
+        return std::make_unique<CpufreqOndemandGovernor>(
+            PolicyAs<CpufreqPolicy>(policy), params);
     };
 }
 

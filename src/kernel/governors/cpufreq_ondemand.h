@@ -31,7 +31,7 @@ struct OndemandParams {
 };
 
 /** Load-threshold governor that ramps to max and decays proportionally. */
-class CpufreqOndemandGovernor : public CpufreqGovernor {
+class CpufreqOndemandGovernor : public DvfsGovernor {
   public:
     CpufreqOndemandGovernor(CpufreqPolicy* policy, OndemandParams params = {});
 
@@ -49,7 +49,7 @@ class CpufreqOndemandGovernor : public CpufreqGovernor {
 };
 
 /** Factory with default parameters. */
-CpufreqGovernorFactory MakeCpufreqOndemandFactory(OndemandParams params = {});
+DvfsGovernorFactory MakeCpufreqOndemandFactory(OndemandParams params = {});
 
 }  // namespace aeo
 

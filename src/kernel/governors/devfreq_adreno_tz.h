@@ -1,0 +1,50 @@
+/**
+ * @file
+ * The msm-adreno-tz devfreq governor — the Android default for the Adreno
+ * GPU: samples the GPU busy fraction and steps the clock one level up or
+ * down on busy thresholds.
+ */
+#ifndef AEO_KERNEL_GOVERNORS_DEVFREQ_ADRENO_TZ_H_
+#define AEO_KERNEL_GOVERNORS_DEVFREQ_ADRENO_TZ_H_
+
+#include <string>
+
+#include "kernel/devfreq.h"
+#include "sim/periodic_task.h"
+
+namespace aeo {
+
+/** Tunables of the msm-adreno-tz-like busy-threshold governor. */
+struct AdrenoTzParams {
+    SimTime sampling_period = SimTime::Millis(50);
+    /** Busy fraction above which the clock steps up. */
+    double up_threshold = 0.70;
+    /** Busy fraction below which the clock steps down. */
+    double down_threshold = 0.30;
+};
+
+/** Busy-threshold GPU governor: steps one level per sample. */
+class AdrenoTzGovernor : public DvfsGovernor {
+  public:
+    AdrenoTzGovernor(GpuFreqPolicy* policy, AdrenoTzParams params = {});
+
+    std::string name() const override { return "msm-adreno-tz"; }
+    void Start() override;
+    void Stop() override;
+
+  private:
+    void Sample();
+
+    GpuFreqPolicy* policy_;
+    AdrenoTzParams params_;
+    PeriodicTask timer_;
+    double last_busy_seconds_ = 0.0;
+    SimTime last_elapsed_;
+};
+
+/** Factory with default parameters. */
+DvfsGovernorFactory MakeAdrenoTzFactory(AdrenoTzParams params = {});
+
+}  // namespace aeo
+
+#endif  // AEO_KERNEL_GOVERNORS_DEVFREQ_ADRENO_TZ_H_

@@ -78,11 +78,12 @@ DevfreqCpubwHwmonGovernor::Sample()
     low_samples_ = 0;
 }
 
-DevfreqGovernorFactory
+DvfsGovernorFactory
 MakeDevfreqCpubwHwmonFactory(CpubwHwmonParams params)
 {
-    return [params](DevfreqPolicy* policy) {
-        return std::make_unique<DevfreqCpubwHwmonGovernor>(policy, params);
+    return [params](DvfsPolicy* policy) {
+        return std::make_unique<DevfreqCpubwHwmonGovernor>(
+            PolicyAs<DevfreqPolicy>(policy), params);
     };
 }
 

@@ -43,7 +43,7 @@ struct CpubwHwmonParams {
 };
 
 /** Traffic-monitoring governor with fast-up / exponential-back-off-down. */
-class DevfreqCpubwHwmonGovernor : public DevfreqGovernor {
+class DevfreqCpubwHwmonGovernor : public DvfsGovernor {
   public:
     DevfreqCpubwHwmonGovernor(DevfreqPolicy* policy, CpubwHwmonParams params = {});
 
@@ -63,7 +63,7 @@ class DevfreqCpubwHwmonGovernor : public DevfreqGovernor {
 };
 
 /** Factory with default parameters. */
-DevfreqGovernorFactory MakeDevfreqCpubwHwmonFactory(CpubwHwmonParams params = {});
+DvfsGovernorFactory MakeDevfreqCpubwHwmonFactory(CpubwHwmonParams params = {});
 
 }  // namespace aeo
 

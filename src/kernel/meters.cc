@@ -88,4 +88,13 @@ BusTrafficWindow::SampleMbps(SimTime now)
     return delta_gb * 1000.0 / dt;
 }
 
+void
+GpuBusyMeter::Advance(double busy, SimTime dt)
+{
+    AEO_ASSERT(busy >= 0.0 && busy <= 1.0 + 1e-9, "GPU busy %f out of [0, 1]", busy);
+    AEO_ASSERT(dt >= SimTime::Zero(), "negative interval");
+    busy_seconds_ += busy * dt.seconds();
+    elapsed_ += dt;
+}
+
 }  // namespace aeo

@@ -4,8 +4,9 @@
  *
  * The device model advances these whenever it integrates a segment of
  * simulated time; governors and instrumentation take snapshots and compute
- * windowed deltas — the same structure as Linux's per-CPU time accounting
- * and the bus-traffic hardware monitor behind cpubw_hwmon.
+ * windowed deltas — the same structure as Linux's per-CPU time accounting,
+ * the bus-traffic hardware monitor behind cpubw_hwmon and the GPU busy
+ * counters behind msm-adreno-tz.
  */
 #ifndef AEO_KERNEL_METERS_H_
 #define AEO_KERNEL_METERS_H_
@@ -99,6 +100,23 @@ class BusTrafficWindow {
     const BusTrafficMeter* meter_;
     double last_gigabytes_ = 0.0;
     SimTime last_time_;
+};
+
+/** Accumulates GPU busy time for governor sampling. */
+class GpuBusyMeter {
+  public:
+    /** Adds @p dt during which the GPU was @p busy (fraction in [0, 1]). */
+    void Advance(double busy, SimTime dt);
+
+    /** Integral of the busy fraction, seconds. */
+    double busy_seconds() const { return busy_seconds_; }
+
+    /** Total wall time observed. */
+    SimTime elapsed() const { return elapsed_; }
+
+  private:
+    double busy_seconds_ = 0.0;
+    SimTime elapsed_;
 };
 
 }  // namespace aeo

@@ -76,9 +76,7 @@ ConfigScheduler::ConfigScheduler(Device* device, SimTime min_dwell,
         plan.readback = sysfs.Open(policy.sysfs_root() + "/scaling_cur_freq");
         PrecomputeCandidates(cpu_table.size(), cpu_khz, &plan.candidates,
                              &plan.levels);
-        plan.to_level = [&cpu_table](long long khz) {
-            return cpu_table.ClosestLevel(Gigahertz(static_cast<double>(khz) / 1e6));
-        };
+        plan.policy = &policy;
     }
 
     const BandwidthTable& bw_table = device_->bus().table();
@@ -90,9 +88,7 @@ ConfigScheduler::ConfigScheduler(Device* device, SimTime min_dwell,
     bw_plan_.readback = sysfs.Open(std::string(kDevfreqSysfsRoot) + "/cur_freq");
     PrecomputeCandidates(bw_table.size(), bw_mbps, &bw_plan_.candidates,
                          &bw_plan_.levels);
-    bw_plan_.to_level = [&bw_table](long long mbps) {
-        return bw_table.ClosestLevel(MegabytesPerSecond(static_cast<double>(mbps)));
-    };
+    bw_plan_.policy = &device_->devfreq();
 
     GpuDomain& gpu = device_->gpu();
     const auto gpu_mhz = [&gpu](int level) {
@@ -100,11 +96,9 @@ ConfigScheduler::ConfigScheduler(Device* device, SimTime min_dwell,
     };
     gpu_plan_.set = sysfs.Open(std::string(kGpuSysfsRoot) + "/userspace/set_freq");
     gpu_plan_.readback = sysfs.Open(std::string(kGpuSysfsRoot) + "/cur_freq");
-    PrecomputeCandidates(gpu.size(), gpu_mhz, &gpu_plan_.candidates,
+    PrecomputeCandidates(gpu.num_levels(), gpu_mhz, &gpu_plan_.candidates,
                          &gpu_plan_.levels);
-    gpu_plan_.to_level = [&gpu](long long mhz) {
-        return gpu.ClosestLevel(static_cast<double>(mhz));
-    };
+    gpu_plan_.policy = &device_->gpufreq();
 }
 
 void
@@ -243,7 +237,7 @@ ConfigScheduler::VerifyDelivery(const SubsystemActuator& plan,
         return;
     }
     delivery->verified = true;
-    delivery->delivered_level = plan.to_level(raw);
+    delivery->delivered_level = plan.policy->LevelOfValue(raw);
     ++stats_.verified_writes;
     if (delivery->delivered_level != delivery->requested_level) {
         ++stats_.silent_clamps;

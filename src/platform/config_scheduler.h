@@ -31,10 +31,10 @@
 #define AEO_PLATFORM_CONFIG_SCHEDULER_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "kernel/dvfs_policy.h"
 #include "kernel/sysfs.h"
 #include "platform/platform.h"
 #include "sim/event_queue.h"
@@ -106,8 +106,9 @@ class ConfigScheduler final : public Actuator {
         SysfsHandle readback;
         std::vector<std::vector<std::string>> candidates;
         std::vector<std::vector<int>> levels;
-        /** Maps a raw readback value to the nearest table level. */
-        std::function<int(long long)> to_level;
+        /** The subsystem's policy: maps a raw readback value to the
+         * nearest table level. */
+        const DvfsPolicy* policy = nullptr;
     };
 
     /** Retries @p value at @p node under the backoff budget. */

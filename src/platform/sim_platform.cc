@@ -167,8 +167,7 @@ SimPlatform::ReadCpuCapLevel()
         // Unreadable is not evidence of a clamp; assume uncapped.
         return kNoCapLevel;
     }
-    return device_->cluster().table().ClosestLevel(
-        Gigahertz(static_cast<double>(khz) / 1e6));
+    return device_->cpufreq().LevelOfValue(khz);
 }
 
 }  // namespace aeo::platform

@@ -7,27 +7,12 @@
 namespace aeo {
 
 CpuCluster::CpuCluster(FrequencyTable table, int num_cores)
-    : table_(std::move(table)), num_cores_(num_cores), online_cores_(num_cores)
+    : LevelDomain(table.size()),
+      table_(std::move(table)),
+      num_cores_(num_cores),
+      online_cores_(num_cores)
 {
     AEO_ASSERT(num_cores_ >= 1, "cluster needs at least one core");
-}
-
-void
-CpuCluster::SetLevel(int level)
-{
-    AEO_ASSERT(level >= 0 && level < table_.size(), "level %d out of [0, %d)",
-               level, table_.size());
-    if (level == level_) {
-        return;
-    }
-    if (pre_change_) {
-        pre_change_();
-    }
-    level_ = level;
-    ++transition_count_;
-    if (post_change_) {
-        post_change_();
-    }
 }
 
 void
@@ -38,25 +23,9 @@ CpuCluster::SetOnlineCores(int cores)
     if (cores == online_cores_) {
         return;
     }
-    if (pre_change_) {
-        pre_change_();
-    }
+    NotifyPreChange();
     online_cores_ = cores;
-    if (post_change_) {
-        post_change_();
-    }
-}
-
-void
-CpuCluster::SetPreChangeListener(std::function<void()> listener)
-{
-    pre_change_ = std::move(listener);
-}
-
-void
-CpuCluster::SetPostChangeListener(std::function<void()> listener)
-{
-    post_change_ = std::move(listener);
+    NotifyPostChange();
 }
 
 }  // namespace aeo

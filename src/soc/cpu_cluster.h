@@ -10,15 +10,13 @@
 #ifndef AEO_SOC_CPU_CLUSTER_H_
 #define AEO_SOC_CPU_CLUSTER_H_
 
-#include <cstdint>
-#include <functional>
-
 #include "soc/frequency_table.h"
+#include "soc/level_domain.h"
 
 namespace aeo {
 
 /** A synchronous multi-core CPU cluster with discrete frequency levels. */
-class CpuCluster {
+class CpuCluster : public LevelDomain {
   public:
     /**
      * @param table     The OPP table; copied in.
@@ -35,42 +33,20 @@ class CpuCluster {
     /** Number of currently online cores (hotplug can reduce this). */
     int online_cores() const { return online_cores_; }
 
-    /** Current 0-based frequency level. */
-    int level() const { return level_; }
-
     /** Current clock frequency. */
-    Gigahertz frequency() const { return table_.FrequencyAt(level_); }
+    Gigahertz frequency() const { return table_.FrequencyAt(level()); }
 
     /** Current rail voltage. */
-    Volts voltage() const { return table_.VoltageAt(level_); }
+    Volts voltage() const { return table_.VoltageAt(level()); }
 
-    /**
-     * Switches to @p level. Counts a transition when the level actually
-     * changes and notifies the change listener (the device uses this to
-     * re-integrate state).
-     */
-    void SetLevel(int level);
-
-    /** Sets the number of online cores (1..num_cores). */
+    /** Sets the number of online cores (1..num_cores); the change
+     * listeners see it like a level change. */
     void SetOnlineCores(int cores);
-
-    /** Registers a callback invoked *before* any state change is applied. */
-    void SetPreChangeListener(std::function<void()> listener);
-
-    /** Registers a callback invoked *after* any state change is applied. */
-    void SetPostChangeListener(std::function<void()> listener);
-
-    /** Number of frequency transitions performed. */
-    uint64_t transition_count() const { return transition_count_; }
 
   private:
     FrequencyTable table_;
     int num_cores_;
     int online_cores_;
-    int level_ = 0;
-    uint64_t transition_count_ = 0;
-    std::function<void()> pre_change_;
-    std::function<void()> post_change_;
 };
 
 }  // namespace aeo

@@ -7,7 +7,8 @@
 
 namespace aeo {
 
-GpuDomain::GpuDomain(std::vector<GpuOpp> opps) : opps_(std::move(opps))
+GpuDomain::GpuDomain(std::vector<GpuOpp> opps)
+    : LevelDomain(static_cast<int>(opps.size())), opps_(std::move(opps))
 {
     AEO_ASSERT(!opps_.empty(), "GPU needs at least one operating point");
     for (size_t i = 1; i < opps_.size(); ++i) {
@@ -21,16 +22,16 @@ GpuDomain::GpuDomain(std::vector<GpuOpp> opps) : opps_(std::move(opps))
 double
 GpuDomain::MhzAt(int level) const
 {
-    AEO_ASSERT(level >= 0 && level < size(), "GPU level %d out of [0, %d)", level,
-               size());
+    AEO_ASSERT(level >= 0 && level < num_levels(), "GPU level %d out of [0, %d)",
+               level, num_levels());
     return opps_[static_cast<size_t>(level)].mhz;
 }
 
 Volts
 GpuDomain::VoltageAt(int level) const
 {
-    AEO_ASSERT(level >= 0 && level < size(), "GPU level %d out of [0, %d)", level,
-               size());
+    AEO_ASSERT(level >= 0 && level < num_levels(), "GPU level %d out of [0, %d)",
+               level, num_levels());
     return opps_[static_cast<size_t>(level)].voltage;
 }
 
@@ -39,7 +40,7 @@ GpuDomain::ClosestLevel(double mhz) const
 {
     int best = 0;
     double best_dist = std::fabs(opps_[0].mhz - mhz);
-    for (int level = 1; level < size(); ++level) {
+    for (int level = 1; level < num_levels(); ++level) {
         const double dist = std::fabs(opps_[static_cast<size_t>(level)].mhz - mhz);
         if (dist < best_dist) {
             best = level;
@@ -52,42 +53,12 @@ GpuDomain::ClosestLevel(double mhz) const
 int
 GpuDomain::LevelAtOrAbove(double mhz) const
 {
-    for (int level = 0; level < size(); ++level) {
+    for (int level = 0; level < num_levels(); ++level) {
         if (opps_[static_cast<size_t>(level)].mhz >= mhz) {
             return level;
         }
     }
     return max_level();
-}
-
-void
-GpuDomain::SetLevel(int level)
-{
-    AEO_ASSERT(level >= 0 && level < size(), "GPU level %d out of [0, %d)", level,
-               size());
-    if (level == level_) {
-        return;
-    }
-    if (pre_change_) {
-        pre_change_();
-    }
-    level_ = level;
-    ++transition_count_;
-    if (post_change_) {
-        post_change_();
-    }
-}
-
-void
-GpuDomain::SetPreChangeListener(std::function<void()> listener)
-{
-    pre_change_ = std::move(listener);
-}
-
-void
-GpuDomain::SetPostChangeListener(std::function<void()> listener)
-{
-    post_change_ = std::move(listener);
 }
 
 GpuDomain

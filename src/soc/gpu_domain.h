@@ -12,12 +12,10 @@
 #ifndef AEO_SOC_GPU_DOMAIN_H_
 #define AEO_SOC_GPU_DOMAIN_H_
 
-#include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "common/units.h"
+#include "soc/level_domain.h"
 
 namespace aeo {
 
@@ -30,22 +28,10 @@ struct GpuOpp {
 };
 
 /** A DVFS-capable GPU with discrete frequency levels. */
-class GpuDomain {
+class GpuDomain : public LevelDomain {
   public:
     /** @param opps Operating points in strictly increasing frequency. */
     explicit GpuDomain(std::vector<GpuOpp> opps);
-
-    /** Number of levels. */
-    int size() const { return static_cast<int>(opps_.size()); }
-
-    /** Current 0-based level. */
-    int level() const { return level_; }
-
-    /** Lowest level. */
-    int min_level() const { return 0; }
-
-    /** Highest level. */
-    int max_level() const { return size() - 1; }
 
     /** Clock at @p level, MHz. */
     double MhzAt(int level) const;
@@ -54,10 +40,10 @@ class GpuDomain {
     Volts VoltageAt(int level) const;
 
     /** Current clock, MHz. */
-    double mhz() const { return MhzAt(level_); }
+    double mhz() const { return MhzAt(level()); }
 
     /** Current voltage. */
-    Volts voltage() const { return VoltageAt(level_); }
+    Volts voltage() const { return VoltageAt(level()); }
 
     /**
      * Render capacity at @p level in abstract render-units per second
@@ -71,24 +57,8 @@ class GpuDomain {
     /** Smallest level with clock ≥ @p mhz; max_level() if none. */
     int LevelAtOrAbove(double mhz) const;
 
-    /** Switches levels; counts a transition when it changes. */
-    void SetLevel(int level);
-
-    /** Registers a callback invoked *before* any state change. */
-    void SetPreChangeListener(std::function<void()> listener);
-
-    /** Registers a callback invoked *after* any state change. */
-    void SetPostChangeListener(std::function<void()> listener);
-
-    /** Number of frequency transitions performed. */
-    uint64_t transition_count() const { return transition_count_; }
-
   private:
     std::vector<GpuOpp> opps_;
-    int level_ = 0;
-    uint64_t transition_count_ = 0;
-    std::function<void()> pre_change_;
-    std::function<void()> post_change_;
 };
 
 /** Builds the Adreno 420 operating-point table. */

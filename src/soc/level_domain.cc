@@ -1,0 +1,51 @@
+#include "soc/level_domain.h"
+
+#include <utility>
+
+#include "common/logging.h"
+
+namespace aeo {
+
+void
+LevelDomain::SetLevel(int level)
+{
+    AEO_ASSERT(level >= 0 && level < num_levels_, "level %d out of [0, %d)", level,
+               num_levels_);
+    if (level == level_) {
+        return;
+    }
+    NotifyPreChange();
+    level_ = level;
+    ++transition_count_;
+    NotifyPostChange();
+}
+
+void
+LevelDomain::SetPreChangeListener(std::function<void()> listener)
+{
+    pre_change_ = std::move(listener);
+}
+
+void
+LevelDomain::SetPostChangeListener(std::function<void()> listener)
+{
+    post_change_ = std::move(listener);
+}
+
+void
+LevelDomain::NotifyPreChange() const
+{
+    if (pre_change_) {
+        pre_change_();
+    }
+}
+
+void
+LevelDomain::NotifyPostChange() const
+{
+    if (post_change_) {
+        post_change_();
+    }
+}
+
+}  // namespace aeo

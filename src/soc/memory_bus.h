@@ -6,46 +6,30 @@
 #ifndef AEO_SOC_MEMORY_BUS_H_
 #define AEO_SOC_MEMORY_BUS_H_
 
-#include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "soc/bandwidth_table.h"
+#include "soc/level_domain.h"
 
 namespace aeo {
 
 /** A memory bus whose provisioned bandwidth is selected from a table. */
-class MemoryBus {
+class MemoryBus : public LevelDomain {
   public:
     /** @param table The bandwidth table; copied in. */
-    explicit MemoryBus(BandwidthTable table);
+    explicit MemoryBus(BandwidthTable table)
+        : LevelDomain(table.size()), table_(std::move(table))
+    {
+    }
 
     /** The bandwidth table. */
     const BandwidthTable& table() const { return table_; }
 
-    /** Current 0-based bandwidth level. */
-    int level() const { return level_; }
-
     /** Currently provisioned bandwidth. */
-    MegabytesPerSecond bandwidth() const { return table_.BandwidthAt(level_); }
-
-    /** Switches to @p level; counts a transition when it changes. */
-    void SetLevel(int level);
-
-    /** Registers a callback invoked *before* any state change is applied. */
-    void SetPreChangeListener(std::function<void()> listener);
-
-    /** Registers a callback invoked *after* any state change is applied. */
-    void SetPostChangeListener(std::function<void()> listener);
-
-    /** Number of bandwidth transitions performed. */
-    uint64_t transition_count() const { return transition_count_; }
+    MegabytesPerSecond bandwidth() const { return table_.BandwidthAt(level()); }
 
   private:
     BandwidthTable table_;
-    int level_ = 0;
-    uint64_t transition_count_ = 0;
-    std::function<void()> pre_change_;
-    std::function<void()> post_change_;
 };
 
 }  // namespace aeo

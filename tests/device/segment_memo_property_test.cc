@@ -203,7 +203,8 @@ class SegmentMemoHarness {
           }
           case 2: {
             const GpuDomain& gpu = device_.gpu();
-            const long long mhz = std::llround(gpu.MhzAt(DrawLevel(gpu.size())));
+            const long long mhz =
+                std::llround(gpu.MhzAt(DrawLevel(gpu.num_levels())));
             EXPECT_TRUE(
                 sysfs.Write(std::string(kGpuSysfsRoot) + "/userspace/set_freq",
                             StrFormat("%lld", mhz)));

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "kernel/governors/cpufreq_performance.h"
-#include "kernel/governors/cpufreq_powersave.h"
-#include "kernel/governors/cpufreq_userspace.h"
+#include "kernel/governors/passive.h"
 #include "soc/nexus6.h"
 
 namespace aeo {
@@ -16,9 +14,9 @@ class CpufreqTest : public ::testing::Test {
         : cluster_(MakeNexus6FrequencyTable(), 4),
           policy_(&sim_, &cluster_, &meter_, &sysfs_, "/sys/cpufreq")
     {
-        policy_.RegisterGovernor("userspace", MakeCpufreqUserspaceFactory());
-        policy_.RegisterGovernor("performance", MakeCpufreqPerformanceFactory());
-        policy_.RegisterGovernor("powersave", MakeCpufreqPowersaveFactory());
+        policy_.RegisterGovernor("userspace", MakeUserspaceFactory());
+        policy_.RegisterGovernor("performance", MakePerformanceFactory());
+        policy_.RegisterGovernor("powersave", MakePowersaveFactory());
     }
 
     Simulator sim_;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "kernel/governors/devfreq_simple.h"
+#include "kernel/governors/passive.h"
 #include "soc/nexus6.h"
 
 namespace aeo {
@@ -14,9 +14,9 @@ class DevfreqTest : public ::testing::Test {
         : bus_(MakeNexus6BandwidthTable()),
           policy_(&sim_, &bus_, &meter_, &sysfs_, "/sys/devfreq")
     {
-        policy_.RegisterGovernor("userspace", MakeDevfreqUserspaceFactory());
-        policy_.RegisterGovernor("performance", MakeDevfreqPerformanceFactory());
-        policy_.RegisterGovernor("powersave", MakeDevfreqPowersaveFactory());
+        policy_.RegisterGovernor("userspace", MakeUserspaceFactory());
+        policy_.RegisterGovernor("performance", MakePerformanceFactory());
+        policy_.RegisterGovernor("powersave", MakePowersaveFactory());
     }
 
     Simulator sim_;

@@ -11,7 +11,6 @@
 #include "kernel/cpufreq.h"
 #include "kernel/devfreq.h"
 #include "kernel/governors/cpufreq_interactive.h"
-#include "kernel/governors/cpufreq_conservative.h"
 #include "kernel/governors/cpufreq_lulzactive.h"
 #include "kernel/governors/cpufreq_ondemand.h"
 #include "kernel/governors/devfreq_cpubw_hwmon.h"
@@ -157,51 +156,6 @@ TEST_F(InteractiveTest, ProportionalDownstepsPassThroughMidLevels)
     EXPECT_EQ(cluster_.level(), 0);  // constant load cascades to the floor
 }
 
-class ConservativeTest : public ::testing::Test {
-  protected:
-    ConservativeTest()
-        : cluster_(MakeNexus6FrequencyTable(), 4),
-          policy_(&sim_, &cluster_, &meter_, &sysfs_, "/sys/cpufreq"),
-          driver_(&sim_, &meter_)
-    {
-        policy_.RegisterGovernor("conservative", MakeCpufreqConservativeFactory());
-        policy_.SetGovernor("conservative");
-    }
-
-    Simulator sim_;
-    CpuCluster cluster_;
-    CpuLoadMeter meter_;
-    Sysfs sysfs_;
-    CpufreqPolicy policy_;
-    LoadDriver driver_;
-};
-
-TEST_F(ConservativeTest, ClimbsOneStepPerSample)
-{
-    // 4 samples of saturated load: exactly 4 levels up — no jump to max.
-    driver_.Run(SimTime::Millis(200), 4.0);
-    EXPECT_EQ(cluster_.level(), 4);
-}
-
-TEST_F(ConservativeTest, DescendsGraduallyWhenIdle)
-{
-    driver_.Run(SimTime::Millis(500), 4.0);
-    const int top = cluster_.level();
-    ASSERT_GE(top, 9);
-    driver_.Run(SimTime::Millis(200), 0.0);
-    EXPECT_EQ(cluster_.level(), top - 4);
-    driver_.Run(SimTime::FromSeconds(1), 0.0);
-    EXPECT_EQ(cluster_.level(), 0);
-}
-
-TEST_F(ConservativeTest, HoldsBetweenThresholds)
-{
-    driver_.Run(SimTime::Millis(300), 4.0);
-    const int level = cluster_.level();
-    driver_.Run(SimTime::Millis(500), 2.0);  // load 0.5: in the dead band
-    EXPECT_EQ(cluster_.level(), level);
-}
-
 class CpubwHwmonTest : public ::testing::Test {
   protected:
     CpubwHwmonTest()
@@ -315,8 +269,8 @@ TEST_F(LulzactiveTest, ModerateLoadDescendsBecauseThereIsNoHoldBand)
 {
     driver_.Run(SimTime::Millis(250), 4.0);
     ASSERT_EQ(cluster_.level(), 17);
-    // Load 0.5 sits below inc_cpu_load (0.70); conservative would hold in
-    // its dead band, lulzactive pumps all the way down to the floor.
+    // Load 0.5 sits below inc_cpu_load (0.70), and with no hold band
+    // between its thresholds lulzactive pumps all the way down to the floor.
     driver_.Run(SimTime::FromSeconds(1), 2.0);
     EXPECT_EQ(cluster_.level(), 0);
 }

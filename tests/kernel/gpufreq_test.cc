@@ -1,6 +1,8 @@
-#include "kernel/gpufreq.h"
-
 #include <gtest/gtest.h>
+
+#include "kernel/devfreq.h"
+#include "kernel/governors/devfreq_adreno_tz.h"
+#include "kernel/governors/passive.h"
 
 namespace aeo {
 namespace {
@@ -12,8 +14,8 @@ class GpuFreqTest : public ::testing::Test {
           policy_(&sim_, &gpu_, &meter_, &sysfs_, "/sys/kgsl")
     {
         policy_.RegisterGovernor("msm-adreno-tz", MakeAdrenoTzFactory());
-        policy_.RegisterGovernor("userspace", MakeGpuUserspaceFactory());
-        policy_.RegisterGovernor("performance", MakeGpuPerformanceFactory());
+        policy_.RegisterGovernor("userspace", MakeUserspaceFactory());
+        policy_.RegisterGovernor("performance", MakePerformanceFactory());
     }
 
     /** Feeds a constant busy fraction and runs the clock. */

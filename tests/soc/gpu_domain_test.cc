@@ -8,10 +8,10 @@ namespace {
 TEST(GpuDomainTest, Adreno420Table)
 {
     const GpuDomain gpu = MakeAdreno420();
-    ASSERT_EQ(gpu.size(), kAdreno420Levels);
+    ASSERT_EQ(gpu.num_levels(), kAdreno420Levels);
     EXPECT_DOUBLE_EQ(gpu.MhzAt(0), 200.0);
     EXPECT_DOUBLE_EQ(gpu.MhzAt(4), 600.0);
-    for (int level = 1; level < gpu.size(); ++level) {
+    for (int level = 1; level < gpu.num_levels(); ++level) {
         EXPECT_GT(gpu.MhzAt(level), gpu.MhzAt(level - 1));
         EXPECT_GE(gpu.VoltageAt(level).value(), gpu.VoltageAt(level - 1).value());
     }

@@ -370,6 +370,26 @@ TEST(AeoLintTest, HotPathAllocationsAreTracedThroughTheCallGraph)
     EXPECT_EQ(findings.size(), 5u) << Dump(findings);
 }
 
+TEST(AeoLintTest, HotPathCallToACleanBaseMemberIsClean)
+{
+    // Cluster::Frequency calls level() unqualified; level() is defined two
+    // bases up (Cluster -> Domain -> Ladder) and allocates nothing, so the
+    // call resolves through the base list instead of reading as an
+    // unanalyzed external function.
+    const std::vector<Finding> findings = LintFixture("hot_path_base_clean");
+    EXPECT_TRUE(findings.empty()) << Dump(findings);
+}
+
+TEST(AeoLintTest, HotPathCallToAnAllocatingBaseMemberIsReportedInTheBase)
+{
+    // Meter::Sample calls the inherited Record(), which grows a vector: the
+    // finding lands on the allocation inside the base member.
+    const std::vector<Finding> findings = LintFixture("hot_path_base_alloc");
+    EXPECT_TRUE(HasFinding(findings, "hot-path-alloc", "src/core/recorder.cc", 10))
+        << Dump(findings);
+    EXPECT_EQ(findings.size(), 1u) << Dump(findings);
+}
+
 // ---------------------------------------------------------------------------
 // Stale-suppression rule.
 // ---------------------------------------------------------------------------

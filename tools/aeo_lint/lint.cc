@@ -707,6 +707,8 @@ struct CallGraph {
     /** (class, name) -> definitions. */
     std::map<std::pair<std::string, std::string>, std::vector<FnRef>>
         by_qualified;
+    /** Class -> its direct bases, merged over every file. */
+    std::map<std::string, std::vector<std::string>> bases;
 };
 
 const FunctionDef&
@@ -740,8 +742,34 @@ BuildCallGraph(const std::vector<AnalyzedFile>& files)
                     .push_back(FnRef{f, k});
             }
         }
+        for (const auto& [cls, bases] : files[f].tu.class_bases) {
+            std::vector<std::string>& known = graph.bases[cls];
+            known.insert(known.end(), bases.begin(), bases.end());
+        }
     }
     return graph;
+}
+
+/** The nearest definition of @p name in @p cls's bases, searched
+ * breadth-first and transitively; empty when no base defines it. */
+std::vector<FnRef>
+ResolveInBases(const CallGraph& graph, const std::string& cls,
+               const std::string& name)
+{
+    std::set<std::string> seen = {cls};
+    std::deque<std::string> queue = {cls};
+    while (!queue.empty()) {
+        const auto bases = graph.bases.find(queue.front());
+        queue.pop_front();
+        if (bases == graph.bases.end()) continue;
+        for (const std::string& base : bases->second) {
+            if (!seen.insert(base).second) continue;
+            const auto it = graph.by_qualified.find({base, name});
+            if (it != graph.by_qualified.end()) return it->second;
+            queue.push_back(base);
+        }
+    }
+    return {};
 }
 
 /** Resolves a call site to candidate definitions. Resolution is scoped:
@@ -752,9 +780,9 @@ BuildCallGraph(const std::vector<AnalyzedFile>& files)
  *    neither is external — it never merges into unrelated classes;
  *  - an unqualified member call binds to the caller's own class first,
  *    then merges across all *methods* sharing the name;
- *  - a plain call binds to the caller's class first, then merges across
- *    every definition sharing the name (the documented
- *    over-approximation).
+ *  - a plain call binds to the caller's class first, then to the nearest
+ *    of its bases (transitively) that defines the name, then merges
+ *    across free functions sharing the name.
  *
  * Returns an empty list for external functions. */
 std::vector<FnRef>
@@ -785,6 +813,12 @@ Resolve(const std::vector<AnalyzedFile>& files, const CallGraph& graph,
         const auto it =
             graph.by_qualified.find({caller.class_name, call.name});
         if (it != graph.by_qualified.end()) return it->second;
+        if (!call.member_access) {
+            // A plain call inside a method may name an inherited member.
+            std::vector<FnRef> inherited =
+                ResolveInBases(graph, caller.class_name, call.name);
+            if (!inherited.empty()) return inherited;
+        }
     }
     // Fallback merge. A member call (`obj.f()`, or a typed receiver whose
     // class lacks a body for f — virtual dispatch through an interface)

@@ -33,6 +33,14 @@ IsBuiltinType(const std::string& ident)
     return kTypes.count(ident) > 0;
 }
 
+/** Keywords that may precede a base class name in a base clause. */
+bool
+IsAccessOrVirtual(const std::string& ident)
+{
+    return ident == "public" || ident == "protected" || ident == "private" ||
+           ident == "virtual";
+}
+
 /** Growth-capable standard containers whose declared variable names the
  * receiver checks key on. */
 bool
@@ -368,23 +376,35 @@ BuildTranslationUnit(std::string rel_path, LexedSource lexed)
             if (!idents.empty() && idents.back() == "final") {
                 idents.pop_back();
             }
+            std::vector<std::string> bases;
             if (j < n && IsPunct(toks[j], ":")) {
-                // Base clause: scan to the class body `{` (or a `;`).
+                // Base clause: scan to the class body `{` (or a `;`). Each
+                // top-level base is named by its last identifier outside
+                // template arguments (`public ns::Base<T>` -> `Base`).
                 int angles = 0;
+                std::string base;
                 while (j < n) {
                     const Token& u = toks[j];
                     if (IsPunct(u, "<")) ++angles;
                     if (IsPunct(u, ">")) angles = std::max(0, angles - 1);
                     if (IsPunct(u, ">>")) angles = std::max(0, angles - 2);
                     if (angles == 0 &&
-                        (IsPunct(u, "{") || IsPunct(u, ";"))) {
-                        break;
+                        (IsPunct(u, "{") || IsPunct(u, ";") || IsPunct(u, ","))) {
+                        if (!base.empty()) bases.push_back(base);
+                        base.clear();
+                        if (!IsPunct(u, ",")) break;
+                    }
+                    if (angles == 0 && u.kind == TokKind::kIdent &&
+                        !IsAccessOrVirtual(u.text)) {
+                        base = u.text;
                     }
                     ++j;
                 }
             }
             if (j < n && IsPunct(toks[j], "{") && !idents.empty()) {
                 scopes.push_back(Scope{idents.back(), true, depth});
+                std::vector<std::string>& known = tu.class_bases[idents.back()];
+                known.insert(known.end(), bases.begin(), bases.end());
             }
             i = j < n ? j : n;  // the `{`/`;` handler advances from here
             continue;

@@ -9,6 +9,9 @@
  *  - function definitions: name, enclosing class (from an explicit
  *    `X::f` qualifier or the surrounding `class X { ... }` scope), the
  *    line of the name token, and the token range of the body;
+ *  - each class's base list, by the last identifier of each base
+ *    (`public ::testing::Test` names `Test`), so a plain call inside a
+ *    method can resolve to an inherited member;
  *  - call sites inside each body: callee name, explicit qualifier when
  *    spelled (`X::f(...)`), member-access flag (`obj.f(...)`), line;
  *  - variable names declared with growth-capable standard containers
@@ -31,6 +34,7 @@
 #define AEO_TOOLS_AEO_LINT_MODEL_H_
 
 #include <cstddef>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -76,6 +80,8 @@ struct TranslationUnit {
     std::string rel_path;
     LexedSource lexed;
     std::vector<FunctionDef> functions;
+    /** Class name -> its direct bases, as spelled in this file. */
+    std::map<std::string, std::vector<std::string>> class_bases;
     /** Names declared with a growth-capable std container in this file. */
     std::set<std::string> growable_vars;
     /** Names declared with an unordered container in this file. */
