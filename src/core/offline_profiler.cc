@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/strings.h"
 #include "soc/nexus6.h"
 
 namespace aeo {
@@ -36,56 +35,9 @@ MeasureOneRun(const DeviceFactory& factory, const AppSpec& app,
         seed += 524287ULL * static_cast<uint64_t>(config.little_level * 8 +
                                                   config.placement + 2);
     }
-    // Shared-immutable setup, hoisted out of the per-run path: every run
-    // opens the same sysfs nodes, so the path strings are built once per
-    // process, not once per (config, run) job.
-    static const std::string kGpuGovernorPath =
-        std::string(kGpuSysfsRoot) + "/governor";
-    static const std::string kGpuSetFreqPath =
-        std::string(kGpuSysfsRoot) + "/userspace/set_freq";
-    static const std::string kBwGovernorPath =
-        std::string(kDevfreqSysfsRoot) + "/governor";
-    static const std::string kCpuGovernorPath =
-        std::string(kCpufreqSysfsRoot) + "/scaling_governor";
-    static const std::string kCpuSetSpeedPath =
-        std::string(kCpufreqSysfsRoot) + "/scaling_setspeed";
-
     std::unique_ptr<Device> device = factory(seed);
     device->SetBackground(MakeBackgroundEnv(options.load));
-    Sysfs& sysfs = device->sysfs();
-    const SysfsHandle gpu_governor = sysfs.Open(kGpuGovernorPath);
-    if (config.controls_gpu()) {
-        sysfs.Write(gpu_governor, "userspace");
-        sysfs.Write(sysfs.Open(kGpuSetFreqPath),
-                    StrFormat("%lld", static_cast<long long>(
-                                          device->gpu().MhzAt(config.gpu_level) + 0.5)));
-    } else {
-        // Everything outside the configuration tuple runs under its
-        // default governor during profiling, as on the paper's phone.
-        sysfs.Write(gpu_governor, "msm-adreno-tz");
-    }
-    if (config.controls_little()) {
-        // big.LITTLE grid point: both frequency domains, the bus and the
-        // thread placement are pinned through the userspace governors.
-        AEO_ASSERT(config.controls_bandwidth(),
-                   "het profiling grids control the bandwidth");
-        device->PinHetConfiguration(
-            HetConfig{config.cpu_level, config.little_level, config.bw_level,
-                      static_cast<ThreadPlacement>(
-                          config.placement == kPlacementDefault
-                              ? kPlacementBigOnly
-                              : config.placement)});
-    } else if (config.controls_bandwidth()) {
-        device->PinConfiguration(config.cpu_level, config.bw_level);
-    } else {
-        // CPU-only: pin the CPU, leave the bus with its default governor.
-        sysfs.Write(sysfs.Open(kBwGovernorPath), "cpubw_hwmon");
-        sysfs.Write(sysfs.Open(kCpuGovernorPath), "userspace");
-        const long long khz = static_cast<long long>(
-            device->cluster().table().FrequencyAt(config.cpu_level).kilohertz() +
-            0.5);
-        sysfs.Write(sysfs.Open(kCpuSetSpeedPath), StrFormat("%lld", khz));
-    }
+    device->PinConfig(config);
     device->LaunchApp(app);
     device->RunFor(options.measure_duration);
     const RunResult result = device->CollectResult("profiling");

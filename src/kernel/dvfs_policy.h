@@ -10,6 +10,10 @@
  * cpufreq (a CPU cluster), devfreq (the memory bus) and kgsl (the GPU) are
  * thin subclasses: each adds its typed table, its meter, and the codec
  * between a level and its sysfs value (kHz, MB/s, MHz).
+ *
+ * The policy is the only code that knows its directory's file names and
+ * how a level is written: consumers open a file with Open() and format a
+ * level with FormatLevel(), whatever the domain and the directory layout.
  */
 #ifndef AEO_KERNEL_DVFS_POLICY_H_
 #define AEO_KERNEL_DVFS_POLICY_H_
@@ -133,6 +137,16 @@ class DvfsPolicy {
     /** The policy's sysfs directory (e.g. ".../cpufreq/policy4"). */
     const std::string& sysfs_root() const { return sysfs_root_; }
 
+    /**
+     * Interns one of the directory's files, named by its entry in the name
+     * table, e.g. Open(&DvfsSysfsNames::governor). Panics when the
+     * directory has no such file.
+     */
+    SysfsHandle Open(const char* DvfsSysfsNames::*file) const;
+
+    /** Number of levels of the managed domain. */
+    int num_levels() const { return domain_->num_levels(); }
+
     /** Lower scaling limit (min_freq), as a level. */
     int min_level_limit() const { return min_level_limit_; }
 
@@ -162,6 +176,13 @@ class DvfsPolicy {
     /** The level closest to the sysfs value @p value. */
     virtual int LevelOfValue(long long value) const = 0;
 
+    /** @p level's sysfs value rounded to the nearest integer: the one write
+     * codec, (long long)(value + 0.5) of kHz, MB/s or MHz. */
+    long long RoundedValue(int level) const;
+
+    /** RoundedValue(@p level) as the text its files read and accept. */
+    std::string FormatLevel(int level) const;
+
   protected:
     /**
      * @param sim        Simulation executive; must outlive the policy.
@@ -175,10 +196,7 @@ class DvfsPolicy {
                std::string sysfs_root, const DvfsSysfsNames& names);
 
   private:
-    void RegisterSysfsFiles(const DvfsSysfsNames& names);
-
-    /** @p level's sysfs value, rounded to an integer string. */
-    std::string FormatLevel(int level) const;
+    void RegisterSysfsFiles();
 
     /** Parses a written value; false unless it is a positive integer. */
     static bool ParseValue(const std::string& text, long long* value);
@@ -187,6 +205,8 @@ class DvfsPolicy {
     LevelDomain* domain_;
     Sysfs* sysfs_;
     std::string sysfs_root_;
+    /** The directory's constant name table. */
+    const DvfsSysfsNames* names_;
     std::map<std::string, DvfsGovernorFactory> factories_;
     std::unique_ptr<DvfsGovernor> governor_;
     std::function<void()> sync_hook_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <numeric>
 
 #include "common/logging.h"
@@ -9,47 +10,6 @@
 #include "device/device.h"
 
 namespace aeo::platform {
-
-namespace {
-
-/** Level indices of @p size, ordered by distance of value(i) from
- * value(target), target itself first (ties resolve to the lower level). */
-template <typename ValueAt>
-std::vector<int>
-LevelsByDistance(int size, int target, ValueAt value_at)
-{
-    std::vector<int> levels(static_cast<size_t>(size));
-    std::iota(levels.begin(), levels.end(), 0);
-    const double want = value_at(target);
-    std::stable_sort(levels.begin(), levels.end(), [&](int a, int b) {
-        return std::abs(value_at(a) - want) < std::abs(value_at(b) - want);
-    });
-    return levels;
-}
-
-/** Fills a plan's per-target candidate orders from an integral level-value
- * map: candidates[t] are value(level) strings ordered nearest-to-t first. */
-template <typename ValueAt>
-void
-PrecomputeCandidates(int size, ValueAt value_at,
-                     std::vector<std::vector<std::string>>* candidates,
-                     std::vector<std::vector<int>>* levels_out)
-{
-    candidates->resize(static_cast<size_t>(size));
-    levels_out->resize(static_cast<size_t>(size));
-    for (int target = 0; target < size; ++target) {
-        std::vector<int> order = LevelsByDistance(size, target, value_at);
-        auto& strings = (*candidates)[static_cast<size_t>(target)];
-        strings.reserve(order.size());
-        for (const int level : order) {
-            strings.push_back(
-                StrFormat("%lld", static_cast<long long>(value_at(level))));
-        }
-        (*levels_out)[static_cast<size_t>(target)] = std::move(order);
-    }
-}
-
-}  // namespace
 
 ConfigScheduler::ConfigScheduler(Device* device, SimTime min_dwell,
                                  ActuationRetryPolicy retry)
@@ -61,44 +21,40 @@ ConfigScheduler::ConfigScheduler(Device* device, SimTime min_dwell,
     // Precompute every actuation plan once: the OPP tables are immutable for
     // the device's lifetime, so the per-dwell path below never formats a
     // value string, builds a path, or sorts a fallback order again.
-    Sysfs& sysfs = device_->sysfs();
-
-    cpu_plans_.resize(device_->num_clusters());
-    for (size_t i = 0; i < cpu_plans_.size(); ++i) {
-        const CpufreqPolicy& policy = device_->cpufreq(i);
-        const FrequencyTable& cpu_table = policy.table();
-        const auto cpu_khz = [&cpu_table](int level) {
-            return static_cast<double>(
-                std::llround(cpu_table.FrequencyAt(level).megahertz() * 1000.0));
-        };
-        SubsystemActuator& plan = cpu_plans_[i];
-        plan.set = sysfs.Open(policy.sysfs_root() + "/scaling_setspeed");
-        plan.readback = sysfs.Open(policy.sysfs_root() + "/scaling_cur_freq");
-        PrecomputeCandidates(cpu_table.size(), cpu_khz, &plan.candidates,
-                             &plan.levels);
-        plan.policy = &policy;
+    cpu_plans_.reserve(device_->num_clusters());
+    for (size_t i = 0; i < device_->num_clusters(); ++i) {
+        cpu_plans_.push_back(PlanFor(device_->cpufreq(i)));
     }
+    bw_plan_ = PlanFor(device_->devfreq());
+    gpu_plan_ = PlanFor(device_->gpufreq());
+}
 
-    const BandwidthTable& bw_table = device_->bus().table();
-    const auto bw_mbps = [&bw_table](int level) {
-        return static_cast<double>(std::llround(bw_table.BandwidthAt(level).value()));
-    };
-    bw_plan_.set =
-        sysfs.Open(std::string(kDevfreqSysfsRoot) + "/userspace/set_freq");
-    bw_plan_.readback = sysfs.Open(std::string(kDevfreqSysfsRoot) + "/cur_freq");
-    PrecomputeCandidates(bw_table.size(), bw_mbps, &bw_plan_.candidates,
-                         &bw_plan_.levels);
-    bw_plan_.policy = &device_->devfreq();
-
-    GpuDomain& gpu = device_->gpu();
-    const auto gpu_mhz = [&gpu](int level) {
-        return static_cast<double>(std::llround(gpu.MhzAt(level)));
-    };
-    gpu_plan_.set = sysfs.Open(std::string(kGpuSysfsRoot) + "/userspace/set_freq");
-    gpu_plan_.readback = sysfs.Open(std::string(kGpuSysfsRoot) + "/cur_freq");
-    PrecomputeCandidates(gpu.num_levels(), gpu_mhz, &gpu_plan_.candidates,
-                         &gpu_plan_.levels);
-    gpu_plan_.policy = &device_->gpufreq();
+ConfigScheduler::SubsystemActuator
+ConfigScheduler::PlanFor(const DvfsPolicy& policy)
+{
+    SubsystemActuator plan;
+    plan.set = policy.Open(&DvfsSysfsNames::set_freq);
+    plan.readback = policy.Open(&DvfsSysfsNames::cur_freq);
+    plan.policy = &policy;
+    const auto size = static_cast<size_t>(policy.num_levels());
+    plan.candidates.resize(size);
+    plan.levels.resize(size);
+    for (size_t target = 0; target < size; ++target) {
+        // Nearest value first; a tie goes to the lower level.
+        std::vector<int>& order = plan.levels[target];
+        order.resize(size);
+        std::iota(order.begin(), order.end(), 0);
+        const long long want = policy.RoundedValue(static_cast<int>(target));
+        std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+            return std::llabs(policy.RoundedValue(a) - want) <
+                   std::llabs(policy.RoundedValue(b) - want);
+        });
+        plan.candidates[target].reserve(size);
+        for (const int level : order) {
+            plan.candidates[target].push_back(policy.FormatLevel(level));
+        }
+    }
+    return plan;
 }
 
 void

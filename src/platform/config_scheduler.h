@@ -111,6 +111,10 @@ class ConfigScheduler final : public Actuator {
         const DvfsPolicy* policy = nullptr;
     };
 
+    /** @p policy's plan: its userspace target and cur_freq nodes, and per
+     * target level the candidates, nearest rounded value first. */
+    static SubsystemActuator PlanFor(const DvfsPolicy& policy);
+
     /** Retries @p value at @p node under the backoff budget. */
     FaultErrc WriteWithRetry(SysfsHandle node, const std::string& value);
 

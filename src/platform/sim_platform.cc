@@ -38,18 +38,14 @@ SimPlatform::SimPlatform(Device* device)
       tick_scheduler_(&device->sim())
 {
     AEO_ASSERT(device_ != nullptr, "platform needs a device");
-    Sysfs& sysfs = device_->sysfs();
-    // The policy directories differ between the historical single-cluster
-    // tree (cpu0/cpufreq) and the big.LITTLE per-policy tree (cpufreq/
-    // policyN); the device knows which one it built.
-    cap_node_ = sysfs.Open(device_->cpufreq().sysfs_root() + "/scaling_max_freq");
-    temp_node_ = sysfs.Open("/sys/class/thermal/thermal_zone0/temp");
+    cap_node_ = device_->cpufreq().Open(&DvfsSysfsNames::max_freq);
+    temp_node_ = device_->sysfs().Open("/sys/class/thermal/thermal_zone0/temp");
     for (size_t i = 0; i < device_->num_clusters(); ++i) {
         cpu_governor_nodes_.push_back(
-            sysfs.Open(device_->cpufreq(i).sysfs_root() + "/scaling_governor"));
+            device_->cpufreq(i).Open(&DvfsSysfsNames::governor));
     }
-    bw_governor_node_ = sysfs.Open(std::string(kDevfreqSysfsRoot) + "/governor");
-    gpu_governor_node_ = sysfs.Open(std::string(kGpuSysfsRoot) + "/governor");
+    bw_governor_node_ = device_->devfreq().Open(&DvfsSysfsNames::governor);
+    gpu_governor_node_ = device_->gpufreq().Open(&DvfsSysfsNames::governor);
 }
 
 int

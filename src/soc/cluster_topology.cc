@@ -1,6 +1,5 @@
 #include "soc/cluster_topology.h"
 
-#include <cmath>
 #include <utility>
 
 #include "common/logging.h"
@@ -126,37 +125,6 @@ HetConfig::ToString() const
 {
     return StrFormat("(b%d, l%d, w%d, %s)", big_level + 1, little_level + 1,
                      bw_level + 1, ThreadPlacementName(placement).c_str());
-}
-
-uint64_t
-EncodeHetConfigId(long long big_khz, long long little_khz, long long bw_mbps,
-                  ThreadPlacement placement)
-{
-    AEO_ASSERT(big_khz >= 0 && big_khz < (1LL << 22), "big kHz %lld out of range",
-               big_khz);
-    AEO_ASSERT(little_khz >= 0 && little_khz < (1LL << 22),
-               "little kHz %lld out of range", little_khz);
-    AEO_ASSERT(bw_mbps >= 0 && bw_mbps < (1LL << 18), "bw MBps %lld out of range",
-               bw_mbps);
-    return (static_cast<uint64_t>(big_khz) << 42) |
-           (static_cast<uint64_t>(little_khz) << 20) |
-           (static_cast<uint64_t>(bw_mbps) << 2) |
-           static_cast<uint64_t>(placement);
-}
-
-uint64_t
-HetConfigId(const ClusterTopology& topology, const HetConfig& config)
-{
-    const long long big_khz = std::llround(
-        topology.primary().table.FrequencyAt(config.big_level).kilohertz());
-    const long long little_khz =
-        topology.is_heterogeneous()
-            ? std::llround(topology.little().table.FrequencyAt(config.little_level)
-                               .kilohertz())
-            : 0;
-    const long long bw_mbps = std::llround(
-        topology.bandwidth_table().BandwidthAt(config.bw_level).value());
-    return EncodeHetConfigId(big_khz, little_khz, bw_mbps, config.placement);
 }
 
 }  // namespace aeo

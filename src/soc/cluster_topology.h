@@ -21,14 +21,11 @@
  *                        paper's homogeneous device exactly;
  *  - HetConfig         — one point of the cross-product configuration space
  *                        (big level × LITTLE level × bandwidth level ×
- *                        placement) with a canonical packed 64-bit config id
- *                        keyed on (big_khz, little_khz, bw_mbps, placement).
+ *                        placement).
  */
 #ifndef AEO_SOC_CLUSTER_TOPOLOGY_H_
 #define AEO_SOC_CLUSTER_TOPOLOGY_H_
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -171,33 +168,9 @@ struct HetConfig {
 
     constexpr auto operator<=>(const HetConfig&) const = default;
 
-    /** Level of cluster @p index: big_level for the primary, else
-     * little_level. */
-    int
-    cluster_level(size_t index) const
-    {
-        return index == 0 ? big_level : little_level;
-    }
-
     /** "(b3, l1, w2, both)"-style label with 1-based level numbers. */
     std::string ToString() const;
 };
-
-/**
- * Canonical packed config id keyed on the *physical* operating point
- * (big_khz, little_khz, bw_mbps, placement) rather than table indices, so
- * ids survive table pruning and compare across presets:
- *
- *   bits 63..42  big cluster kHz   (22 bits, up to ~4.19 GHz)
- *   bits 41..20  LITTLE cluster kHz (22 bits)
- *   bits 19..2   bandwidth MBps    (18 bits, up to ~262 GBps)
- *   bits  1..0   placement
- */
-uint64_t EncodeHetConfigId(long long big_khz, long long little_khz,
-                           long long bw_mbps, ThreadPlacement placement);
-
-/** The config id of @p config on @p topology (homogeneous: little_khz 0). */
-uint64_t HetConfigId(const ClusterTopology& topology, const HetConfig& config);
 
 }  // namespace aeo
 

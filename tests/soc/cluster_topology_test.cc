@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "soc/exynos5433.h"
 #include "soc/nexus6.h"
 
@@ -65,49 +63,6 @@ TEST(ClusterTopologyTest, BigClusterIsFasterAtEveryOppPair)
         little.perf_scale;
     EXPECT_LT(little_max, big_min * 2.0);
     EXPECT_GT(little_max, big_min * 0.5);
-}
-
-TEST(ClusterTopologyTest, ConfigIdPacksFields)
-{
-    const uint64_t id =
-        EncodeHetConfigId(5, 3, 9, ThreadPlacement::kBoth);
-    EXPECT_EQ(id, (uint64_t{5} << 42) | (uint64_t{3} << 20) |
-                      (uint64_t{9} << 2) | uint64_t{2});
-}
-
-TEST(ClusterTopologyTest, ConfigIdsUniqueAcrossCrossProduct)
-{
-    const ClusterTopology topo = MakeExynos5433Topology();
-    std::set<uint64_t> ids;
-    int count = 0;
-    for (int b = 0; b < kExynos5433BigLevels; ++b) {
-        for (int l = 0; l < kExynos5433LittleLevels; ++l) {
-            for (int w = 0; w < kExynos5433BwLevels; ++w) {
-                for (int p = 0; p < kNumThreadPlacements; ++p) {
-                    HetConfig config;
-                    config.big_level = b;
-                    config.little_level = l;
-                    config.bw_level = w;
-                    config.placement = static_cast<ThreadPlacement>(p);
-                    ids.insert(HetConfigId(topo, config));
-                    ++count;
-                }
-            }
-        }
-    }
-    EXPECT_EQ(static_cast<int>(ids.size()), count);
-}
-
-TEST(ClusterTopologyTest, HomogeneousConfigIdZeroesLittleBits)
-{
-    const ClusterTopology topo = MakeNexus6Topology();
-    HetConfig config;
-    config.big_level = 3;
-    config.little_level = 0;
-    config.bw_level = 1;
-    config.placement = ThreadPlacement::kBigOnly;
-    const uint64_t id = HetConfigId(topo, config);
-    EXPECT_EQ((id >> 20) & ((uint64_t{1} << 22) - 1), 0u);
 }
 
 TEST(ClusterTopologyTest, ToStringUsesOneBasedLevels)
