@@ -235,7 +235,9 @@ TEST(ChaosCampaignTest, ReportJsonCarriesVerdictsAndTail)
         RunCampaign(FixtureOptions(true), FixtureScenario());
     const JsonValue json = CampaignReportToJson(report);
     EXPECT_TRUE(json.is_object());
-    EXPECT_EQ(SeedFromJson(json.At("seed")), report.seed);
+    uint64_t seed = 0;
+    EXPECT_TRUE(SeedFromJson(json.At("seed"), &seed));
+    EXPECT_EQ(seed, report.seed);
     EXPECT_EQ(json.At("verdicts").items().size(), 7u);
     EXPECT_FALSE(json.At("cycle_tail").items().empty());
     EXPECT_EQ(json.GetString("first_violation_monitor", ""),

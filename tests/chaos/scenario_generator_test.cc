@@ -154,7 +154,7 @@ TEST(ScenarioGeneratorTest, CampaignSpecJsonRoundTrips)
 TEST(ScenarioGeneratorTest, RejectsMalformedScenarioJson)
 {
     JsonValue bad = JsonValue::MakeObject();
-    bad.Set("seed", 1);
+    bad.Set("seed", SeedToJson(1));
     JsonValue actions = JsonValue::MakeArray();
     JsonValue action = JsonValue::MakeObject();
     action.Set("class", "no-such-fault");
@@ -163,7 +163,7 @@ TEST(ScenarioGeneratorTest, RejectsMalformedScenarioJson)
     ChaosScenario decoded;
     std::string error;
     EXPECT_FALSE(ScenarioFromJson(bad, &decoded, &error));
-    EXPECT_FALSE(error.empty());
+    EXPECT_NE(error.find("no-such-fault"), std::string::npos) << error;
 }
 
 }  // namespace
