@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "common/strings.h"
 
 namespace aeo {
 
@@ -43,17 +42,6 @@ CsvWriter::AddRow(std::vector<std::string> row)
     rows_.push_back(std::move(row));
 }
 
-void
-CsvWriter::AddNumericRow(const std::vector<double>& row)
-{
-    std::vector<std::string> fields;
-    fields.reserve(row.size());
-    for (const double v : row) {
-        fields.push_back(StrFormat("%.6g", v));
-    }
-    AddRow(std::move(fields));
-}
-
 std::string
 CsvWriter::ToString() const
 {
@@ -88,31 +76,6 @@ CsvWriter::WriteFile(const std::string& path) const
     if (!file) {
         Fatal("error writing '%s'", path.c_str());
     }
-}
-
-std::vector<std::vector<std::string>>
-ParseCsv(const std::string& text)
-{
-    std::vector<std::vector<std::string>> rows;
-    for (const std::string& line : Split(text, '\n')) {
-        if (Trim(line).empty()) {
-            continue;
-        }
-        rows.push_back(Split(line, ','));
-    }
-    return rows;
-}
-
-std::string
-ReadFileToString(const std::string& path)
-{
-    std::ifstream file(path);
-    if (!file) {
-        Fatal("cannot open '%s' for reading", path.c_str());
-    }
-    std::ostringstream out;
-    out << file.rdbuf();
-    return out.str();
 }
 
 }  // namespace aeo

@@ -1,7 +1,6 @@
 /**
  * @file
- * Minimal CSV writing/reading used for persisting profile tables and
- * experiment traces.
+ * Minimal CSV writing for experiment tables and traces.
  */
 #ifndef AEO_COMMON_CSV_H_
 #define AEO_COMMON_CSV_H_
@@ -20,9 +19,6 @@ class CsvWriter {
     /** Appends a row; must match the header width. */
     void AddRow(std::vector<std::string> row);
 
-    /** Convenience: appends a row of doubles formatted with %.6g. */
-    void AddNumericRow(const std::vector<double>& row);
-
     /** Serializes header + rows. */
     std::string ToString() const;
 
@@ -36,12 +32,6 @@ class CsvWriter {
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
 };
-
-/** Parses CSV text into rows of fields (no quoting support needed here). */
-std::vector<std::vector<std::string>> ParseCsv(const std::string& text);
-
-/** Reads a whole file; Fatal() on I/O error. */
-std::string ReadFileToString(const std::string& path);
 
 }  // namespace aeo
 

@@ -229,52 +229,6 @@ ProfileTable::ToCsv() const
     return writer.ToString();
 }
 
-ProfileTable
-ProfileTable::FromCsv(const std::string& app_name, const std::string& csv,
-                      double base_speed_gips)
-{
-    const auto rows = ParseCsv(csv);
-    if (rows.size() < 2) {
-        Fatal("profile CSV for '%s' has no data rows", app_name.c_str());
-    }
-    std::vector<ProfileEntry> entries;
-    for (size_t i = 1; i < rows.size(); ++i) {
-        const auto& row = rows[i];
-        // 5 columns: the historical homogeneous format. 7 columns: the
-        // big.LITTLE format with little_level and placement key columns.
-        if (row.size() != 5 && row.size() != 7) {
-            Fatal("profile CSV row %zu has %zu fields, want 5 or 7", i,
-                  row.size());
-        }
-        const bool het = row.size() == 7;
-        long long cpu = 0;
-        long long bw = 0;
-        long long gpu = 0;
-        long long little = kNoLittleCluster;
-        long long placement = kPlacementDefault;
-        double speedup = 0.0;
-        double power = 0.0;
-        bool ok = ParseInt64(row[0], &cpu) && ParseInt64(row[1], &bw) &&
-                  ParseInt64(row[2], &gpu);
-        if (het) {
-            ok = ok && ParseInt64(row[3], &little) &&
-                 ParseInt64(row[4], &placement) &&
-                 ParseDouble(row[5], &speedup) && ParseDouble(row[6], &power);
-        } else {
-            ok = ok && ParseDouble(row[3], &speedup) && ParseDouble(row[4], &power);
-        }
-        if (!ok) {
-            Fatal("profile CSV row %zu is malformed", i);
-        }
-        SystemConfig config{static_cast<int>(cpu), static_cast<int>(bw),
-                            static_cast<int>(gpu)};
-        config.little_level = static_cast<int>(little);
-        config.placement = static_cast<int>(placement);
-        entries.push_back(ProfileEntry{config, speedup, Milliwatts(power)});
-    }
-    return ProfileTable(app_name, std::move(entries), base_speed_gips);
-}
-
 std::string
 ProfileTable::ToString() const
 {

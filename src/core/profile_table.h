@@ -125,10 +125,6 @@ class ProfileTable {
     /** Serializes to CSV (cpu_level, bw_level, speedup, power_mw columns). */
     std::string ToCsv() const;
 
-    /** Parses a table produced by ToCsv(); Fatal() on malformed input. */
-    static ProfileTable FromCsv(const std::string& app_name, const std::string& csv,
-                                double base_speed_gips);
-
     /** Paper-style rendering (Table I). */
     std::string ToString() const;
 

@@ -104,7 +104,6 @@ PerfTool::TakeSample()
         measured = std::max(
             0.0, true_gips * (1.0 + rng_.Gaussian(0.0, config_.noise_rel_stddev)));
     }
-    last_sample_ = GipsSample{now, measured};
     ++sample_count_;
     window_sum_ += measured;
     ++window_count_;
@@ -121,13 +120,6 @@ PerfTool::DrainWindow()
     window_sum_ = 0.0;
     window_count_ = 0;
     return window;
-}
-
-double
-PerfTool::DrainWindowAverage()
-{
-    const PerfWindow window = DrainWindow();
-    return window.samples > 0 ? window.avg_gips : last_sample_.gips;
 }
 
 }  // namespace aeo

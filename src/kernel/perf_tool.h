@@ -44,12 +44,6 @@ struct PerfToolConfig {
     double noise_rel_stddev = 0.015;
 };
 
-/** One GIPS sample. */
-struct GipsSample {
-    SimTime when;
-    double gips = 0.0;
-};
-
 /** One control-cycle measurement window. */
 struct PerfWindow {
     /** Average GIPS of the window's samples; 0 when none arrived. */
@@ -92,9 +86,6 @@ class PerfTool {
     /** Sampler power draw right now, mW. */
     double power_overhead_mw() const;
 
-    /** Most recent sample; zero before the first. */
-    GipsSample LastSample() const { return last_sample_; }
-
     /**
      * The samples taken since the previous drain (the controller calls this
      * once per control cycle; the paper's controller likewise averages the
@@ -103,12 +94,6 @@ class PerfTool {
      * to degrade.
      */
     PerfWindow DrainWindow();
-
-    /**
-     * Legacy drain: the window average, falling back to the last sample if
-     * none arrived in the window, and 0 if nothing has been sampled yet.
-     */
-    double DrainWindowAverage();
 
     /** Number of samples taken since Start(). */
     uint64_t sample_count() const { return sample_count_; }
@@ -147,7 +132,6 @@ class PerfTool {
     FaultInjector* injector_ = nullptr;
     double last_instr_reading_ = 0.0;
     SimTime last_reading_time_;
-    GipsSample last_sample_;
     uint64_t sample_count_ = 0;
     uint64_t dropped_sample_count_ = 0;
     uint64_t stale_sample_count_ = 0;

@@ -87,20 +87,6 @@ TEST(ProfileTableTest, InterpolationIsExactAtMeasuredPoints)
     }
 }
 
-TEST(ProfileTableTest, CsvRoundTrip)
-{
-    const ProfileTable table =
-        ProfileTable::FromMeasurements("app", SampleMeasurements());
-    const ProfileTable parsed =
-        ProfileTable::FromCsv("app", table.ToCsv(), table.base_speed_gips());
-    ASSERT_EQ(parsed.size(), table.size());
-    for (size_t i = 0; i < table.size(); ++i) {
-        EXPECT_EQ(parsed.entries()[i].config, table.entries()[i].config);
-        EXPECT_NEAR(parsed.entries()[i].speedup, table.entries()[i].speedup, 1e-6);
-        EXPECT_NEAR(parsed.entries()[i].power_mw.value(), table.entries()[i].power_mw.value(), 1e-3);
-    }
-}
-
 TEST(ProfileTableTest, ToStringRendersRows)
 {
     const ProfileTable table =

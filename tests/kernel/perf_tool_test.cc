@@ -31,7 +31,9 @@ TEST_F(PerfToolTest, MeasuresSteadyRate)
     PerfTool perf(&sim_, &pmu_, 1, config);
     perf.Start();
     Drive(SimTime::FromSeconds(3), 0.5);
-    EXPECT_NEAR(perf.LastSample().gips, 0.5, 1e-9);
+    const PerfWindow window = perf.DrainWindow();
+    EXPECT_NEAR(window.avg_gips, 0.5, 1e-9);
+    EXPECT_EQ(window.samples, 3u);
     EXPECT_EQ(perf.sample_count(), 3u);
 }
 
@@ -76,11 +78,13 @@ TEST_F(PerfToolTest, WindowAverageDrains)
     PerfTool perf(&sim_, &pmu_, 1, config);
     perf.Start();
     Drive(SimTime::FromSeconds(2), 1.0);
-    EXPECT_NEAR(perf.DrainWindowAverage(), 1.0, 1e-9);
-    // Window drained: with no new samples it falls back to the last sample.
-    EXPECT_NEAR(perf.DrainWindowAverage(), 1.0, 1e-9);
+    EXPECT_NEAR(perf.DrainWindow().avg_gips, 1.0, 1e-9);
+    // Window drained: with no new samples the next window is empty.
+    const PerfWindow empty = perf.DrainWindow();
+    EXPECT_EQ(empty.samples, 0u);
+    EXPECT_DOUBLE_EQ(empty.avg_gips, 0.0);
     Drive(SimTime::FromSeconds(2), 0.2);
-    EXPECT_NEAR(perf.DrainWindowAverage(), 0.2, 1e-9);
+    EXPECT_NEAR(perf.DrainWindow().avg_gips, 0.2, 1e-9);
 }
 
 TEST_F(PerfToolTest, NoisyMeasurementsVaryButAverageOut)
@@ -91,14 +95,18 @@ TEST_F(PerfToolTest, NoisyMeasurementsVaryButAverageOut)
     PerfTool perf(&sim_, &pmu_, 99, config);
     perf.Start();
     Drive(SimTime::FromSeconds(20), 0.5);  // 200 samples
-    EXPECT_NEAR(perf.DrainWindowAverage(), 0.5, 0.01);
+    const PerfWindow window = perf.DrainWindow();
+    EXPECT_EQ(window.samples, 200u);
+    EXPECT_NEAR(window.avg_gips, 0.5, 0.01);
 }
 
 TEST_F(PerfToolTest, ZeroBeforeFirstSample)
 {
     PerfTool perf(&sim_, &pmu_, 1);
     perf.Start();
-    EXPECT_DOUBLE_EQ(perf.DrainWindowAverage(), 0.0);
+    const PerfWindow window = perf.DrainWindow();
+    EXPECT_EQ(window.samples, 0u);
+    EXPECT_DOUBLE_EQ(window.avg_gips, 0.0);
 }
 
 }  // namespace

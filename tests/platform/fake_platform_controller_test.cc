@@ -229,60 +229,5 @@ TEST(FakePlatformControllerTest, ScriptedThermalsLandInTheCycleRecords)
     EXPECT_DOUBLE_EQ(controller.history().back().temp_c, 41.5);
 }
 
-TEST(FakePlatformClusterScripting, ClusterZeroAliasesTheLegacyQueues)
-{
-    FakePlatform plat;
-    plat.PushPerfWindow(3.0, 10);
-    EXPECT_DOUBLE_EQ(plat.DrainClusterWindow(0).avg_gips, 3.0);
-
-    plat.PushClusterPowerMw(0, 800.0);
-    EXPECT_DOUBLE_EQ(plat.perf().DrainAveragePowerMw(), 800.0);
-
-    plat.ScriptCpuCapLevel(5);
-    EXPECT_EQ(plat.ReadClusterCapLevel(0), 5);
-    EXPECT_EQ(plat.thermals().ReadCpuCapLevel(), 5);
-}
-
-TEST(FakePlatformClusterScripting, PerClusterQueuesAreIndependent)
-{
-    FakePlatform plat;
-    EXPECT_EQ(plat.num_cpu_clusters(), 1);
-    plat.PushClusterPerfWindow(1, 1.5, 4);
-    EXPECT_EQ(plat.num_cpu_clusters(), 2);
-
-    // Cluster 0 stays empty: legacy drains see nothing.
-    EXPECT_EQ(plat.perf().DrainWindow().samples, 0u);
-    const platform::PerfWindow window = plat.DrainClusterWindow(1);
-    EXPECT_DOUBLE_EQ(window.avg_gips, 1.5);
-    EXPECT_EQ(window.samples, 4u);
-
-    plat.PushClusterPowerMw(1, 300.0);
-    EXPECT_DOUBLE_EQ(plat.perf().DrainAveragePowerMw(), 0.0);
-    EXPECT_DOUBLE_EQ(plat.DrainClusterPowerMw(1), 300.0);
-}
-
-TEST(FakePlatformClusterScripting, CapEventsDrainBeforeThePersistentCap)
-{
-    FakePlatform plat;
-    plat.ScriptClusterCapLevel(1, 9);
-    plat.PushClusterCapEvent(1, 3);
-    plat.PushClusterCapEvent(1, 4);
-
-    // One-shot events first (a transient clamp), then the persistent cap.
-    EXPECT_EQ(plat.ReadClusterCapLevel(1), 3);
-    EXPECT_EQ(plat.ReadClusterCapLevel(1), 4);
-    EXPECT_EQ(plat.ReadClusterCapLevel(1), 9);
-}
-
-TEST(FakePlatformClusterScripting, TopologyIsScriptable)
-{
-    FakePlatform plat;
-    EXPECT_EQ(plat.max_little_level(), -1);
-    plat.ScriptNumCpuClusters(2);
-    plat.ScriptMaxLittleLevel(5);
-    EXPECT_EQ(plat.num_cpu_clusters(), 2);
-    EXPECT_EQ(plat.max_little_level(), 5);
-}
-
 }  // namespace
 }  // namespace aeo
