@@ -105,12 +105,6 @@ JsonValue::AsDouble() const
     return number_;
 }
 
-int64_t
-JsonValue::AsInt64() const
-{
-    return static_cast<int64_t>(AsDouble());
-}
-
 uint64_t
 JsonValue::AsUint64() const
 {

@@ -69,7 +69,6 @@ class JsonValue {
     /** Typed accessors; Fatal() on a type mismatch. */
     bool AsBool() const;
     double AsDouble() const;
-    int64_t AsInt64() const;
     uint64_t AsUint64() const;
     const std::string& AsString() const;
 
