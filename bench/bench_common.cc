@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "common/json.h"
-#include "common/logging.h"
 #include "common/strings.h"
 
 namespace aeo::bench {
@@ -137,9 +136,13 @@ void
 WriteSnapshotFile(const std::string& path, const std::string& json_text)
 {
     std::ofstream out(path);
-    AEO_ASSERT(out.good(), "cannot open %s", path.c_str());
     out << json_text;
     out.close();
+    if (!out) {
+        // A gate that diffs this path must never pass on a stale file.
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        std::exit(1);
+    }
     std::printf("Wrote %s\n", path.c_str());
 }
 
@@ -157,12 +160,7 @@ WritePerfMeta(const std::string& snapshot_path, double wall_seconds,
                                   : 0.0));
     doc.Set("hardware_threads",
             static_cast<int>(std::thread::hardware_concurrency()));
-    const std::string path = snapshot_path + ".perf.json";
-    std::ofstream out(path);
-    AEO_ASSERT(out.good(), "cannot open %s", path.c_str());
-    out << doc.Dump(2) << "\n";
-    out.close();
-    std::printf("Wrote %s\n", path.c_str());
+    WriteSnapshotFile(snapshot_path + ".perf.json", doc.Dump(2) + "\n");
 }
 
 void

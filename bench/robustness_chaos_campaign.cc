@@ -20,7 +20,6 @@
  * (campaign mode) or the replay diverges (replay mode).
  */
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,6 +39,7 @@
 #include "core/offline_profiler.h"
 #include "core/scenarios.h"
 #include "device/device.h"
+#include "sim/event_queue.h"
 
 namespace aeo {
 namespace {
@@ -196,6 +196,10 @@ main(int argc, char** argv)
                        "Seeded compound-fault scenarios vs the invariant-"
                        "monitored controller");
 
+    // Wall time covers everything the bench simulates: the profile, the
+    // target run and the fan-out.
+    const uint64_t events_before = TotalExecutedEvents();
+    const double wall_start = bench::MonotonicSeconds();
     // Clean profile and target, as the §V procedure would obtain them.
     const AppScenario app_scenario = GetAppScenario(kApp);
     const ProfileTable table =
@@ -222,6 +226,8 @@ main(int argc, char** argv)
                     options.spec, CampaignSeed(seed, static_cast<int>(i)));
                 return chaos::RunCampaign(options, scenario);
             });
+    const double wall_seconds = bench::MonotonicSeconds() - wall_start;
+    const uint64_t events_executed = TotalExecutedEvents() - events_before;
 
     TextTable text({"Campaign", "Seed", "Cycles", "Faults", "Degraded",
                     "Safe", "Fallback", "Violations", "First violation"});
@@ -284,10 +290,10 @@ main(int argc, char** argv)
     csv.WriteFile(csv_path);
     std::printf("Wrote %s\n", csv_path.c_str());
 
-    std::ofstream snapshot(json_path);
-    snapshot << SnapshotJson(args, seed, fast, reports).Dump(2) << "\n";
-    snapshot.close();
-    std::printf("Wrote %s\n\n", json_path.c_str());
+    bench::WriteSnapshotFile(json_path,
+                             SnapshotJson(args, seed, fast, reports).Dump(2) + "\n");
+    bench::WritePerfMeta(json_path, wall_seconds, events_executed);
+    std::printf("\n");
 
     if (first_failing < 0) {
         std::printf("All %d campaigns clean: every invariant held.\n",

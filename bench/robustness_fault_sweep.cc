@@ -15,7 +15,6 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "core/scenarios.h"
 #include "device/device.h"
 #include "platform/sim_platform.h"
+#include "sim/event_queue.h"
 
 namespace aeo {
 namespace {
@@ -233,6 +233,10 @@ main(int argc, char** argv)
     profiler_options.measure_duration = scenario.profile_duration;
     profiler_options.seed = seed + 1000;
     profiler_options.batch = args.batch;
+    // Wall time covers everything the bench simulates: the profile, the
+    // target run and the fan-out.
+    const uint64_t events_before = TotalExecutedEvents();
+    const double wall_start = bench::MonotonicSeconds();
     const ProfileTable table =
         OfflineProfiler().Profile(MakeAppSpecByName(kApp), profiler_options);
 
@@ -267,6 +271,8 @@ main(int argc, char** argv)
             rates.size(), [&table, &rates, target, seed](size_t i) {
                 return RunAtRate(table, target, rates[i], seed);
             });
+    const double wall_seconds = bench::MonotonicSeconds() - wall_start;
+    const uint64_t events_executed = TotalExecutedEvents() - events_before;
 
     double fault_free_energy = 0.0;
     double fault_free_violation = 0.0;
@@ -321,10 +327,10 @@ main(int argc, char** argv)
     csv.WriteFile(csv_path);
     std::printf("Wrote %s\n", csv_path.c_str());
 
-    std::ofstream snapshot(json_path);
-    snapshot << SnapshotJson(args, seed, fast, sweep_rows).Dump(2) << "\n";
-    snapshot.close();
-    std::printf("Wrote %s\n\n", json_path.c_str());
+    bench::WriteSnapshotFile(
+        json_path, SnapshotJson(args, seed, fast, sweep_rows).Dump(2) + "\n");
+    bench::WritePerfMeta(json_path, wall_seconds, events_executed);
+    std::printf("\n");
 
     if (violation_at_5pct >= 0.0) {
         // The acceptance bar: violation at a 5 % fault rate within 2× the

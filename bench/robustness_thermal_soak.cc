@@ -18,7 +18,6 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,6 +35,7 @@
 #include "core/scenarios.h"
 #include "device/device.h"
 #include "platform/sim_platform.h"
+#include "sim/event_queue.h"
 #include "soc/nexus6.h"
 
 namespace aeo {
@@ -183,6 +183,10 @@ main(int argc, char** argv)
     profiler_options.measure_duration = scenario.profile_duration;
     profiler_options.seed = seed + 1000;
     profiler_options.batch = args.batch;
+    // Wall time covers everything the bench simulates: the profile and
+    // the fan-out.
+    const uint64_t events_before = TotalExecutedEvents();
+    const double wall_start = bench::MonotonicSeconds();
     const ProfileTable table =
         OfflineProfiler().Profile(MakeAppSpecByName(kApp), profiler_options);
     const double target = 0.20;  // between AngryBirds' base and saturation
@@ -195,6 +199,8 @@ main(int argc, char** argv)
         BatchRunner(args.batch).RunIndexed<SoakRun>(2, [&](size_t i) {
             return RunSoak(table, target, duration, i == 0, seed);
         });
+    const double wall_seconds = bench::MonotonicSeconds() - wall_start;
+    const uint64_t events_executed = TotalExecutedEvents() - events_before;
     const SoakRun aware = std::move(soaks[0]);
     const SoakRun oblivious = std::move(soaks[1]);
 
@@ -244,12 +250,11 @@ main(int argc, char** argv)
     std::printf("%s\n", text.ToString().c_str());
     std::printf("Wrote %s (%zu cycles)\n", csv_path.c_str(), cycles);
 
-    std::ofstream snapshot(json_path);
-    snapshot << SnapshotJson(args, seed, fast, target, aware, oblivious)
-                    .Dump(2)
-             << "\n";
-    snapshot.close();
-    std::printf("Wrote %s\n\n", json_path.c_str());
+    bench::WriteSnapshotFile(
+        json_path,
+        SnapshotJson(args, seed, fast, target, aware, oblivious).Dump(2) + "\n");
+    bench::WritePerfMeta(json_path, wall_seconds, events_executed);
+    std::printf("\n");
 
     std::printf(
         "Adversary: %llu clamp polls, deepest stage %d (cap floor level %d).\n"

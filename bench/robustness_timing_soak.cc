@@ -16,7 +16,6 @@
  * copy (results are bit-identical at any worker count).
  */
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "core/batch_runner.h"
 #include "core/offline_profiler.h"
 #include "core/scenarios.h"
+#include "sim/event_queue.h"
 
 namespace aeo {
 namespace {
@@ -170,6 +170,10 @@ main(int argc, char** argv)
     profiler_options.measure_duration = scenario.profile_duration;
     profiler_options.seed = seed + 1000;
     profiler_options.batch = args.batch;
+    // Wall time covers everything the bench simulates: the profile and
+    // the fan-out.
+    const uint64_t events_before = TotalExecutedEvents();
+    const double wall_start = bench::MonotonicSeconds();
     const ProfileTable table =
         OfflineProfiler().Profile(MakeAppSpecByName(kApp), profiler_options);
 
@@ -202,6 +206,8 @@ main(int argc, char** argv)
                 return chaos::RunCampaign(
                     options, CellScenario(cells[c], options.spec, scenario_seed));
             });
+    const double wall_seconds = bench::MonotonicSeconds() - wall_start;
+    const uint64_t events_executed = TotalExecutedEvents() - events_before;
 
     TextTable text({"Jitter", "Suspend", "Cycles", "Jit/Miss/Gap ticks",
                     "Stale-guard", "Degraded", "Fallback", "Violations"});
@@ -277,12 +283,12 @@ main(int argc, char** argv)
     csv.WriteFile(csv_path);
     std::printf("Wrote %s\n", csv_path.c_str());
 
-    std::ofstream snapshot(json_path);
-    snapshot << SnapshotJson(args, seed, fast, cells, runs_per_cell, reports)
-                    .Dump(2)
-             << "\n";
-    snapshot.close();
-    std::printf("Wrote %s\n\n", json_path.c_str());
+    bench::WriteSnapshotFile(
+        json_path,
+        SnapshotJson(args, seed, fast, cells, runs_per_cell, reports).Dump(2) +
+            "\n");
+    bench::WritePerfMeta(json_path, wall_seconds, events_executed);
+    std::printf("\n");
 
     if (total_violations > 0) {
         std::printf("%llu invariant violation(s) across the grid — FAIL.\n",

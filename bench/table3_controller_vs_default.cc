@@ -38,7 +38,8 @@ main(int argc, char** argv)
     // Off by default: the gated snapshot compares against interactive.
     options.baseline_cpu_governor = args.baseline;
 
-    // One batch job per application; outcomes land in TableIII row order.
+    // One comparison per application, all in one plan; outcomes land in
+    // TableIII row order.
     std::vector<ComparisonJob> jobs;
     for (const auto& row : paper::TableIII()) {
         jobs.push_back(ComparisonJob{row.app, options});

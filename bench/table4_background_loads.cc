@@ -45,8 +45,8 @@ main(int argc, char** argv)
         {BackgroundKind::kHeavy, paper::TableIV_HL()},
     };
 
-    // Fan the 6 apps × 3 loads grid across the batch layer, then render the
-    // rows in the original (app-major) order.
+    // Run the 6 apps × 3 loads grid as one plan, in which an app's three
+    // loads share its BL profile, then render the rows in app-major order.
     std::vector<ComparisonJob> jobs;
     for (const std::string& app : EvaluationAppNames()) {
         for (const LoadCase& load_case : cases) {

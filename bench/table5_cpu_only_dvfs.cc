@@ -37,7 +37,7 @@ main(int argc, char** argv)
     const uint64_t seed = args.SeedOr(2017);
 
     // Per app, the CPU-only ablation then the coordinated comparison: two
-    // batch jobs, interleaved in submission order.
+    // jobs of one plan that share the app's stock run.
     std::vector<ComparisonJob> jobs;
     for (const auto& row : paper::TableV()) {
         ExperimentOptions cpu_only;

@@ -40,6 +40,8 @@ namespace aeo {
 struct BatchOptions {
     /** Worker count; <= 0 means hardware_concurrency(). 1 = inline/serial. */
     int jobs = 0;
+
+    bool operator==(const BatchOptions&) const = default;
 };
 
 /** @p options.jobs with the <=0 default resolved to the hardware. */

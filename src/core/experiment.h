@@ -56,13 +56,20 @@ struct ExperimentOptions {
     /** Base seed; default/profiling/controller runs use distinct streams. */
     uint64_t seed = 7;
     /**
-     * Parallel fan-out for the profiling stage of this comparison (see
-     * ProfilerOptions::batch). Ignored — forced serial — inside a
-     * RunComparisons() sweep, whose own BatchOptions is the whole thread
-     * budget, so fan-outs never nest.
+     * The whole thread budget of a one-job plan: RunComparison() and
+     * ProfileApp() fan out across it. Ignored inside a RunComparisons()
+     * sweep, whose own BatchOptions is the budget, so fan-outs never nest.
      */
     BatchOptions batch;
 };
+
+/**
+ * The options ProfileApp() and the experiment plan profile @p app_name
+ * with: the scenario's admitted CPU levels and measurement window, the
+ * profiling load, and seed + 1000. batch is left at its default.
+ */
+ProfilerOptions ProfilerOptionsFor(const std::string& app_name,
+                                   const ExperimentOptions& options);
 
 /** One entry in a RunComparisons() sweep. */
 struct ComparisonJob {
@@ -104,20 +111,37 @@ class ExperimentHarness {
                                 double target_gips, const ExperimentOptions& options,
                                 uint64_t seed) const;
 
-    /** The full §V procedure: default → profile → controller → compare. */
+    /**
+     * The full §V procedure for one app: default → profile → controller →
+     * compare. This is the plan below with the one job, and options.batch
+     * as its thread budget.
+     */
     ExperimentOutcome RunComparison(const std::string& app_name,
                                     const ExperimentOptions& options = {}) const;
 
     /**
-     * Runs a sweep of independent comparisons across the batch layer and
-     * returns the outcomes in @p jobs order. Each comparison is one batch
-     * job and its inner profiling is always serial, so @p batch bounds the
-     * threads the whole sweep uses (BatchOptions{1} runs everything on the
-     * calling thread). Every outcome is bit-identical to calling
-     * RunComparison() directly, regardless of worker count.
+     * Runs a sweep of comparisons as one two-stage plan and returns the
+     * outcomes in @p jobs order.
+     *
+     *  - Stage 1 is one fan-out over every distinct stock run and every
+     *    (configuration, run) cell of every distinct profile, longest
+     *    simulated window first. A stock run is keyed by (app, run_load,
+     *    seed, baseline_cpu_governor) and a profile by (app,
+     *    ProfilerOptionsFor()), so jobs that share one measure it once.
+     *    Each profile is then reduced in run order and pruned per job.
+     *  - Stage 2 is one fan-out over the jobs' controller runs, longest
+     *    first. It starts when stage 1 has finished, because each
+     *    controller run needs its stock run's performance and its table.
+     *
+     * @p batch is the whole thread budget (BatchOptions{1} runs everything
+     * on the calling thread, in plan order); the jobs' own
+     * ExperimentOptions::batch is ignored. Every outcome is bit-identical
+     * to RunDefault → ProfileApp → RunWithController(seed + 2000) at any
+     * worker count.
      */
-    std::vector<ExperimentOutcome> RunComparisons(std::vector<ComparisonJob> jobs,
-                                                  const BatchOptions& batch = {}) const;
+    std::vector<ExperimentOutcome> RunComparisons(
+        const std::vector<ComparisonJob>& jobs,
+        const BatchOptions& batch = {}) const;
 
   private:
     void DriveRun(Device* device, const AppScenario& scenario) const;

@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/app_model.h"
@@ -74,15 +75,53 @@ struct ProfilerOptions {
      * serial path.
      */
     BatchOptions batch;
+
+    /** Equal options profile an app to the same table. batch takes part
+     * although it changes only the wall clock; the experiment plan leaves
+     * it at its default when it compares profiles. */
+    bool operator==(const ProfilerOptions&) const = default;
 };
 
-/** The offline profiling stage. */
+/** One measurement run's averages: the unit a profile grid fans out. */
+struct ProfileSample {
+    double gips = 0.0;
+    Milliwatts power_mw;
+};
+
+/**
+ * The offline profiling stage. Profile() is Grid(), one MeasureRun() per
+ * (configuration, run) cell, then Reduce(); the experiment plan
+ * (ExperimentHarness::RunComparisons) calls the three parts itself so it
+ * can fan many profiles' cells out at once.
+ */
 class OfflineProfiler {
   public:
     explicit OfflineProfiler(DeviceFactory factory = MakeDefaultDeviceFactory());
 
     /** Profiles @p app and returns its table. */
     ProfileTable Profile(const AppSpec& app, const ProfilerOptions& options) const;
+
+    /** The configurations Profile() measures, in measurement order. */
+    static std::vector<SystemConfig> Grid(const ProfilerOptions& options);
+
+    /**
+     * Run @p run of @p config on a fresh device seeded only from
+     * (options.seed, config, run), so the sample is the same on any thread
+     * and in any order.
+     */
+    ProfileSample MeasureRun(const AppSpec& app, const SystemConfig& config,
+                             const ProfilerOptions& options, int run) const;
+
+    /**
+     * Builds the table from @p samples, options.runs per configuration of
+     * @p grid, laid out as i = config * runs + run. Each configuration's
+     * runs are averaged in run order, the serial summation order, so the
+     * table is the same however the samples were produced.
+     */
+    static ProfileTable Reduce(const std::string& app_name,
+                               const std::vector<SystemConfig>& grid,
+                               const std::vector<ProfileSample>& samples,
+                               const ProfilerOptions& options);
 
     /**
      * Measures one pinned configuration (averaged over options.runs).

@@ -2,11 +2,14 @@
  * @file
  * The batch layer's determinism contract: parallelism changes wall-clock
  * time and nothing else. RunIndexed returns results by index at any worker
- * count, and an offline profile is bit-identical (down to the CSV text)
- * whether it runs serially or fanned out across workers.
+ * count, an offline profile is bit-identical (down to the CSV text)
+ * whether it runs serially or fanned out across workers, and the
+ * experiment plan equals the §V procedure run step by step while
+ * measuring each shared stock run and profile cell once.
  */
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -115,30 +118,199 @@ TEST(BatchDeterminismTest, ProfileBitIdenticalAcrossWorkerCounts)
     }
 }
 
-TEST(BatchDeterminismTest, RunComparisonsMatchesSerialComparisons)
+/** The §V procedure step by step, outside the plan: the reference every
+ * plan outcome must equal. */
+ExperimentOutcome
+SerialProcedure(const ExperimentHarness& harness, const ComparisonJob& job)
 {
-    ExperimentHarness harness;
+    const ExperimentOptions& options = job.options;
+    RunResult default_run = harness.RunDefault(job.app_name, options.run_load,
+                                               options.seed,
+                                               options.baseline_cpu_governor);
+    ProfileTable table = harness.ProfileApp(job.app_name, options);
+    RunResult controller_run = harness.RunWithController(
+        job.app_name, table, default_run.avg_gips, options, options.seed + 2000);
+    ExperimentOutcome outcome{std::move(default_run), std::move(controller_run),
+                              std::move(table)};
+    outcome.perf_delta_pct =
+        outcome.controller_run.PerformanceDeltaPercent(outcome.default_run);
+    outcome.energy_savings_pct =
+        outcome.controller_run.EnergySavingsPercent(outcome.default_run);
+    return outcome;
+}
+
+void
+ExpectSameRun(const RunResult& actual, const RunResult& expected)
+{
+    EXPECT_EQ(actual.app_name, expected.app_name);
+    EXPECT_EQ(actual.load_name, expected.load_name);
+    EXPECT_EQ(actual.policy_name, expected.policy_name);
+    EXPECT_EQ(actual.energy_j, expected.energy_j);
+    EXPECT_EQ(actual.measured_energy_j, expected.measured_energy_j);
+    EXPECT_EQ(actual.avg_power_mw.value(), expected.avg_power_mw.value());
+    EXPECT_EQ(actual.measured_avg_power_mw.value(),
+              expected.measured_avg_power_mw.value());
+    EXPECT_EQ(actual.duration_s, expected.duration_s);
+    EXPECT_EQ(actual.avg_gips, expected.avg_gips);
+    EXPECT_EQ(actual.executed_gi, expected.executed_gi);
+    EXPECT_EQ(actual.app_finished, expected.app_finished);
+    EXPECT_EQ(actual.cpu_residency, expected.cpu_residency);
+    EXPECT_EQ(actual.bw_residency, expected.bw_residency);
+    EXPECT_EQ(actual.gpu_residency, expected.gpu_residency);
+    EXPECT_EQ(actual.little_residency, expected.little_residency);
+    EXPECT_EQ(actual.cpu_transitions, expected.cpu_transitions);
+    EXPECT_EQ(actual.bw_transitions, expected.bw_transitions);
+    EXPECT_EQ(actual.little_transitions, expected.little_transitions);
+    EXPECT_EQ(actual.loadavg, expected.loadavg);
+}
+
+/** Short profiles with two runs, so each configuration reduces two cells. */
+ExperimentOptions
+SweepOptions()
+{
     ExperimentOptions options;
-    options.profile_runs = 1;
+    options.profile_runs = 2;
     options.profile_duration = SimTime::FromSeconds(5);
     options.seed = 99;
+    return options;
+}
 
+/** Table IV's three run loads for @p app: one profile, three stock runs. */
+std::vector<ComparisonJob>
+LoadSweep(const std::string& app)
+{
     std::vector<ComparisonJob> jobs;
-    jobs.push_back(ComparisonJob{"AngryBirds", options});
-    jobs.push_back(ComparisonJob{"Spotify", options});
-
-    const std::vector<ExperimentOutcome> batched =
-        harness.RunComparisons(jobs, BatchOptions{2});
-    ASSERT_EQ(batched.size(), 2u);
-    size_t i = 0;
-    for (const ComparisonJob& job : jobs) {
-        const ExperimentOutcome serial =
-            harness.RunComparison(job.app_name, job.options);
-        EXPECT_EQ(batched[i].perf_delta_pct, serial.perf_delta_pct);
-        EXPECT_EQ(batched[i].energy_savings_pct, serial.energy_savings_pct);
-        EXPECT_EQ(batched[i].table.ToCsv(), serial.table.ToCsv());
-        ++i;
+    for (const BackgroundKind load : {BackgroundKind::kBaseline,
+                                      BackgroundKind::kNoLoad,
+                                      BackgroundKind::kHeavy}) {
+        ExperimentOptions options = SweepOptions();
+        options.run_load = load;
+        jobs.push_back(ComparisonJob{app, options});
     }
+    return jobs;
+}
+
+/** Table V's pair for @p app: CPU-only, then coordinated; one stock run. */
+std::vector<ComparisonJob>
+CpuOnlyPair(const std::string& app)
+{
+    ExperimentOptions cpu_only = SweepOptions();
+    cpu_only.cpu_only = true;
+    return {ComparisonJob{app, cpu_only}, ComparisonJob{app, SweepOptions()}};
+}
+
+TEST(BatchDeterminismTest, RunComparisonsMatchesSerialComparisons)
+{
+    const ExperimentHarness harness;
+    std::vector<ComparisonJob> jobs;
+    for (const std::string app : {"AngryBirds", "Spotify"}) {
+        for (std::vector<ComparisonJob> part : {LoadSweep(app), CpuOnlyPair(app)}) {
+            jobs.insert(jobs.end(), part.begin(), part.end());
+        }
+    }
+    jobs.push_back(jobs[1]);
+
+    std::vector<ExperimentOutcome> expected;
+    for (const ComparisonJob& job : jobs) {
+        expected.push_back(SerialProcedure(harness, job));
+    }
+    for (const int workers : {1, 2, 4}) {
+        SCOPED_TRACE(testing::Message() << "workers=" << workers);
+        const std::vector<ExperimentOutcome> plan =
+            harness.RunComparisons(jobs, BatchOptions{workers});
+        ASSERT_EQ(plan.size(), jobs.size());
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            SCOPED_TRACE(testing::Message()
+                         << "job " << i << " " << jobs[i].app_name);
+            ExpectSameRun(plan[i].default_run, expected[i].default_run);
+            ExpectSameRun(plan[i].controller_run, expected[i].controller_run);
+            EXPECT_EQ(plan[i].table.ToCsv(), expected[i].table.ToCsv());
+            EXPECT_EQ(plan[i].perf_delta_pct, expected[i].perf_delta_pct);
+            EXPECT_EQ(plan[i].energy_savings_pct, expected[i].energy_savings_pct);
+        }
+    }
+}
+
+/** Device builds per seed, from every thread of a sweep. */
+class BuildCounter {
+  public:
+    DeviceFactory
+    Factory()
+    {
+        return [this](uint64_t seed) {
+            {
+                const std::lock_guard<std::mutex> lock(mutex_);
+                ++builds_[seed];
+            }
+            return inner_(seed);
+        };
+    }
+
+    /** Builds of @p seed. */
+    int
+    Builds(uint64_t seed) const
+    {
+        const auto it = builds_.find(seed);
+        return it == builds_.end() ? 0 : it->second;
+    }
+
+    /** Builds of seeds other than @p skip, which must each be built once;
+     * returns how many there were. */
+    size_t
+    SeedsBuiltOnceExcept(const std::set<uint64_t>& skip) const
+    {
+        size_t seeds = 0;
+        for (const auto& [seed, builds] : builds_) {
+            if (skip.count(seed) == 0) {
+                EXPECT_EQ(builds, 1) << "seed " << seed;
+                ++seeds;
+            }
+        }
+        return seeds;
+    }
+
+  private:
+    const DeviceFactory inner_ = MakeDefaultDeviceFactory();
+    std::mutex mutex_;
+    std::map<uint64_t, int> builds_;
+};
+
+/** Profile cells (configurations x runs) of @p job. */
+size_t
+ProfileCells(const ComparisonJob& job)
+{
+    const ProfilerOptions options = ProfilerOptionsFor(job.app_name, job.options);
+    return OfflineProfiler::Grid(options).size() * static_cast<size_t>(options.runs);
+}
+
+TEST(BatchDeterminismTest, LoadSweepMeasuresItsSharedProfileOnce)
+{
+    // The three loads share one profile: each of its cells is one device
+    // build, where three comparisons run one by one build three.
+    BuildCounter counter;
+    const ExperimentHarness harness(counter.Factory());
+    const std::vector<ComparisonJob> jobs = LoadSweep("AngryBirds");
+    harness.RunComparisons(jobs, BatchOptions{4});
+
+    const uint64_t seed = jobs[0].options.seed;
+    EXPECT_EQ(counter.Builds(seed), 3);         // one stock run per load
+    EXPECT_EQ(counter.Builds(seed + 2000), 3);  // one controller run per job
+    EXPECT_EQ(counter.SeedsBuiltOnceExcept({seed, seed + 2000}),
+              ProfileCells(jobs[0]));
+}
+
+TEST(BatchDeterminismTest, CpuOnlyPairMeasuresItsSharedStockRunOnce)
+{
+    BuildCounter counter;
+    const ExperimentHarness harness(counter.Factory());
+    const std::vector<ComparisonJob> jobs = CpuOnlyPair("Spotify");
+    harness.RunComparisons(jobs, BatchOptions{4});
+
+    const uint64_t seed = jobs[0].options.seed;
+    EXPECT_EQ(counter.Builds(seed), 1);
+    EXPECT_EQ(counter.Builds(seed + 2000), 2);
+    EXPECT_EQ(counter.SeedsBuiltOnceExcept({seed, seed + 2000}),
+              ProfileCells(jobs[0]) + ProfileCells(jobs[1]));
 }
 
 TEST(BatchDeterminismTest, SerialSweepRunsEveryDeviceOnTheCallingThread)
