@@ -9,7 +9,10 @@
  *  - the Kalman base-speed estimator on/off (§III-B3);
  *  - the minimum dwell (200 ms, §V-A).
  */
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/logging.h"
@@ -29,17 +32,18 @@ main(int argc, char** argv)
     const ExperimentHarness harness;
     const std::string app = "AngryBirds";
 
-    TextTable table({"Variant", "Perf delta", "Energy savings"});
-
-    const auto run = [&](const std::string& label, ControllerConfig config) {
+    // Every variant is one job of one plan, which measures the shared stock
+    // run and profile once. A group of variants ends at a table separator.
+    std::vector<std::string> labels;
+    std::vector<ComparisonJob> jobs;
+    std::vector<size_t> group_ends;
+    const auto add = [&](const std::string& label, ControllerConfig config) {
         ExperimentOptions options;
         options.profile_runs = args.ProfileRuns();
         options.seed = args.SeedOr(2017);
         options.controller = config;
-        const ExperimentOutcome outcome = harness.RunComparison(app, options);
-        table.AddRow({label, StrFormat("%+.2f%%", outcome.perf_delta_pct),
-                      StrFormat("%.1f%%", outcome.energy_savings_pct)});
-        std::fflush(stdout);
+        labels.push_back(label);
+        jobs.push_back(ComparisonJob{app, options});
     };
 
     // Control cycle sweep. Shorter cycles pay proportionally more perf-tool
@@ -47,26 +51,37 @@ main(int argc, char** argv)
     for (const int cycle_ms : {1000, 2000, 4000, 8000}) {
         ControllerConfig config;
         config.control_cycle = SimTime::Millis(cycle_ms);
-        run(StrFormat("T = %d ms", cycle_ms), config);
+        add(StrFormat("T = %d ms", cycle_ms), config);
     }
-    table.AddSeparator();
+    group_ends.push_back(jobs.size());
 
     // Kalman estimator ablation.
     {
         ControllerConfig config;
-        run("Kalman filter on (paper)", config);
+        add("Kalman filter on (paper)", config);
         config.use_kalman = false;
-        run("Kalman filter off (b̂ frozen at profile)", config);
+        add("Kalman filter off (b̂ frozen at profile)", config);
     }
-    table.AddSeparator();
+    group_ends.push_back(jobs.size());
 
     // Minimum dwell sweep.
     for (const int dwell_ms : {100, 200, 500, 1000}) {
         ControllerConfig config;
         config.min_dwell = SimTime::Millis(dwell_ms);
-        run(StrFormat("min dwell = %d ms", dwell_ms), config);
+        add(StrFormat("min dwell = %d ms", dwell_ms), config);
     }
 
+    const std::vector<ExperimentOutcome> outcomes =
+        harness.RunComparisons(jobs, args.batch);
+    TextTable table({"Variant", "Perf delta", "Energy savings"});
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        if (std::find(group_ends.begin(), group_ends.end(), i) !=
+            group_ends.end()) {
+            table.AddSeparator();
+        }
+        table.AddRow({labels[i], StrFormat("%+.2f%%", outcomes[i].perf_delta_pct),
+                      StrFormat("%.1f%%", outcomes[i].energy_savings_pct)});
+    }
     std::printf("%s\n", table.ToString().c_str());
     std::printf("The paper's operating point (T = 2 s, 200 ms dwell, Kalman on)\n"
                 "balances measurement overhead against responsiveness.\n");

@@ -22,8 +22,7 @@ ExitWithUsage(const char* program, const char* bad,
               const char* why = "unknown or malformed argument")
 {
     std::string usage = StrFormat("usage: %s [--fast] [--jobs=N] [--runs=N] "
-                                  "[--seed=S] [--out=PATH] [--baseline=NAME] "
-                                  "[--json=PATH]",
+                                  "[--seed=S] [--json=PATH]",
                                   program);
     for (const BenchFlag& flag : extra) {
         usage += StrFormat(" [%s=%s]", flag.name, flag.number ? "N" : "VALUE");
@@ -96,10 +95,6 @@ ParseBenchArgs(int argc, char** argv, std::initializer_list<BenchFlag> extra)
             ok = ParseNumber(value, &args.runs);
         } else if (name == "--seed") {
             ok = ParseNumber(value, &args.seed);
-        } else if (name == "--out") {
-            args.out = value;
-        } else if (name == "--baseline") {
-            args.baseline = value;
         } else if (name == "--json") {
             args.json = value;
         } else {

@@ -26,8 +26,6 @@ struct BenchArgs {
     /** --runs=N: overrides the bench's profiling run count (0 = use the
      * bench default, which usually depends on --fast). */
     int runs = 0;
-    /** --out=PATH: overrides the bench's CSV artifact path. */
-    std::string out;
     /** --json=PATH: overrides the path of the bench's determinism-gated
      * snapshot. */
     std::string json;
@@ -35,11 +33,6 @@ struct BenchArgs {
      * default). Every derived seed (profiler, devices, campaigns) is an
      * offset of this root, so one flag re-seeds the whole experiment. */
     uint64_t seed = 0;
-    /** --baseline=NAME: CPU governor for the comparison baseline (empty =
-     * the stock interactive governor, the gated-snapshot configuration).
-     * E.g. --baseline=lulzactive pits the controller against the community
-     * governor in the Table III/IV comparisons. */
-    std::string baseline;
 
     /** Profiling run count: the --runs override if given, else the bench
      * default for the current speed mode. */
@@ -49,12 +42,6 @@ struct BenchArgs {
             return runs;
         }
         return fast ? fast_default : full_default;
-    }
-
-    /** CSV artifact path: the --out override if given, else @p default_name. */
-    std::string OutputPath(const std::string& default_name) const
-    {
-        return out.empty() ? default_name : out;
     }
 
     /** Snapshot path: the --json override if given, else @p default_name. */
@@ -70,7 +57,8 @@ struct BenchArgs {
     }
 };
 
-/** A bench's own `--name=VALUE` flag, accepted besides the shared ones. */
+/** A bench's own `--name=VALUE` flag (e.g. table3/4's `--baseline`), accepted
+ * besides the shared ones. A bench rejects every flag it does not declare. */
 struct BenchFlag {
     BenchFlag(const char* flag_name, std::string* text_value)
         : name(flag_name), text(text_value)
@@ -89,11 +77,11 @@ struct BenchFlag {
 };
 
 /**
- * Parses the shared flags --fast, --jobs=N, --runs=N, --seed=S, --out=PATH,
- * --baseline=NAME and --json=PATH, plus the bench's own @p extra flags,
- * anywhere in argv. Any other argument or a malformed number prints a usage
- * line to stderr and exits with status 2, so a misspelt flag can never
- * silently run the full sweep.
+ * Parses the shared flags --fast, --jobs=N, --runs=N, --seed=S and
+ * --json=PATH, plus the bench's own @p extra flags, anywhere in argv. Any
+ * other argument or a malformed number prints a usage line to stderr and
+ * exits with status 2, so a misspelt flag can never silently run the full
+ * sweep.
  */
 BenchArgs ParseBenchArgs(int argc, char** argv,
                          std::initializer_list<BenchFlag> extra = {});

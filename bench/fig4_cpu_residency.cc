@@ -8,6 +8,8 @@
  * (e.g. AngryBirds on 3 and 5, Spotify on 1 and 3).
  */
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/logging.h"
@@ -21,13 +23,23 @@ main(int argc, char** argv)
     const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
     bench::PrintHeader("E5 / Fig. 4", "CPU-frequency residency: controller vs default");
 
-    ExperimentHarness harness;
+    const ExperimentHarness harness;
     ExperimentOptions options;
     options.profile_runs = args.ProfileRuns();
     options.seed = args.SeedOr(2017);
 
-    for (const std::string& app : EvaluationAppNames()) {
-        const ExperimentOutcome outcome = harness.RunComparison(app, options);
+    // All six comparisons in one plan; outcomes land in app order.
+    const std::vector<std::string> apps = EvaluationAppNames();
+    std::vector<ComparisonJob> jobs;
+    for (const std::string& app : apps) {
+        jobs.push_back(ComparisonJob{app, options});
+    }
+    const std::vector<ExperimentOutcome> outcomes =
+        harness.RunComparisons(jobs, args.batch);
+
+    for (size_t i = 0; i < apps.size(); ++i) {
+        const std::string& app = apps[i];
+        const ExperimentOutcome& outcome = outcomes[i];
         bench::PrintResidencyComparison(app, outcome.default_run,
                                         outcome.controller_run,
                                         /*bandwidth=*/false);
@@ -35,7 +47,6 @@ main(int argc, char** argv)
         std::printf("default residency at hispeed level 10: %.1f%% "
                     "(paper range across apps: 12.7-27.9%%)\n\n",
                     default_l10);
-        std::fflush(stdout);
     }
     return 0;
 }

@@ -7,6 +7,8 @@
  * test cases.
  */
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/logging.h"
@@ -21,24 +23,30 @@ main(int argc, char** argv)
     bench::PrintHeader("E6 / Fig. 5",
                        "Memory-bandwidth residency: controller vs default");
 
-    ExperimentHarness harness;
+    const ExperimentHarness harness;
     ExperimentOptions options;
     options.profile_runs = args.ProfileRuns();
     options.seed = args.SeedOr(2017);
 
+    // All six comparisons in one plan; outcomes land in app order.
+    const std::vector<std::string> apps = EvaluationAppNames();
+    std::vector<ComparisonJob> jobs;
+    for (const std::string& app : apps) {
+        jobs.push_back(ComparisonJob{app, options});
+    }
+    const std::vector<ExperimentOutcome> outcomes =
+        harness.RunComparisons(jobs, args.batch);
+
     double controller_bw1_sum = 0.0;
-    int apps = 0;
-    for (const std::string& app : EvaluationAppNames()) {
-        const ExperimentOutcome outcome = harness.RunComparison(app, options);
-        bench::PrintResidencyComparison(app, outcome.default_run,
+    for (size_t i = 0; i < apps.size(); ++i) {
+        const ExperimentOutcome& outcome = outcomes[i];
+        bench::PrintResidencyComparison(apps[i], outcome.default_run,
                                         outcome.controller_run,
                                         /*bandwidth=*/true);
         controller_bw1_sum += outcome.controller_run.bw_residency[0] * 100.0;
-        ++apps;
-        std::fflush(stdout);
     }
-    std::printf("controller residency at bandwidth level 1, averaged over %d "
+    std::printf("controller residency at bandwidth level 1, averaged over %zu "
                 "apps: %.1f%% (paper: over 60%% in all cases)\n",
-                apps, controller_bw1_sum / apps);
+                apps.size(), controller_bw1_sum / static_cast<double>(apps.size()));
     return 0;
 }

@@ -179,10 +179,11 @@ main(int argc, char** argv)
     std::string replay_path;
     std::optional<int> campaigns_flag;
     std::string bundle_path = "chaos_crash_bundle.json";
+    std::string out;  // --out=PATH: the CSV artifact's path
     const bench::BenchArgs args = bench::ParseBenchArgs(
         argc, argv,
         {{"--replay", &replay_path}, {"--campaigns", &campaigns_flag},
-         {"--bundle", &bundle_path}});
+         {"--bundle", &bundle_path}, {"--out", &out}});
     const bool fast = args.fast;
     const uint64_t seed = args.SeedOr(kDefaultSeed);
     const int campaigns = campaigns_flag.value_or(fast ? 4 : 8);
@@ -286,7 +287,7 @@ main(int argc, char** argv)
     std::printf("%s\n", text.ToString().c_str());
 
     const std::string csv_path =
-        args.OutputPath("robustness_chaos_campaign.csv");
+        out.empty() ? "robustness_chaos_campaign.csv" : out;
     csv.WriteFile(csv_path);
     std::printf("Wrote %s\n", csv_path.c_str());
 

@@ -216,7 +216,9 @@ main(int argc, char** argv)
 {
     using namespace aeo;
     SetLogLevel(LogLevel::kQuiet);
-    const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
+    std::string out;  // --out=PATH: the CSV artifact's path
+    const bench::BenchArgs args =
+        bench::ParseBenchArgs(argc, argv, {{"--out", &out}});
     const bool fast = args.fast;
     const uint64_t seed = args.SeedOr(kDefaultSeed);
     const std::string json_path = args.JsonPath("BENCH_fault_sweep.json");
@@ -323,7 +325,7 @@ main(int argc, char** argv)
     std::printf("%s\n", text.ToString().c_str());
 
     const std::string csv_path =
-        args.OutputPath("robustness_fault_sweep.csv");
+        out.empty() ? "robustness_fault_sweep.csv" : out;
     csv.WriteFile(csv_path);
     std::printf("Wrote %s\n", csv_path.c_str());
 

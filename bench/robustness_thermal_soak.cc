@@ -168,7 +168,9 @@ main(int argc, char** argv)
 {
     using namespace aeo;
     SetLogLevel(LogLevel::kQuiet);
-    const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
+    std::string out;  // --out=PATH: the CSV artifact's path
+    const bench::BenchArgs args =
+        bench::ParseBenchArgs(argc, argv, {{"--out", &out}});
     const bool fast = args.fast;
     const uint64_t seed = args.SeedOr(kDefaultSeed);
     const std::string json_path = args.JsonPath("BENCH_thermal_soak.json");
@@ -223,7 +225,7 @@ main(int argc, char** argv)
                     StrFormat("%.6g", o.measured_power_mw.value())});
     }
     const std::string csv_path =
-        args.OutputPath("robustness_thermal_soak.csv");
+        out.empty() ? "robustness_thermal_soak.csv" : out;
     csv.WriteFile(csv_path);
 
     // --- Summary ----------------------------------------------------------

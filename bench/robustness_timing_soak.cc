@@ -151,7 +151,9 @@ main(int argc, char** argv)
 {
     using namespace aeo;
     SetLogLevel(LogLevel::kQuiet);
-    const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
+    std::string out;  // --out=PATH: the CSV artifact's path
+    const bench::BenchArgs args =
+        bench::ParseBenchArgs(argc, argv, {{"--out", &out}});
     const bool fast = args.fast;
     const uint64_t seed = args.SeedOr(kDefaultSeed);
 
@@ -279,7 +281,7 @@ main(int argc, char** argv)
     std::printf("%s\n", text.ToString().c_str());
 
     const std::string csv_path =
-        args.OutputPath("robustness_timing_soak.csv");
+        out.empty() ? "robustness_timing_soak.csv" : out;
     csv.WriteFile(csv_path);
     std::printf("Wrote %s\n", csv_path.c_str());
 

@@ -27,7 +27,11 @@ main(int argc, char** argv)
 {
     using namespace aeo;
     SetLogLevel(LogLevel::kWarn);
-    const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
+    // --baseline=NAME: CPU governor of the comparison baseline; empty (the
+    // gated snapshot) compares against interactive.
+    std::string baseline;
+    const bench::BenchArgs args =
+        bench::ParseBenchArgs(argc, argv, {{"--baseline", &baseline}});
     bench::PrintHeader("E4 / Table III",
                        "Controller vs default governors (baseline load)");
 
@@ -35,8 +39,7 @@ main(int argc, char** argv)
     ExperimentOptions options;
     options.profile_runs = args.ProfileRuns();
     options.seed = args.SeedOr(2017);
-    // Off by default: the gated snapshot compares against interactive.
-    options.baseline_cpu_governor = args.baseline;
+    options.baseline_cpu_governor = baseline;
 
     // One comparison per application, all in one plan; outcomes land in
     // TableIII row order.

@@ -28,7 +28,11 @@ main(int argc, char** argv)
 {
     using namespace aeo;
     SetLogLevel(LogLevel::kWarn);
-    const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
+    // --baseline=NAME: CPU governor of the comparison baseline; empty (the
+    // gated snapshot) compares against interactive.
+    std::string baseline;
+    const bench::BenchArgs args =
+        bench::ParseBenchArgs(argc, argv, {{"--baseline", &baseline}});
     bench::PrintHeader("E7 / Table IV",
                        "Background-load sensitivity (profiled under BL)");
 
@@ -55,8 +59,7 @@ main(int argc, char** argv)
             options.seed = seed;
             options.profile_load = BackgroundKind::kBaseline;  // §V-C: BL data
             options.run_load = load_case.kind;
-            // Off by default: the gated snapshot compares vs interactive.
-            options.baseline_cpu_governor = args.baseline;
+            options.baseline_cpu_governor = baseline;
             jobs.push_back(ComparisonJob{app, options});
         }
     }

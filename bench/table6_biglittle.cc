@@ -2,11 +2,11 @@
  * @file
  * E-het / Table VI (our extension beyond the paper's Nexus 6): the
  * coordinated controller on an Exynos 5433-style big.LITTLE platform. The
- * heterogeneous LP optimizes over the convex-hull-pruned
- * (big, LITTLE, bandwidth, placement) cross-product from
- * EnumerateHetConfigs() and is compared, at the interactive governor's
- * delivered QoS, against two per-cluster stock baselines: interactive on
- * both frequency domains and the community lulzactive governor on both.
+ * heterogeneous LP optimizes over the (big, LITTLE, bandwidth, placement)
+ * cross-product from EnumerateHetConfigs() and is compared, at the
+ * interactive governor's delivered QoS, against two per-cluster stock
+ * baselines: interactive on both frequency domains and the community
+ * lulzactive governor on both.
  *
  * Emits BENCH_table6.json (override with --json=PATH): a deterministic,
  * jobs-invariant snapshot of the per-app outcomes, %.6g-rounded, diffed
@@ -56,7 +56,7 @@ struct BigLittleOutcome {
 
 /**
  * The §V procedure transplanted to the heterogeneous platform: baseline
- * runs under both stock governors, profile the pruned cross-product under
+ * runs under both stock governors, profile the candidate grid under
  * the baseline load, then run the controller against the interactive
  * governor's delivered performance. Self-contained per app, so the app grid
  * fans out across the batch layer with bit-identical results at any worker
@@ -113,11 +113,11 @@ main(int argc, char** argv)
     bench::PrintHeader("E-het / Table VI",
                        "Heterogeneous LP on big.LITTLE (Exynos 5433-style)");
 
-    // The candidate space: per-cluster ladders pruned to their (f, P) lower
-    // hulls (bit-identical to the exhaustive LP — the oracle property test
-    // in tests/core/het_config_space_test.cc), crossed with the bandwidth
-    // grid and every admissible thread placement. --fast keeps only the
-    // extreme bandwidths, mirroring the paper's sparse profiling.
+    // The candidate space: both clusters' full ladders (every level is on
+    // its (f, P) hull, tests/power/power_curve_convexity_test.cc), crossed
+    // with the bandwidth grid and every admissible thread placement. --fast
+    // keeps the extreme and two interior bandwidths, mirroring the paper's
+    // sparse profiling.
     const PowerModel model(MakeExynos5433PowerParams());
     const ClusterTopology topology = MakeExynos5433Topology();
     HetSpaceOptions space;
@@ -126,11 +126,9 @@ main(int argc, char** argv)
     }
     const std::vector<SystemConfig> grid =
         EnumerateHetConfigs(topology, model, space);
-    HetSpaceOptions exhaustive;
-    exhaustive.prune_convex = false;
-    const size_t full_size = EnumerateHetConfigs(topology, model, exhaustive).size();
-    std::printf("Candidate grid: %zu configurations (hull-pruned from %zu)\n\n",
-                grid.size(), full_size);
+    const size_t full_size = EnumerateHetConfigs(topology, model).size();
+    std::printf("Candidate grid: %zu of %zu configurations\n\n", grid.size(),
+                full_size);
 
     const ExperimentHarness harness(MakeExynos5433Factory());
     const std::vector<std::string> apps = EvaluationAppNames();

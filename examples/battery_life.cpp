@@ -11,9 +11,20 @@
 
 #include "common/logging.h"
 #include "core/experiment.h"
-#include "power/battery.h"
 
 using namespace aeo;
+
+namespace {
+
+/** Full-battery time at a constant draw of @p power on the stock Nexus 6
+ * pack: 3220 mAh × 3.6 C/mAh × 3.8 V of energy, to the nearest µs. */
+SimTime
+TimeToEmpty(Milliwatts power)
+{
+    return SimTime::FromSecondsF(3220.0 * 3.6 * 3.8 / power.watts());
+}
+
+}  // namespace
 
 int
 main()
@@ -30,11 +41,10 @@ main()
     std::printf("default:    %s\n", outcome.default_run.Summary().c_str());
     std::printf("controller: %s\n\n", outcome.controller_run.Summary().c_str());
 
-    const Battery battery;  // stock Nexus 6 pack
-    const SimTime default_life = battery.TimeToEmpty(
-        Milliwatts(outcome.default_run.measured_avg_power_mw.value()));
-    const SimTime controlled_life = battery.TimeToEmpty(
-        Milliwatts(outcome.controller_run.measured_avg_power_mw.value()));
+    const SimTime default_life =
+        TimeToEmpty(outcome.default_run.measured_avg_power_mw);
+    const SimTime controlled_life =
+        TimeToEmpty(outcome.controller_run.measured_avg_power_mw);
 
     std::printf("full-battery playback time, default governors: %.1f h\n",
                 default_life.seconds() / 3600.0);

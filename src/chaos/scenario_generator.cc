@@ -91,56 +91,4 @@ GenerateScenario(const CampaignSpec& spec, uint64_t seed)
     return scenario;
 }
 
-std::vector<ControllerEvent>
-GenerateControllerEventStorm(uint64_t seed,
-                             const StateMachineOptions& options, int length)
-{
-    ChaosRng rng(seed);
-    ControllerStateMachine machine(options);
-    std::vector<ControllerEvent> events;
-    events.reserve(static_cast<size_t>(length));
-
-    std::vector<ControllerEvent> legal;
-    legal.reserve(kControllerEventCount);
-    while (static_cast<int>(events.size()) < length) {
-        legal.clear();
-        for (int e = 0; e < kControllerEventCount; ++e) {
-            const auto event = static_cast<ControllerEvent>(e);
-            ControllerState next;
-            if (ControllerStateMachine::ActionFor(machine.state(), event,
-                                                  options, &next)) {
-                legal.push_back(event);
-            }
-        }
-        AEO_ASSERT(!legal.empty(), "state machine has a dead state");
-        ControllerEvent pick =
-            legal[static_cast<size_t>(rng.UniformInt(
-                0, static_cast<int>(legal.size()) - 1))];
-        // Bias toward the adversarial spine (mismatch/watchdog/probe): a
-        // second draw replaces a tame pick half the time, when available.
-        if (rng.Bernoulli(0.5)) {
-            for (const ControllerEvent candidate :
-                 {ControllerEvent::kActuationMismatch,
-                  ControllerEvent::kWatchdogTrip,
-                  ControllerEvent::kProbeFailed, ControllerEvent::kProbeOk}) {
-                if (std::find(legal.begin(), legal.end(), candidate) !=
-                        legal.end() &&
-                    rng.Bernoulli(0.5)) {
-                    pick = candidate;
-                    break;
-                }
-            }
-        }
-        // kControlStopped parks the machine in the terminal state and the
-        // storm would flatline; keep the walk alive unless it is the only
-        // legal move.
-        if (pick == ControllerEvent::kControlStopped && legal.size() > 1) {
-            continue;
-        }
-        machine.Dispatch(pick);
-        events.push_back(pick);
-    }
-    return events;
-}
-
 }  // namespace aeo::chaos

@@ -15,25 +15,13 @@
 #define AEO_CHAOS_SCENARIO_GENERATOR_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "chaos/scenario.h"
-#include "core/controller_state_machine.h"
 
 namespace aeo::chaos {
 
 /** Generates the scenario @p seed implies under @p spec. Deterministic. */
 ChaosScenario GenerateScenario(const CampaignSpec& spec, uint64_t seed);
-
-/**
- * A chaos-shaped event sequence for ControllerStateMachine property tests:
- * a seeded random walk of @p length events where each step is drawn from
- * the events ActionFor() declares legal in the current state (so a correct
- * machine must accept every step), biased toward the adversarial cycle of
- * mismatch -> clamp -> watchdog -> probe. Deterministic in @p seed.
- */
-std::vector<ControllerEvent> GenerateControllerEventStorm(
-    uint64_t seed, const StateMachineOptions& options, int length);
 
 }  // namespace aeo::chaos
 

@@ -7,16 +7,12 @@
 namespace aeo {
 
 namespace {
-std::atomic<LogLevel> g_log_level{LogLevel::kInfo};
+std::atomic<LogLevel> g_log_level{LogLevel::kWarn};
 
 const char*
 LevelTag(LogLevel level)
 {
     switch (level) {
-      case LogLevel::kDebug:
-        return "debug";
-      case LogLevel::kInfo:
-        return "info";
       case LogLevel::kWarn:
         return "warn";
       case LogLevel::kQuiet:

@@ -2,8 +2,8 @@
  * @file
  * Logging and error-reporting primitives.
  *
- * Follows gem5's message taxonomy:
- *  - Inform(): normal operating status, no connotation of misbehaviour.
+ * Follows gem5's message taxonomy (without its informational levels, which
+ * nothing here emits):
  *  - Warn():   something may not be modelled perfectly but execution can
  *              continue.
  *  - Fatal():  the run cannot continue due to a user/configuration error;
@@ -21,12 +21,10 @@
 
 namespace aeo {
 
-/** Severity of a log message. */
+/** Severity of a log message; kQuiet prints none. */
 enum class LogLevel {
-    kDebug = 0,
-    kInfo = 1,
-    kWarn = 2,
-    kQuiet = 3,
+    kWarn = 0,
+    kQuiet = 1,
 };
 
 /** Error thrown by Fatal(): unrecoverable user/configuration error. */
@@ -45,22 +43,6 @@ namespace internal {
 void LogMessage(LogLevel level, const std::string& msg);
 [[noreturn]] void PanicMessage(const std::string& msg, const char* file, int line);
 }  // namespace internal
-
-/** Prints an informational message (printf-style formatting). */
-template <typename... Args>
-void
-Inform(const char* fmt, Args&&... args)
-{
-    internal::LogMessage(LogLevel::kInfo, StrFormat(fmt, std::forward<Args>(args)...));
-}
-
-/** Prints a debug message (printf-style formatting). */
-template <typename... Args>
-void
-Debug(const char* fmt, Args&&... args)
-{
-    internal::LogMessage(LogLevel::kDebug, StrFormat(fmt, std::forward<Args>(args)...));
-}
 
 /** Prints a warning: questionable modelling, execution continues. */
 template <typename... Args>

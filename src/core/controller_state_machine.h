@@ -59,7 +59,7 @@ enum class ControllerEvent {
     /** Clamp evidence persisted for cap_confirm_cycles; the feasible set
      * is now masked. */
     kClampConfirmed,
-    /** A learned clamp went unconfirmed for cap_recheck_cycles and was
+    /** A learned clamp went unconfirmed for kCapRecheckCycles and was
      * dropped; the full table is feasible again. */
     kCapExpired,
     /** The drift detector applied a correction to the working table. */

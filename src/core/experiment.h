@@ -48,7 +48,7 @@ struct ExperimentOptions {
      * stock interactive governor, the paper's comparison point and the
      * byte-identical legacy path. Any registered governor name works —
      * e.g. "lulzactive" compares the controller against the community
-     * governor instead (bench flag --baseline=lulzactive).
+     * governor instead (table3/table4 flag --baseline=lulzactive).
      */
     std::string baseline_cpu_governor;
     /** Controller tuning; target_gips is filled from the default run. */

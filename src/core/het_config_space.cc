@@ -1,83 +1,9 @@
 #include "core/het_config_space.h"
 
-#include <cstddef>
-
-#include "common/logging.h"
-
 namespace aeo {
 
-std::vector<int>
-ConvexHullLevels(int size, const std::vector<double>& freq_at,
-                 const std::vector<double>& power_at)
-{
-    AEO_ASSERT(size >= 1, "empty level range");
-    AEO_ASSERT(freq_at.size() == static_cast<size_t>(size) &&
-                   power_at.size() == static_cast<size_t>(size),
-               "curve arrays must match the level count");
-    for (int i = 1; i < size; ++i) {
-        AEO_ASSERT(freq_at[static_cast<size_t>(i)] >
-                       freq_at[static_cast<size_t>(i - 1)],
-                   "frequencies must be strictly increasing");
-    }
-
-    // Andrew monotone chain, lower hull only: levels are already sorted by
-    // frequency, so one forward walk suffices. A point is popped when it
-    // lies on or above the segment joining its neighbours — on-segment
-    // (collinear) points are redundant for time-mixing and dropping them
-    // keeps the hull minimal.
-    std::vector<int> hull;
-    hull.reserve(static_cast<size_t>(size));
-    for (int i = 0; i < size; ++i) {
-        const auto above_or_on = [&]() {
-            if (hull.size() < 2) {
-                return false;
-            }
-            const auto a = static_cast<size_t>(hull[hull.size() - 2]);
-            const auto b = static_cast<size_t>(hull[hull.size() - 1]);
-            const auto c = static_cast<size_t>(i);
-            const double cross =
-                (freq_at[b] - freq_at[a]) * (power_at[c] - power_at[a]) -
-                (power_at[b] - power_at[a]) * (freq_at[c] - freq_at[a]);
-            return cross <= 0.0;
-        };
-        while (above_or_on()) {
-            hull.pop_back();
-        }
-        hull.push_back(i);
-    }
-    return hull;
-}
-
-std::vector<double>
-ClusterPowerCurve(const PowerModel& model, const ClusterSpec& cluster)
-{
-    const FrequencyTable& table = cluster.table;
-    std::vector<double> curve;
-    curve.reserve(static_cast<size_t>(table.size()));
-    for (int level = 0; level < table.size(); ++level) {
-        curve.push_back(model.ClusterCpuPower(
-            table.FrequencyAt(level), table.VoltageAt(level), cluster.num_cores,
-            /*busy_cores=*/static_cast<double>(cluster.num_cores),
-            cluster.dyn_power_scale, cluster.leak_power_scale,
-            /*leak_temp_scale=*/1.0));
-    }
-    return curve;
-}
-
-std::vector<int>
-ConvexPrunedLevels(const PowerModel& model, const ClusterSpec& cluster)
-{
-    const FrequencyTable& table = cluster.table;
-    std::vector<double> freqs;
-    freqs.reserve(static_cast<size_t>(table.size()));
-    for (int level = 0; level < table.size(); ++level) {
-        freqs.push_back(table.FrequencyAt(level).value());
-    }
-    return ConvexHullLevels(table.size(), freqs, ClusterPowerCurve(model, cluster));
-}
-
 std::vector<SystemConfig>
-EnumerateHetConfigs(const ClusterTopology& topology, const PowerModel& model,
+EnumerateHetConfigs(const ClusterTopology& topology, const PowerModel&,
                     const HetSpaceOptions& options)
 {
     std::vector<int> bw_levels = options.bw_levels;
@@ -86,24 +12,14 @@ EnumerateHetConfigs(const ClusterTopology& topology, const PowerModel& model,
             bw_levels.push_back(bw);
         }
     }
-
-    const auto primary_levels =
-        options.prune_convex
-            ? ConvexPrunedLevels(model, topology.primary())
-            : [&] {
-                  std::vector<int> all;
-                  for (int i = 0; i < topology.primary().table.size(); ++i) {
-                      all.push_back(i);
-                  }
-                  return all;
-              }();
+    const int big_levels = topology.primary().table.size();
 
     std::vector<SystemConfig> grid;
     if (!topology.is_heterogeneous()) {
         // Legacy (cpu, bw) grid: sentinels untouched, byte-compatible with
         // the historical enumeration.
-        grid.reserve(primary_levels.size() * bw_levels.size());
-        for (const int cpu : primary_levels) {
+        grid.reserve(static_cast<size_t>(big_levels) * bw_levels.size());
+        for (int cpu = 0; cpu < big_levels; ++cpu) {
             for (const int bw : bw_levels) {
                 grid.push_back(SystemConfig{cpu, bw});
             }
@@ -111,26 +27,13 @@ EnumerateHetConfigs(const ClusterTopology& topology, const PowerModel& model,
         return grid;
     }
 
-    const auto little_levels =
-        options.prune_convex
-            ? ConvexPrunedLevels(model, topology.little())
-            : [&] {
-                  std::vector<int> all;
-                  for (int i = 0; i < topology.little().table.size(); ++i) {
-                      all.push_back(i);
-                  }
-                  return all;
-              }();
-
-    std::vector<ThreadPlacement> placements = options.placements;
-    if (placements.empty()) {
-        placements = topology.AdmissiblePlacements();
-    }
-
-    grid.reserve(primary_levels.size() * little_levels.size() *
+    const int little_levels = topology.little().table.size();
+    const std::vector<ThreadPlacement> placements =
+        topology.AdmissiblePlacements();
+    grid.reserve(static_cast<size_t>(big_levels * little_levels) *
                  bw_levels.size() * placements.size());
-    for (const int big : primary_levels) {
-        for (const int little : little_levels) {
+    for (int big = 0; big < big_levels; ++big) {
+        for (int little = 0; little < little_levels; ++little) {
             for (const int bw : bw_levels) {
                 for (const ThreadPlacement placement : placements) {
                     SystemConfig config{big, bw};

@@ -1,27 +1,19 @@
 /**
  * @file
- * The heterogeneous configuration space and its convexity pruner.
+ * The heterogeneous configuration space.
  *
  * A big.LITTLE topology turns the paper's (CPU level × bandwidth level)
  * grid into a four-axis cross-product (big level × LITTLE level ×
- * bandwidth level × placement) — 7·6·8·3 ≈ 1000 points on an
- * Exynos 5433-class part, an order of magnitude more than the 18-point
- * Nexus 6 grid the offline profiler was sized for. Most of it is provably
- * wasted work: for a fixed workload, a cluster's operating point with
- * energy-per-cycle e(f) = P(f)/f strictly above the lower convex hull of
- * the cluster's (f, P) curve is *energy-dominated* — time-mixing the two
- * neighbouring hull OPPs delivers the same average throughput for less
- * energy, and the schedule LP (4)–(7) mixes configurations in time anyway.
- * So only hull levels can appear in an optimal schedule, and the
- * cross-product needs to enumerate ≤ O(hull_big × hull_little) frequency
- * pairs instead of all n_big × n_little.
- *
- * ConvexHullLevels implements the pruning walk (Andrew monotone chain on
- * the per-cluster power curve); EnumerateHetConfigs builds the pruned —
- * or, for the oracle tests, exhaustive — candidate list as SystemConfigs
- * ready for the profiler and optimizer. The randomized property test in
- * tests/core/het_config_space_test.cc proves the pruned optimizer
- * bit-identical to the brute-force pair search on 1000 seeded tables.
+ * bandwidth level × placement): 7·6·8·3 = 1008 points on an
+ * Exynos 5433-class part, an order of magnitude more than the 234-point
+ * Nexus 6 grid. Every level of every ladder is a candidate: a cluster's
+ * full-load P(f) is strictly convex on each ladder we ship, so each OPP
+ * lies on the lower convex hull of its (f, P) curve and no level is
+ * energy-dominated by a time-mix of its neighbours. That law is tested in
+ * tests/power/power_curve_convexity_test.cc (label invariants), and
+ * tests/core/het_config_space_test.cc checks the optimizer over the full
+ * cross-product bit-identical to the brute-force pair search on 1000
+ * seeded tables.
  */
 #ifndef AEO_CORE_HET_CONFIG_SPACE_H_
 #define AEO_CORE_HET_CONFIG_SPACE_H_
@@ -36,51 +28,22 @@ namespace aeo {
 
 /** Enumeration options for the heterogeneous candidate grid. */
 struct HetSpaceOptions {
-    /**
-     * Prune each cluster's frequency ladder to the lower convex hull of its
-     * (frequency, full-load power) curve before taking the cross-product.
-     * Off = exhaustive enumeration (the oracle the property tests compare
-     * against).
-     */
-    bool prune_convex = true;
     /** Bandwidth levels to include; empty = every level of the table. */
     std::vector<int> bw_levels;
-    /** Placements to include; empty = the topology's admissible set. */
-    std::vector<ThreadPlacement> placements;
 };
 
 /**
- * 0-based level indices (ascending) on the lower convex hull of the curve
- * {(freq_at(i), power_at(i))}. The first and last level are always kept;
- * an interior level survives only if it lies strictly below the segment
- * joining its hull neighbours. @p freq_at must be strictly increasing.
- */
-std::vector<int> ConvexHullLevels(int size, const std::vector<double>& freq_at,
-                                  const std::vector<double>& power_at);
-
-/**
- * @p cluster's full-load CPU power at every OPP (all cores online and
- * busy, reference temperature) under @p model — the power curve the
- * convexity pruner walks.
- */
-std::vector<double> ClusterPowerCurve(const PowerModel& model,
-                                      const ClusterSpec& cluster);
-
-/** The hull-pruned frequency levels of @p cluster under @p model. */
-std::vector<int> ConvexPrunedLevels(const PowerModel& model,
-                                    const ClusterSpec& cluster);
-
-/**
  * The candidate configuration grid for @p topology: the (big × LITTLE ×
- * bandwidth × placement) cross-product on big.LITTLE, the legacy
- * (cpu × bandwidth) grid on a homogeneous topology (little_level and
- * placement keep their sentinel defaults there, so the resulting configs
- * are byte-compatible with the historical grid). Order: big level
- * outermost, then LITTLE, bandwidth, placement — ascending each.
+ * bandwidth × placement) cross-product over the admissible placements on
+ * big.LITTLE, the legacy (cpu × bandwidth) grid on a homogeneous topology
+ * (little_level and placement keep their sentinel defaults there, so the
+ * resulting configs are byte-compatible with the historical grid). Order:
+ * big level outermost, then LITTLE, bandwidth, placement — ascending each.
  */
-std::vector<SystemConfig> EnumerateHetConfigs(const ClusterTopology& topology,
-                                              const PowerModel& model,
-                                              const HetSpaceOptions& options = {});
+std::vector<SystemConfig> EnumerateHetConfigs(
+    const ClusterTopology& topology,
+    const PowerModel& /* unused; kept so existing callers build unchanged */,
+    const HetSpaceOptions& options = {});
 
 }  // namespace aeo
 

@@ -55,8 +55,7 @@ struct ProfilerOptions {
      * Explicit measurement grid. Non-empty overrides every grid knob above
      * and disables bandwidth interpolation — the big.LITTLE path, where the
      * caller enumerates the (big, little, bw, placement) cross-product with
-     * EnumerateHetConfigs() and hands the pruned candidate list straight to
-     * the profiler.
+     * EnumerateHetConfigs() and hands it straight to the profiler.
      */
     std::vector<SystemConfig> configs;
     /** Runs averaged per configuration (the paper uses 3). */

@@ -10,6 +10,39 @@ namespace aeo {
 
 namespace {
 
+/** Kalman base-speed estimator tuning. */
+constexpr double kKalmanProcessVar = 1e-5;
+constexpr double kKalmanMeasurementVar = 1e-4;
+
+/** Retry/backoff policy handed to the platform's actuator. */
+constexpr platform::ActuationRetryPolicy kActuationRetry{};
+
+/**
+ * Plausibility ceiling for a measured performance sample, as a multiple of
+ * (base-speed estimate × max profiled speedup). A window average above this
+ * is treated as garbage and the cycle runs degraded.
+ */
+constexpr double kPlausibilityFactor = 4.0;
+
+/**
+ * A clamp learned from read-back mismatches expires after this many cycles
+ * without re-confirmation, letting the controller re-probe the full table
+ * once the device has cooled. (The policy-limit cap read from
+ * scaling_max_freq refreshes every cycle and needs no expiry.)
+ */
+constexpr int kCapRecheckCycles = 5;
+
+/**
+ * Deadline thresholds of the control tick (DESIGN.md §13). Lateness up to
+ * kTickJitterTolerance × T is jitter (same epoch, data usable); at least
+ * kSuspendGapPeriods × T is a suspend gap; in between the epoch slipped (a
+ * deadline miss), handled per ControllerConfig::deadline_miss_policy.
+ */
+constexpr double kTickJitterTolerance = 0.25;
+constexpr double kSuspendGapPeriods = 3.0;
+static_assert(kSuspendGapPeriods > kTickJitterTolerance,
+              "suspend threshold must exceed the jitter tolerance");
+
 RegulatorConfig
 MakeRegulatorConfig(const ProfileTable& table, const ControllerConfig& config)
 {
@@ -18,12 +51,10 @@ MakeRegulatorConfig(const ProfileTable& table, const ControllerConfig& config)
     reg.initial_base_speed = table.base_speed_gips();
     reg.min_speedup = table.min_speedup();
     reg.max_speedup = table.max_speedup();
-    reg.kalman_process_var =
-        config.use_kalman ? config.kalman_process_var : 0.0;
+    reg.kalman_process_var = config.use_kalman ? kKalmanProcessVar : 0.0;
     // With the Kalman filter disabled, a huge measurement variance freezes
     // the estimate at the profiled base speed (gain → 0).
-    reg.kalman_measurement_var =
-        config.use_kalman ? config.kalman_measurement_var : 1e12;
+    reg.kalman_measurement_var = config.use_kalman ? kKalmanMeasurementVar : 1e12;
     reg.surplus_band = config.regulator_surplus_band;
     reg.max_step_down = config.regulator_max_step_down;
     return reg;
@@ -61,15 +92,9 @@ OnlineController::OnlineController(platform::Platform* platform,
     AEO_ASSERT(platform_ != nullptr, "controller needs a platform");
     AEO_ASSERT(config_.target_gips > 0.0, "controller needs a performance target");
     AEO_ASSERT(config_.watchdog_threshold > 0, "watchdog threshold must be positive");
-    AEO_ASSERT(config_.plausibility_factor > 0.0, "plausibility factor must be positive");
-    AEO_ASSERT(config_.cap_recheck_cycles > 0, "cap recheck must be positive");
     AEO_ASSERT(config_.cap_confirm_cycles > 0, "cap confirm must be positive");
     AEO_ASSERT(config_.reengage_probe_cycles > 0 && config_.reengage_successes > 0,
                "re-engagement tuning must be positive");
-    AEO_ASSERT(config_.tick_jitter_tolerance >= 0.0,
-               "jitter tolerance must be non-negative");
-    AEO_ASSERT(config_.suspend_gap_periods > config_.tick_jitter_tolerance,
-               "suspend threshold must exceed the jitter tolerance");
     AEO_ASSERT(config_.deadline_storm_threshold > 0,
                "deadline storm threshold must be positive");
     for (size_t i = 0; i < table_.entries().size(); ++i) {
@@ -81,7 +106,7 @@ OnlineController::OnlineController(platform::Platform* platform,
         config_index_.emplace(entry.config, i);
     }
     platform::Actuator& actuator = platform_->actuator();
-    actuator.ConfigureActuation(config_.min_dwell, config_.retry);
+    actuator.ConfigureActuation(config_.min_dwell, kActuationRetry);
     actuator.SetReadbackVerification(config_.readback_verification);
 }
 
@@ -95,9 +120,9 @@ OnlineController::Start()
     const double writes_per_cycle =
         2.0 * (1.0 + (controls_bandwidth_ ? 1.0 : 0.0) + (controls_gpu_ ? 1.0 : 0.0));
     const double overhead_mw =
-        (config_.compute_seconds.value() * config_.compute_power_mw.value() +
-         writes_per_cycle * config_.actuation_seconds.value() *
-             config_.actuation_power_mw.value()) /
+        (kControllerComputeTime.value() * kControllerComputePower.value() +
+         writes_per_cycle * kActuationWriteTime.value() *
+             kActuationWritePower.value()) /
         config_.control_cycle.seconds();
     platform_->SetControllerOverheadPower(overhead_mw);
 
@@ -129,8 +154,8 @@ OnlineController::CyclePolicy() const
 {
     platform::DeadlinePolicy policy;
     policy.period = config_.control_cycle;
-    policy.jitter_tolerance = config_.tick_jitter_tolerance;
-    policy.suspend_gap_periods = config_.suspend_gap_periods;
+    policy.jitter_tolerance = kTickJitterTolerance;
+    policy.suspend_gap_periods = kSuspendGapPeriods;
     policy.miss_policy = config_.deadline_miss_policy;
     return policy;
 }
@@ -272,7 +297,7 @@ OnlineController::ConsumeDeliveries(
                 // No re-confirmation: let a stale clamp expire so the
                 // controller re-probes the full table once the device has
                 // recovered.
-                if (++mismatch_cap_age_ >= config_.cap_recheck_cycles) {
+                if (++mismatch_cap_age_ >= kCapRecheckCycles) {
                     machine_.Dispatch(ControllerEvent::kCapExpired);
                     mismatch_cpu_cap_ = kNoCap;
                     mismatch_bw_cap_ = kNoCap;
@@ -485,7 +510,7 @@ OnlineController::RunCycle(const platform::TickInfo& tick)
     const bool plausible =
         window.samples > 0 && std::isfinite(window.avg_gips) &&
         window.avg_gips > 0.0 &&
-        window.avg_gips <= config_.plausibility_factor *
+        window.avg_gips <= kPlausibilityFactor *
                                regulator_.base_speed_estimate() *
                                table_.max_speedup();
     const bool usable = plausible && !stale_guard;

@@ -56,6 +56,16 @@
 
 namespace aeo {
 
+/**
+ * The controller's own cost, charged to the plant every control cycle
+ * (§V-A1): the regulator and optimizer compute for under 10 ms at ~25 mW,
+ * and each sysfs actuation write draws ~14 mW during its transition.
+ */
+inline constexpr Seconds kControllerComputeTime{0.010};
+inline constexpr Milliwatts kControllerComputePower{25.0};
+inline constexpr Seconds kActuationWriteTime{0.0002};
+inline constexpr Milliwatts kActuationWritePower{14.0};
+
 /** Controller tuning (paper values as defaults). */
 struct ControllerConfig {
     /** Target performance r, GIPS. Must be set. */
@@ -64,9 +74,6 @@ struct ControllerConfig {
     SimTime control_cycle = SimTime::FromSeconds(2);
     /** Minimum dwell per configuration (§V-A: 200 ms). */
     SimTime min_dwell = SimTime::Millis(200);
-    /** Kalman tuning. */
-    double kalman_process_var = 1e-5;
-    double kalman_measurement_var = 1e-4;
     /** Disable the Kalman filter (ablation): hold b̂ at the profiled value. */
     bool use_kalman = true;
     /**
@@ -86,26 +93,12 @@ struct ControllerConfig {
      * keeps the paper's regulator, bit-identical.
      */
     double regulator_max_step_down = kUnlimitedStep;
-    /** Regulator+optimizer computation cost (§V-A1: <10 ms at ~25 mW). */
-    Milliwatts compute_power_mw = Milliwatts(25.0);
-    Seconds compute_seconds = Seconds(0.010);
-    /** Cost per sysfs actuation write (§V-A1: ~14 mW during transitions). */
-    Milliwatts actuation_power_mw = Milliwatts(14.0);
-    Seconds actuation_seconds = Seconds(0.0002);
-    /** Retry/backoff policy handed to the platform's actuator. */
-    platform::ActuationRetryPolicy retry = {};
     /**
      * Watchdog threshold K: after this many consecutive control cycles whose
      * actuation failed, the controller abandons userspace control and hands
      * the device back to the stock governors.
      */
     int watchdog_threshold = 3;
-    /**
-     * Plausibility ceiling for a measured performance sample, as a multiple
-     * of (base-speed estimate × max profiled speedup). A window average
-     * above this is treated as garbage and the cycle runs degraded.
-     */
-    double plausibility_factor = 4.0;
     /**
      * Read-back verification of every actuation write (see the Actuator
      * interface). Clamped configurations discovered this way are masked out
@@ -114,13 +107,6 @@ struct ControllerConfig {
      * (pre-hardening behaviour).
      */
     bool readback_verification = true;
-    /**
-     * A clamp learned from read-back mismatches expires after this many
-     * cycles without re-confirmation, letting the controller re-probe the
-     * full table once the device has cooled. (The policy-limit cap read
-     * from scaling_max_freq refreshes every cycle and needs no expiry.)
-     */
-    int cap_recheck_cycles = 5;
     /**
      * A mismatch cap only engages after clamp evidence in this many
      * consecutive control cycles. A genuine silent clamp (thermal ceiling,
@@ -142,13 +128,10 @@ struct ControllerConfig {
     int reengage_probe_cycles = 5;
     int reengage_successes = 3;
     /**
-     * Deadline policy for the control tick (DESIGN.md §13). Lateness up to
-     * tick_jitter_tolerance × T is jitter (same epoch, data usable); at
-     * least suspend_gap_periods × T is a suspend gap; in between the epoch
-     * slipped (a deadline miss), handled per deadline_miss_policy.
+     * Deadline policy for the control tick (DESIGN.md §13): how a tick that
+     * is late past the jitter tolerance but short of a suspend gap (a
+     * deadline miss) is handled.
      */
-    double tick_jitter_tolerance = 0.25;
-    double suspend_gap_periods = 3.0;
     platform::DeadlineMissPolicy deadline_miss_policy =
         platform::DeadlineMissPolicy::kSkipAndResync;
     /**

@@ -44,12 +44,6 @@ DevfreqPolicy::DevfreqPolicy(Simulator* sim, MemoryBus* bus,
     AEO_ASSERT(traffic_meter_ != nullptr, "devfreq policy wired with null meter");
 }
 
-void
-DevfreqPolicy::RequestBandwidthAtOrAbove(MegabytesPerSecond need)
-{
-    RequestLevel(table().LevelAtOrAbove(need));
-}
-
 double
 DevfreqPolicy::ValueOfLevel(int level) const
 {

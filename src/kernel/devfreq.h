@@ -33,9 +33,6 @@ class DevfreqPolicy : public DvfsPolicy {
                   const BusTrafficMeter* traffic_meter, Sysfs* sysfs,
                   std::string sysfs_root);
 
-    /** Requests the smallest level with bandwidth ≥ @p need. */
-    void RequestBandwidthAtOrAbove(MegabytesPerSecond need);
-
     /** The bandwidth table. */
     const BandwidthTable& table() const { return bus_->table(); }
 

@@ -58,12 +58,6 @@ TEST_F(DevfreqTest, LimitsClampRequests)
     EXPECT_EQ(bus_.level(), 8);
 }
 
-TEST_F(DevfreqTest, RequestBandwidthAtOrAbove)
-{
-    policy_.RequestBandwidthAtOrAbove(MegabytesPerSecond(5000.0));
-    EXPECT_EQ(bus_.level(), 7);  // 5996 is the first ≥ 5000
-}
-
 TEST_F(DevfreqTest, MinMaxFreqFiles)
 {
     EXPECT_TRUE(sysfs_.Write("/sys/devfreq/min_freq", "1525"));

@@ -193,7 +193,7 @@ TEST(FakePlatformControllerTest, PersistentClampMasksTheWorkingTable)
     EXPECT_GT(controller.safe_mode_cycle_count(), 0u);
     EXPECT_EQ(controller.state(), ControllerState::kSafeMode);
 
-    // Clamp evidence gone: the cap expires after cap_recheck_cycles and the
+    // Clamp evidence gone: the cap expires after kCapRecheckCycles and the
     // full table returns.
     plat.fake_actuator().ScriptDeliveries({});
     plat.sim().RunUntil(SimTime::FromSeconds(5 + 2 * 6));
