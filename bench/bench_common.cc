@@ -128,10 +128,10 @@ MonotonicSeconds()
 }
 
 void
-WriteSnapshotFile(const std::string& path, const std::string& json_text)
+WriteSnapshotFile(const std::string& path, const std::string& text)
 {
     std::ofstream out(path);
-    out << json_text;
+    out << text;
     out.close();
     if (!out) {
         // A gate that diffs this path must never pass on a stale file.

@@ -101,9 +101,10 @@ void RejectSeed(const BenchArgs& args, const char* program);
  */
 double MonotonicSeconds();
 
-/** Writes @p json_text to @p path and prints a "Wrote" line. A path that
- * cannot be written stops the bench with exit status 1. */
-void WriteSnapshotFile(const std::string& path, const std::string& json_text);
+/** Writes @p text (a snapshot, or a robustness bench's CSV) to @p path and
+ * prints a "Wrote" line. A path that cannot be written stops the bench with
+ * exit status 1. */
+void WriteSnapshotFile(const std::string& path, const std::string& text);
 
 /**
  * Writes the non-deterministic perf sidecar `<snapshot_path>.perf.json`:

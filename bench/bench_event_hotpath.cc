@@ -70,8 +70,10 @@ std::atomic<uint64_t> g_alloc_count{0};
 
 // Counting allocator hook: every heap allocation in this binary passes
 // through here. Lives in this TU only — the hook is per-binary, the library
-// under test is unchanged.
-void*
+// under test is unchanged. The operators stay out of line: inlined into a
+// new-expression's cleanup, the malloc/free pair behind them reads to gcc
+// as a new/free mismatch (-Wmismatched-new-delete).
+[[gnu::noinline]] void*
 operator new(std::size_t size)
 {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
@@ -81,31 +83,46 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
-void*
+[[gnu::noinline]] void*
 operator new[](std::size_t size)
 {
     return ::operator new(size);
 }
 
-void
+// The nothrow forms too (std::stable_sort's temporary buffer): a sanitizer
+// runtime supplies its own, whose blocks the delete below could not free.
+[[gnu::noinline]] void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
+[[gnu::noinline]] void*
+operator new[](std::size_t size, const std::nothrow_t&) noexcept
+{
+    return ::operator new(size, std::nothrow);
+}
+
+[[gnu::noinline]] void
 operator delete(void* p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void* p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void* p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void* p, std::size_t) noexcept
 {
     std::free(p);

@@ -286,10 +286,8 @@ main(int argc, char** argv)
     }
     std::printf("%s\n", text.ToString().c_str());
 
-    const std::string csv_path =
-        out.empty() ? "robustness_chaos_campaign.csv" : out;
-    csv.WriteFile(csv_path);
-    std::printf("Wrote %s\n", csv_path.c_str());
+    bench::WriteSnapshotFile(out.empty() ? "robustness_chaos_campaign.csv" : out,
+                             csv.ToString());
 
     bench::WriteSnapshotFile(json_path,
                              SnapshotJson(args, seed, fast, reports).Dump(2) + "\n");

@@ -324,10 +324,8 @@ main(int argc, char** argv)
     }
     std::printf("%s\n", text.ToString().c_str());
 
-    const std::string csv_path =
-        out.empty() ? "robustness_fault_sweep.csv" : out;
-    csv.WriteFile(csv_path);
-    std::printf("Wrote %s\n", csv_path.c_str());
+    bench::WriteSnapshotFile(out.empty() ? "robustness_fault_sweep.csv" : out,
+                             csv.ToString());
 
     bench::WriteSnapshotFile(
         json_path, SnapshotJson(args, seed, fast, sweep_rows).Dump(2) + "\n");

@@ -224,9 +224,6 @@ main(int argc, char** argv)
                     a.safe_mode ? "1" : "0", StrFormat("%.6g", o.measured_gips),
                     StrFormat("%.6g", o.measured_power_mw.value())});
     }
-    const std::string csv_path =
-        out.empty() ? "robustness_thermal_soak.csv" : out;
-    csv.WriteFile(csv_path);
 
     // --- Summary ----------------------------------------------------------
     auto violation_pct = [&](const SoakRun& run) {
@@ -250,7 +247,8 @@ main(int argc, char** argv)
     add_row("clamp-aware", aware);
     add_row("clamp-oblivious", oblivious);
     std::printf("%s\n", text.ToString().c_str());
-    std::printf("Wrote %s (%zu cycles)\n", csv_path.c_str(), cycles);
+    bench::WriteSnapshotFile(out.empty() ? "robustness_thermal_soak.csv" : out,
+                             csv.ToString());
 
     bench::WriteSnapshotFile(
         json_path,

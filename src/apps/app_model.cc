@@ -36,13 +36,6 @@ AppModel::AppModel(AppSpec spec, uint64_t seed) : spec_(std::move(spec)), rng_(s
     EnterPhase(0);
 }
 
-const AppPhase&
-AppModel::phase() const
-{
-    AEO_ASSERT(!finished_, "no current phase after finishing");
-    return spec_.phases[phase_index_];
-}
-
 double
 AppModel::JitterDraw()
 {
@@ -156,34 +149,6 @@ AppModel::Advance(SimTime dt, double executed_gi)
         }
         break;
     }
-}
-
-const WorkloadDemand&
-AppModel::CurrentDemand() const
-{
-    static const WorkloadDemand kIdle{1.0, 1.0, 0.0, 0.0};
-    if (finished_) {
-        return kIdle;
-    }
-    return active_demand_;
-}
-
-double
-AppModel::CurrentComponentPower() const
-{
-    if (finished_) {
-        return 0.0;
-    }
-    return phase().component_mw;
-}
-
-double
-AppModel::CurrentGpuUnitsPerGi() const
-{
-    if (finished_) {
-        return 0.0;
-    }
-    return phase().gpu_units_per_gi;
 }
 
 std::string

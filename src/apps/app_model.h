@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/random.h"
 #include "sim/time.h"
 #include "soc/execution_engine.h"
@@ -102,13 +103,26 @@ class AppModel {
     bool Finished() const { return finished_; }
 
     /** The demand the device should apply right now. */
-    const WorkloadDemand& CurrentDemand() const;
+    const WorkloadDemand&
+    CurrentDemand() const
+    {
+        static constexpr WorkloadDemand kIdle{1.0, 1.0, 0.0, 0.0};
+        return finished_ ? kIdle : active_demand_;
+    }
 
     /** Non-CPU component power right now, mW. */
-    double CurrentComponentPower() const;
+    double
+    CurrentComponentPower() const
+    {
+        return finished_ ? 0.0 : phase().component_mw;
+    }
 
     /** GPU render-units generated per giga-instruction right now. */
-    double CurrentGpuUnitsPerGi() const;
+    double
+    CurrentGpuUnitsPerGi() const
+    {
+        return finished_ ? 0.0 : phase().gpu_units_per_gi;
+    }
 
     /** Name of the current phase ("done" when finished). */
     std::string CurrentPhaseName() const;
@@ -137,7 +151,13 @@ class AppModel {
     /** Sub-state within a kFrame phase. */
     enum class FrameState { kComputing, kSlack };
 
-    const AppPhase& phase() const;
+    const AppPhase&
+    phase() const
+    {
+        AEO_ASSERT(!finished_, "no current phase after finishing");
+        return spec_.phases[phase_index_];
+    }
+
     void EnterPhase(size_t index);
     void NextPhase();
     void StartFrame();

@@ -1,6 +1,5 @@
 #include "common/csv.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/logging.h"
@@ -63,19 +62,6 @@ CsvWriter::ToString() const
         out << '\n';
     }
     return out.str();
-}
-
-void
-CsvWriter::WriteFile(const std::string& path) const
-{
-    std::ofstream file(path);
-    if (!file) {
-        Fatal("cannot open '%s' for writing", path.c_str());
-    }
-    file << ToString();
-    if (!file) {
-        Fatal("error writing '%s'", path.c_str());
-    }
 }
 
 }  // namespace aeo

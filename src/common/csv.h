@@ -22,9 +22,6 @@ class CsvWriter {
     /** Serializes header + rows. */
     std::string ToString() const;
 
-    /** Writes the serialized CSV to @p path; Fatal() on I/O error. */
-    void WriteFile(const std::string& path) const;
-
     /** Number of data rows. */
     size_t row_count() const { return rows_.size(); }
 

@@ -1,6 +1,7 @@
 #include "common/logging.h"
 
 #include <atomic>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
@@ -52,6 +53,17 @@ PanicMessage(const std::string& msg, const char* file, int line)
 {
     std::fprintf(stderr, "[aeo:panic] %s:%d: %s\n", file, line, msg.c_str());
     std::abort();
+}
+
+void
+AssertFailed(const char* cond, const char* file, int line, const char* fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    const std::string message = std::string("assertion failed: ") + cond +
+                                StrFormatV(fmt, args);
+    va_end(args);
+    PanicMessage(message, file, line);
 }
 
 }  // namespace internal

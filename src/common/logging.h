@@ -42,6 +42,14 @@ void SetLogLevel(LogLevel level);
 namespace internal {
 void LogMessage(LogLevel level, const std::string& msg);
 [[noreturn]] void PanicMessage(const std::string& msg, const char* file, int line);
+/**
+ * AEO_ASSERT's failure path: panics with "assertion failed: <cond>" and the
+ * formatted @p fmt, which the macro starts with " — ". Out of line and
+ * cold, so a passing check costs its caller one compare and a branch.
+ */
+[[noreturn, gnu::cold]] void AssertFailed(const char* cond, const char* file,
+                                          int line, const char* fmt, ...)
+    __attribute__((format(printf, 4, 5)));
 }  // namespace internal
 
 /** Prints a warning: questionable modelling, execution continues. */
@@ -64,14 +72,15 @@ Fatal(const char* fmt, Args&&... args)
 #define AEO_PANIC(...) \
     ::aeo::internal::PanicMessage(::aeo::StrFormat(__VA_ARGS__), __FILE__, __LINE__)
 
-/** Checks an internal invariant; panics with the expression text on failure. */
+/**
+ * Checks an internal invariant; panics with the expression text and the
+ * optional printf-style message on failure.
+ */
 #define AEO_ASSERT(cond, ...)                                                      \
     do {                                                                           \
-        if (!(cond)) {                                                             \
-            ::aeo::internal::PanicMessage(                                         \
-                std::string("assertion failed: " #cond " — ") +                    \
-                    ::aeo::StrFormat("" __VA_ARGS__),                              \
-                __FILE__, __LINE__);                                               \
+        if (!(cond)) [[unlikely]] {                                                \
+            ::aeo::internal::AssertFailed(#cond, __FILE__, __LINE__,               \
+                                          " — " __VA_ARGS__);                      \
         }                                                                          \
     } while (false)
 

@@ -17,17 +17,24 @@ StrFormatImpl(const char* fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
+    std::string out = StrFormatV(fmt, args);
+    va_end(args);
+    return out;
+}
+
+std::string
+StrFormatV(const char* fmt, va_list args)
+{
     va_list args_copy;
     va_copy(args_copy, args);
-    const int needed = std::vsnprintf(nullptr, 0, fmt, args);
-    va_end(args);
+    const int needed = std::vsnprintf(nullptr, 0, fmt, args_copy);
+    va_end(args_copy);
     std::string out;
     if (needed > 0) {
         out.resize(static_cast<size_t>(needed));
         // +1 for the terminating NUL vsnprintf always writes.
-        std::vsnprintf(out.data(), static_cast<size_t>(needed) + 1, fmt, args_copy);
+        std::vsnprintf(out.data(), static_cast<size_t>(needed) + 1, fmt, args);
     }
-    va_end(args_copy);
     return out;
 }
 

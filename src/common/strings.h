@@ -6,6 +6,7 @@
 #ifndef AEO_COMMON_STRINGS_H_
 #define AEO_COMMON_STRINGS_H_
 
+#include <cstdarg>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +15,9 @@ namespace aeo {
 
 namespace internal {
 std::string StrFormatImpl(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+/** StrFormatImpl() over a va_list, which it leaves to the caller to end. */
+std::string StrFormatV(const char* fmt, va_list args)
+    __attribute__((format(printf, 1, 0)));
 }  // namespace internal
 
 /**

@@ -4,18 +4,6 @@
 
 namespace aeo {
 
-void
-CpuLoadMeter::Advance(double busy_cores, double max_core_load, SimTime dt)
-{
-    AEO_ASSERT(busy_cores >= 0.0, "negative busy cores");
-    AEO_ASSERT(max_core_load >= 0.0 && max_core_load <= 1.0 + 1e-9,
-               "core load %f out of [0, 1]", max_core_load);
-    AEO_ASSERT(dt >= SimTime::Zero(), "negative interval");
-    busy_core_seconds_ += busy_cores * dt.seconds();
-    core_load_seconds_ += max_core_load * dt.seconds();
-    elapsed_ += dt;
-}
-
 CpuLoadWindow::CpuLoadWindow(const CpuLoadMeter* meter) : meter_(meter)
 {
     AEO_ASSERT(meter_ != nullptr, "null meter");
@@ -59,14 +47,6 @@ CpuLoadWindow::SampleCoreLoad()
     return load > 1.0 ? 1.0 : load;
 }
 
-void
-BusTrafficMeter::Advance(double gbps, SimTime dt)
-{
-    AEO_ASSERT(gbps >= 0.0, "negative traffic");
-    AEO_ASSERT(dt >= SimTime::Zero(), "negative interval");
-    gigabytes_ += gbps * dt.seconds();
-}
-
 BusTrafficWindow::BusTrafficWindow(const BusTrafficMeter* meter, SimTime start)
     : meter_(meter), last_time_(start)
 {
@@ -86,15 +66,6 @@ BusTrafficWindow::SampleMbps(SimTime now)
         return 0.0;
     }
     return delta_gb * 1000.0 / dt;
-}
-
-void
-GpuBusyMeter::Advance(double busy, SimTime dt)
-{
-    AEO_ASSERT(busy >= 0.0 && busy <= 1.0 + 1e-9, "GPU busy %f out of [0, 1]", busy);
-    AEO_ASSERT(dt >= SimTime::Zero(), "negative interval");
-    busy_seconds_ += busy * dt.seconds();
-    elapsed_ += dt;
 }
 
 }  // namespace aeo

@@ -11,6 +11,7 @@
 #ifndef AEO_KERNEL_METERS_H_
 #define AEO_KERNEL_METERS_H_
 
+#include "common/logging.h"
 #include "sim/time.h"
 
 namespace aeo {
@@ -26,7 +27,17 @@ class CpuLoadMeter {
      * the cluster average — a two-thread burst pegs two cores at 100 % and
      * must trigger the hispeed ramp even though the 4-core average is 0.5.
      */
-    void Advance(double busy_cores, double max_core_load, SimTime dt);
+    void
+    Advance(double busy_cores, double max_core_load, SimTime dt)
+    {
+        AEO_ASSERT(busy_cores >= 0.0, "negative busy cores");
+        AEO_ASSERT(max_core_load >= 0.0 && max_core_load <= 1.0 + 1e-9,
+                   "core load %f out of [0, 1]", max_core_load);
+        AEO_ASSERT(dt >= SimTime::Zero(), "negative interval");
+        busy_core_seconds_ += busy_cores * dt.seconds();
+        core_load_seconds_ += max_core_load * dt.seconds();
+        elapsed_ += dt;
+    }
 
     /** Total busy core-seconds since construction. */
     double busy_core_seconds() const { return busy_core_seconds_; }
@@ -74,7 +85,13 @@ class CpuLoadWindow {
 class BusTrafficMeter {
   public:
     /** Adds @p dt of wall time at @p gbps of traffic. */
-    void Advance(double gbps, SimTime dt);
+    void
+    Advance(double gbps, SimTime dt)
+    {
+        AEO_ASSERT(gbps >= 0.0, "negative traffic");
+        AEO_ASSERT(dt >= SimTime::Zero(), "negative interval");
+        gigabytes_ += gbps * dt.seconds();
+    }
 
     /** Total bytes transferred (in GB, to keep magnitudes sane). */
     double gigabytes() const { return gigabytes_; }
@@ -106,7 +123,15 @@ class BusTrafficWindow {
 class GpuBusyMeter {
   public:
     /** Adds @p dt during which the GPU was @p busy (fraction in [0, 1]). */
-    void Advance(double busy, SimTime dt);
+    void
+    Advance(double busy, SimTime dt)
+    {
+        AEO_ASSERT(busy >= 0.0 && busy <= 1.0 + 1e-9, "GPU busy %f out of [0, 1]",
+                   busy);
+        AEO_ASSERT(dt >= SimTime::Zero(), "negative interval");
+        busy_seconds_ += busy * dt.seconds();
+        elapsed_ += dt;
+    }
 
     /** Integral of the busy fraction, seconds. */
     double busy_seconds() const { return busy_seconds_; }

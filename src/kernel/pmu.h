@@ -8,6 +8,7 @@
 #ifndef AEO_KERNEL_PMU_H_
 #define AEO_KERNEL_PMU_H_
 
+#include "common/logging.h"
 #include "sim/time.h"
 
 namespace aeo {
@@ -26,8 +27,18 @@ class Pmu {
      * @param gbps       Bus traffic.
      * @param dt         Segment duration.
      */
-    void Advance(double gips, double freq_ghz, double busy_cores, double gbps,
-                 SimTime dt);
+    void
+    Advance(double gips, double freq_ghz, double busy_cores, double gbps, SimTime dt)
+    {
+        AEO_ASSERT(
+            gips >= 0.0 && freq_ghz >= 0.0 && busy_cores >= 0.0 && gbps >= 0.0,
+            "negative PMU rates");
+        AEO_ASSERT(dt >= SimTime::Zero(), "negative PMU interval");
+        const double seconds = dt.seconds();
+        giga_instructions_ += gips * seconds;
+        giga_cycles_ += freq_ghz * busy_cores * seconds;
+        traffic_gb_ += gbps * seconds;
+    }
 
     /** Retired foreground instructions, in units of 1e9. */
     double giga_instructions() const { return giga_instructions_; }

@@ -4,15 +4,6 @@
 
 namespace aeo {
 
-void
-EnergyMeter::Accumulate(Milliwatts power, SimTime duration)
-{
-    AEO_ASSERT(duration >= SimTime::Zero(), "negative accumulation interval");
-    AEO_ASSERT(power.value() >= 0.0, "negative power %f mW", power.value());
-    energy_ += power * duration.ToSeconds();
-    elapsed_ += duration;
-}
-
 Milliwatts
 EnergyMeter::AveragePower() const
 {

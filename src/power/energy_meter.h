@@ -7,6 +7,7 @@
 #ifndef AEO_POWER_ENERGY_METER_H_
 #define AEO_POWER_ENERGY_METER_H_
 
+#include "common/logging.h"
 #include "common/units.h"
 #include "sim/time.h"
 
@@ -18,7 +19,14 @@ class EnergyMeter {
     EnergyMeter() = default;
 
     /** Adds a segment of @p duration at constant @p power. */
-    void Accumulate(Milliwatts power, SimTime duration);
+    void
+    Accumulate(Milliwatts power, SimTime duration)
+    {
+        AEO_ASSERT(duration >= SimTime::Zero(), "negative accumulation interval");
+        AEO_ASSERT(power.value() >= 0.0, "negative power %f mW", power.value());
+        energy_ += power * duration.ToSeconds();
+        elapsed_ += duration;
+    }
 
     /** Total accumulated energy. */
     Joules energy() const { return energy_; }

@@ -78,11 +78,8 @@ MonsoonMonitor::Detach()
 
 // aeo: hot-path
 void
-MonsoonMonitor::CatchUp()
+MonsoonMonitor::RecordPendingTicks()
 {
-    if (!on_clock_ || sim_->sample_ticks() == ticks_seen_) {
-        return;
-    }
     const auto pending = static_cast<int64_t>(sim_->sample_ticks() - ticks_seen_);
     ticks_seen_ = sim_->sample_ticks();
     const SimTime first = next_tick_;
@@ -114,8 +111,7 @@ MonsoonMonitor::CatchUp()
     // serves the whole block (DESIGN.md §14 "Batched power sampling").
     const double k = static_cast<double>(kept);
     const double measured_mw =
-        power_source_().value() *
-        (k + std::sqrt(k) * rng_.Gaussian(0.0, config_.noise_rel_stddev));
+        power_source_().value() * (k + std::sqrt(k) * NextNoise());
     power_sum_mw_ += measured_mw;
     window_sum_mw_ += measured_mw;
     sample_count_ += static_cast<uint64_t>(kept);

@@ -20,6 +20,7 @@
 #ifndef AEO_POWER_MONSOON_H_
 #define AEO_POWER_MONSOON_H_
 
+#include <array>
 #include <functional>
 
 #include "common/random.h"
@@ -73,7 +74,13 @@ class MonsoonMonitor {
      * simulator calls it when RunUntil returns, and the injector calls it
      * before any other operation.
      */
-    void CatchUp();
+    void
+    CatchUp()
+    {
+        if (on_clock_ && sim_->sample_ticks() != ticks_seen_) {
+            RecordPendingTicks();
+        }
+    }
 
     /** Number of samples taken. */
     uint64_t
@@ -131,12 +138,40 @@ class MonsoonMonitor {
     void Reset();
 
   private:
+    /** Noise draws taken from rng_ at a time; see NextNoise(). */
+    static constexpr size_t kNoiseBatch = 64;
+
     /** Leaves the sample clock, recording nothing. */
     void Detach();
+
+    /** CatchUp()'s work once a tick is pending: records the block. */
+    void RecordPendingTicks();
+
+    /**
+     * The noise term of the next recorded block: rng_.Gaussian(0, σ), the
+     * same values in the same order as one draw per block, but drawn
+     * kNoiseBatch at a time, so the draws' log and sincos run as one burst
+     * off the block's dependency chain. The first block fills the batch, so
+     * a monitor that records nothing draws nothing.
+     */
+    double
+    NextNoise()
+    {
+        if (noise_next_ == kNoiseBatch) {
+            for (double& noise : noise_) {
+                noise = rng_.Gaussian(0.0, config_.noise_rel_stddev);
+            }
+            noise_next_ = 0;
+        }
+        return noise_[noise_next_++];
+    }
 
     Simulator* sim_;
     std::function<Milliwatts()> power_source_;
     Rng rng_;
+    /** Drawn-ahead noise terms; noise_next_ indexes the next unused one. */
+    std::array<double, kNoiseBatch> noise_{};
+    size_t noise_next_ = kNoiseBatch;
     MonsoonConfig config_;
     /** Interval between samples. */
     SimTime period_;

@@ -14,6 +14,7 @@
 #define AEO_SIM_EVENT_CALLBACK_H_
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -53,15 +54,19 @@ class EventCallback {
                       "event callback captures must be movable");
         ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
         invoke_ = [](void* storage) { (*static_cast<Fn*>(storage))(); };
-        manage_ = [](void* dst, void* src) {
-            if (src != nullptr) {
-                Fn* from = static_cast<Fn*>(src);
-                ::new (dst) Fn(std::move(*from));
-                from->~Fn();
-            } else {
-                static_cast<Fn*>(dst)->~Fn();
-            }
-        };
+        // A trivially copyable capture (the hot [this] lambdas) moves as its
+        // bytes and needs no destructor, so it keeps manage_ null.
+        if constexpr (!std::is_trivially_copyable_v<Fn>) {
+            manage_ = [](void* dst, void* src) {
+                if (src != nullptr) {
+                    Fn* from = static_cast<Fn*>(src);
+                    ::new (dst) Fn(std::move(*from));
+                    from->~Fn();
+                } else {
+                    static_cast<Fn*>(dst)->~Fn();
+                }
+            };
+        }
     }
 
     EventCallback(EventCallback&& other) noexcept { MoveFrom(other); }
@@ -91,17 +96,17 @@ class EventCallback {
     void
     Reset()
     {
-        if (invoke_ != nullptr) {
+        if (manage_ != nullptr) {
             manage_(storage_, nullptr);
-            invoke_ = nullptr;
-            manage_ = nullptr;
         }
+        invoke_ = nullptr;
+        manage_ = nullptr;
     }
 
   private:
     using InvokeFn = void (*)(void*);
     /** src != nullptr: move-construct dst from src and destroy src;
-     * src == nullptr: destroy dst. */
+     * src == nullptr: destroy dst. Null for a trivially copyable callable. */
     using ManageFn = void (*)(void* dst, void* src);
 
     void
@@ -109,11 +114,13 @@ class EventCallback {
     {
         invoke_ = other.invoke_;
         manage_ = other.manage_;
-        if (invoke_ != nullptr) {
+        if (manage_ != nullptr) {
             manage_(storage_, other.storage_);
-            other.invoke_ = nullptr;
-            other.manage_ = nullptr;
+        } else if (invoke_ != nullptr) {
+            std::memcpy(storage_, other.storage_, sizeof(storage_));
         }
+        other.invoke_ = nullptr;
+        other.manage_ = nullptr;
     }
 
     alignas(std::max_align_t) unsigned char storage_[kEventCallbackCapacity];

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 namespace aeo {
 namespace {
 
@@ -24,18 +20,6 @@ TEST(CsvWriterTest, EscapesSpecialCharacters)
     writer.AddRow({"has,comma"});
     writer.AddRow({"has\"quote"});
     EXPECT_EQ(writer.ToString(), "text\n\"has,comma\"\n\"has\"\"quote\"\n");
-}
-
-TEST(CsvFileTest, WriteAndReadBack)
-{
-    const std::string path = ::testing::TempDir() + "/aeo_csv_test.csv";
-    CsvWriter writer({"k", "v"});
-    writer.AddRow({"alpha", "1"});
-    writer.WriteFile(path);
-    std::ostringstream contents;
-    contents << std::ifstream(path).rdbuf();
-    EXPECT_EQ(contents.str(), "k,v\nalpha,1\n");
-    std::remove(path.c_str());
 }
 
 }  // namespace
