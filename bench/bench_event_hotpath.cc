@@ -321,8 +321,9 @@ RunBatchedMonitor(uint64_t total)
  * Fault-injected power sampling: the batched_monitor set-up plus an
  * attached injector whose one rule matches another path. The 20 ms timer
  * reads that path through the injector, whose sync hook catches the monitor
- * up first, so every tick takes a memoized meter decision and the kept ones
- * share one noise draw. After warmup neither may allocate.
+ * up first. No rule covers the meter, so each block is one clean decision
+ * that only counts its ticks, and the kept ticks share one noise draw.
+ * After warmup neither may allocate.
  */
 Scenario
 RunInjectedMonitor(uint64_t total)

@@ -172,7 +172,9 @@ RunCampaign(const CampaignOptions& options, const ChaosScenario& scenario)
     // exists for runtime rule installation; it matches no real path and
     // draws nothing, keeping the action-free campaign bit-identical to a
     // fault-free run. The meter stays on the sample clock regardless: it
-    // takes its decisions when the injector's sync hook catches it up.
+    // takes its decisions when the injector's sync hook catches it up, and
+    // while no meter-drop action is active each catch-up block is one clean
+    // decision that only counts its reads.
     DeviceConfig device_config;
     device_config.seed = options.device_seed != 0
                              ? options.device_seed

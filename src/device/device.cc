@@ -247,6 +247,10 @@ Device::EnableThermal(ThermalParams thermal_params, MsmThermalParams msm_params)
                                                 msm_params);
     msm_thermal_->SetSyncHook([this] { IntegrateToNow(); });
     msm_thermal_->Start();
+    // Temperature reaches power only through the leakage factor
+    // max(0, 1 + coeff·(T − 25)), which is exactly 1 at any finite T when
+    // the coefficient is 0: then the power memo stays valid across segments.
+    power_follows_temperature_ = power_model_.params().leak_temp_coeff_per_c != 0.0;
     // Temperature now feeds leakage, so rates must reflect the new inputs.
     RecomputeRates();
     RescheduleBoundary();
@@ -381,10 +385,10 @@ Device::RefreshPower() const
     SegmentEntry& entry = *current_;
     const double component = AppComponentPower();
     const double overhead = perf_->power_overhead_mw() + controller_overhead_mw_;
-    // Without a thermal model every other power input is a field of the
-    // entry's key or rates, so equal component and overhead power give the
-    // same power bit for bit.
-    if (thermal_ != nullptr || !entry.has_power ||
+    // Unless temperature moves the power, every other power input is a
+    // field of the entry's key or rates, so equal component and overhead
+    // power give the same power bit for bit.
+    if (power_follows_temperature_ || !entry.has_power ||
         !SameBits(component, entry.app_component_mw) ||
         !SameBits(overhead, entry.overhead_mw)) {
         entry.power = EvaluatePower(component, overhead);
@@ -492,10 +496,11 @@ Device::IntegrateToNow()
         }
         background_->Advance(dt, rates.bg_gips * seconds.value());
         last_update_ = now;
-        // The segment's end moved the temperature, or a phase change moved
-        // an app's component power: the power must be evaluated again.
+        // The segment's end moved a temperature that the power follows, or
+        // a phase change moved an app's component power: the power must be
+        // evaluated again.
         if (power_valid_ &&
-            (thermal_ != nullptr ||
+            (power_follows_temperature_ ||
              !SameBits(AppComponentPower(), current_->app_component_mw))) {
             power_valid_ = false;
         }

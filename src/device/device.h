@@ -403,11 +403,15 @@ class Device {
     /**
      * Whether current_->power is the power now. Cleared when the rates
      * change, when perf starts or stops (its overhead is a power input)
-     * and when a segment's end moves the temperature or an app's
-     * component power; RefreshPower() then reuses the entry's power only
-     * if no thermal model is attached and both powers still match.
+     * and when a segment's end moves a temperature the power follows or an
+     * app's component power; RefreshPower() then reuses the entry's power
+     * only if the power does not follow temperature and both powers still
+     * match.
      */
     mutable bool power_valid_ = false;
+    /** A thermal model is attached and the leakage coefficient is non-zero,
+     * so temperature changes the power; set by EnableThermal(). */
+    bool power_follows_temperature_ = false;
 };
 
 }  // namespace aeo

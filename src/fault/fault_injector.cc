@@ -97,26 +97,47 @@ FaultInjector::OnWrite(const std::string& path)
     return Decide(path, /*is_write=*/true);
 }
 
-FaultDecision
-FaultInjector::OnRead(PathQuery& query)
+// aeo: hot-path
+FaultInjector::ReadBlock
+FaultInjector::OnReadBlock(PathQuery& query, int64_t count)
 {
-    if (query.version_ != topology_version_) {
-        query.version_ = topology_version_;
-        query.latched_ = gone_.count(query.path_) != 0 ||
-                         sticky_.count(query.path_) != 0;
-        query.rule_ = FindRule(query.path_);
+    ReadBlock block;
+    for (int64_t i = 0; i < count; ++i) {
+        if (query.version_ != topology_version_) {
+            query.version_ = topology_version_;
+            query.latched_ = gone_.count(query.path_) != 0 ||
+                             sticky_.count(query.path_) != 0;
+            query.rule_ = FindRule(query.path_);
+        }
+        const bool clean = !query.latched_ && query.rule_ < 0;
+        if (i == 0) {
+            ++(clean ? block_counts_.clean : block_counts_.read_by_read);
+        }
+        if (clean) {
+            // Each remaining read would only count itself: nothing draws,
+            // nothing records, and no other operation runs before the block
+            // ends (the sync hook), so nothing can bump the version.
+            op_count_ += static_cast<uint64_t>(count - i);
+            block.kept += count - i;
+            block.last_kept = count - 1;
+            return block;
+        }
+        FaultDecision decision;
+        if (query.latched_) {
+            // Every latched operation records a trace event anyway — no
+            // point memoizing the map lookups.
+            decision = Decide(query.path_, /*is_write=*/false);
+        } else {
+            ++op_count_;
+            decision = Roll(rules_[static_cast<size_t>(query.rule_)], query.path_,
+                            /*is_write=*/false);
+        }
+        if (decision.ok()) {
+            ++block.kept;
+            block.last_kept = i;
+        }
     }
-    if (query.latched_) {
-        // Every latched operation records a trace event anyway — no point
-        // memoizing the map lookups.
-        return Decide(query.path_, /*is_write=*/false);
-    }
-    ++op_count_;
-    if (query.rule_ < 0) {
-        return FaultDecision{};
-    }
-    return Roll(rules_[static_cast<size_t>(query.rule_)], query.path_,
-                /*is_write=*/false);
+    return block;
 }
 
 bool

@@ -126,9 +126,10 @@ class FaultInjector {
      * caches that resolution (latched? which rule?) against a topology
      * version the injector bumps whenever anything that could change the
      * answer changes (rules added/removed/spent, sticky/gone state latched
-     * or repaired). The power monitor decides each sample-clock tick
-     * through one of these when it catches up; the decision stream — RNG
-     * draws, op indices, trace — is bit-identical to the uncached path.
+     * or repaired). The power monitor decides the sample-clock ticks of
+     * each catch-up through one of these with OnReadBlock(); the decision
+     * stream — RNG draws, op indices, trace — is bit-identical to one
+     * OnRead(path) per tick.
      */
     class PathQuery {
       public:
@@ -148,6 +149,23 @@ class FaultInjector {
         bool latched_ = false;
     };
 
+    /** What OnReadBlock() decided for a block of reads. */
+    struct ReadBlock {
+        /** Reads that came back ok (stale or late ones included). */
+        int64_t kept = 0;
+        /** Index in the block of the last kept read; -1 when none was. */
+        int64_t last_kept = -1;
+    };
+
+    /** OnReadBlock() calls so far, by how their reads were decided. */
+    struct BlockCounts {
+        /** Blocks that found no matching rule and no latched state at their
+         * first read, and so only counted their reads. */
+        uint64_t clean = 0;
+        /** Blocks that decided at least their first read on its own. */
+        uint64_t read_by_read = 0;
+    };
+
     /** @param seed Seed for the decision stream. */
     explicit FaultInjector(uint64_t seed);
 
@@ -159,9 +177,10 @@ class FaultInjector {
      * Registers a hook that runs first in OnRead/OnWrite(path), the rule and
      * repair mutators, op_count() and trace(): the power monitor decides its
      * pending samples there, before anything else reads or changes the
-     * decision stream. Not in OnRead(PathQuery&), the monitor's own call,
-     * nor in IsGone(): a sample can latch only the meter's path, which no
-     * sysfs node has. nullptr removes it.
+     * decision stream. So nothing but a block's own reads can change the
+     * decision stream while OnReadBlock(), the monitor's own call, runs; it
+     * does not run the hook. Nor does IsGone(): a sample can latch only the
+     * meter's path, which no sysfs node has. nullptr removes it.
      */
     void SetSyncHook(std::function<void()> hook) { sync_hook_ = std::move(hook); }
 
@@ -187,8 +206,20 @@ class FaultInjector {
     /** Consults the rules for a write to @p path. */
     FaultDecision OnWrite(const std::string& path);
 
-    /** Like OnRead(path), resolved through the query's memo. */
-    FaultDecision OnRead(PathQuery& query);
+    /**
+     * Decides @p count reads of the query's path in order, exactly as
+     * @p count OnRead(path) calls would, but through the query's memo and
+     * without the sync hook. While the memo finds no matching rule and no
+     * latched state, a read only counts itself and comes back clean, and
+     * only a read of this block could change that; so from such a read on,
+     * the rest of the block is one op_count_ addition. Other reads are
+     * decided one by one, and the memo is resolved again after any read
+     * that changed a rule or latched the path.
+     */
+    ReadBlock OnReadBlock(PathQuery& query, int64_t count);
+
+    /** How the OnReadBlock() calls so far were decided. */
+    const BlockCounts& block_counts() const { return block_counts_; }
 
     /** True if @p path has disappeared (hotplug-style). */
     bool IsGone(const std::string& path) const;
@@ -253,6 +284,7 @@ class FaultInjector {
     /** Bumped on any rule or latched-state change; see PathQuery. */
     uint64_t topology_version_ = 1;
     uint64_t op_count_ = 0;
+    BlockCounts block_counts_;
     std::vector<FaultEvent> trace_;
     std::function<void()> sync_hook_;
 };

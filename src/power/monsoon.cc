@@ -87,23 +87,19 @@ MonsoonMonitor::RecordPendingTicks()
     int64_t kept = pending;
     SimTime last_kept = next_tick_ - period_;
     if (injector_ != nullptr) {
-        // Each tick takes its meter decision in tick order; the injector's
-        // sync hook runs this before any other operation, so the decisions
-        // keep their per-sample places among the sysfs and PMU operations.
-        kept = 0;
-        last_kept = last_sample_time_;
-        SimTime when = first;
-        for (int64_t i = 0; i < pending; ++i, when += period_) {
-            if (!injector_->OnRead(fault_query_).ok()) {
-                ++dropped_sample_count_;
-                continue;
-            }
-            ++kept;
-            last_kept = when;
-        }
-        if (kept == 0) {
+        // The ticks take their meter decisions in tick order, as one block
+        // read; the injector's sync hook runs this before any other
+        // operation, so the decisions keep their per-sample places among the
+        // sysfs and PMU operations, and a block that no rule covers and
+        // nothing has latched costs one addition.
+        const FaultInjector::ReadBlock block =
+            injector_->OnReadBlock(fault_query_, pending);
+        dropped_sample_count_ += static_cast<uint64_t>(pending - block.kept);
+        if (block.kept == 0) {
             return;
         }
+        kept = block.kept;
+        last_kept = first + period_ * block.last_kept;
     }
     // The source has not changed since the previous catch-up, so the kept
     // ticks share one true power, and the sum of their k independent

@@ -12,10 +12,11 @@
  * The monitor runs on the simulator's sample clock and records the ticks in
  * blocks, one per catch-up (CatchUp), with one noise draw per block: the
  * sum of k per-sample errors has exactly the law of one error scaled by
- * sqrt(k). An attached FaultInjector decides each tick's sample in tick
- * order at catch-up time, and its sync hook catches the monitor up before
- * any other operation, so the injector sees every operation in the order a
- * per-sample event would give it (DESIGN.md §14 "Batched power sampling").
+ * sqrt(k). An attached FaultInjector decides the block's ticks in tick
+ * order at catch-up time, in one OnReadBlock() call, and its sync hook
+ * catches the monitor up before any other operation, so the injector sees
+ * every operation in the order a per-sample event would give it (DESIGN.md
+ * §14 "Batched power sampling").
  */
 #ifndef AEO_POWER_MONSOON_H_
 #define AEO_POWER_MONSOON_H_
@@ -181,7 +182,7 @@ class MonsoonMonitor {
     uint64_t ticks_seen_ = 0;
     SimTime next_tick_;
     FaultInjector* injector_ = nullptr;
-    /** Memoized injector lookup for the per-tick guard. */
+    /** Memoized injector lookup for the block's meter decisions. */
     FaultInjector::PathQuery fault_query_{kMonsoonFaultPath};
     SimTime start_time_;
     SimTime last_sample_time_;

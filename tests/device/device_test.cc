@@ -213,6 +213,13 @@ TEST(DeviceTest, BackgroundLoadAffectsPowerAndLoadavg)
         hl = device.CollectResult("test");
     }
     EXPECT_GT(hl.avg_power_mw.value(), nl.avg_power_mw.value());
+    // §V-C reports loadavg 6.3 under NL and 6.6 under HL: the heavier load
+    // keeps more tasks runnable, but only slightly.
+    EXPECT_GT(hl.loadavg, nl.loadavg);
+    for (const double loadavg : {nl.loadavg, hl.loadavg}) {
+        EXPECT_GT(loadavg, 6.0);
+        EXPECT_LT(loadavg, 7.0);
+    }
     EXPECT_EQ(nl.load_name, "NL");
     EXPECT_EQ(hl.load_name, "HL");
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace aeo {
 namespace {
 
@@ -203,14 +206,140 @@ TEST(FaultInjectorTest, SyncHookRunsBeforeEveryStreamOperation)
     EXPECT_EQ(syncs_in([&] { injector.RemoveRule(handle); }), 1);
     EXPECT_EQ(syncs_in([&] { injector.Clear(); }), 1);
 
-    // The meter's own memoized read is what the hook calls, and a meter
+    // The meter's own block read is what the hook calls, and a meter
     // sample never latches a sysfs path: neither runs the hook.
     FaultInjector::PathQuery query("/dev/monsoon/sample");
-    EXPECT_EQ(syncs_in([&] { injector.OnRead(query); }), 0);
+    EXPECT_EQ(syncs_in([&] { injector.OnReadBlock(query, 5); }), 0);
     EXPECT_EQ(syncs_in([&] { injector.IsGone("/sys/x/n"); }), 0);
 
     injector.SetSyncHook(nullptr);
     EXPECT_EQ(syncs_in([&] { injector.OnRead("/sys/x/n"); }), 0);
+}
+
+/** The meter's path, which none of the sysfs rules below cover. */
+constexpr char kMeterPath[] = "/dev/monsoon/sample";
+
+/** Decides @p count reads of @p path one OnRead(path) at a time, the way
+ * a block read must; returns what a block would report. */
+FaultInjector::ReadBlock
+ReadOneByOne(FaultInjector& injector, const std::string& path, int64_t count)
+{
+    FaultInjector::ReadBlock block;
+    for (int64_t i = 0; i < count; ++i) {
+        if (injector.OnRead(path).ok()) {
+            ++block.kept;
+            block.last_kept = i;
+        }
+    }
+    return block;
+}
+
+TEST(FaultInjectorTest, CleanBlockOnlyCountsItsReads)
+{
+    // A rule on another path draws, so a block that drew or skipped an op
+    // index would shift every later decision against the twin's.
+    FaultInjector block_injector(31);
+    FaultInjector twin(31);
+    for (FaultInjector* injector : {&block_injector, &twin}) {
+        FaultRule rule = BusyRule("/sys/x", 0.4);
+        rule.stale_probability = 0.3;
+        injector->AddRule(rule);
+    }
+    FaultInjector::PathQuery query(kMeterPath);
+    constexpr int64_t kReads = 1000;
+
+    const FaultInjector::ReadBlock block = block_injector.OnReadBlock(query, kReads);
+    EXPECT_EQ(block.kept, kReads);
+    EXPECT_EQ(block.last_kept, kReads - 1);
+    EXPECT_EQ(block_injector.op_count(), static_cast<uint64_t>(kReads));
+    EXPECT_TRUE(block_injector.trace().empty());
+    EXPECT_EQ(block_injector.block_counts().clean, 1u);
+    EXPECT_EQ(block_injector.block_counts().read_by_read, 0u);
+
+    ReadOneByOne(twin, kMeterPath, kReads);
+    for (int i = 0; i < 200; ++i) {
+        const FaultDecision a = block_injector.OnRead("/sys/x/n");
+        const FaultDecision b = twin.OnRead("/sys/x/n");
+        EXPECT_EQ(a.errc, b.errc) << "read " << i;
+        EXPECT_EQ(a.stale, b.stale) << "read " << i;
+    }
+    EXPECT_EQ(block_injector.op_count(), twin.op_count());
+    EXPECT_FALSE(twin.trace().empty());
+    EXPECT_EQ(block_injector.trace(), twin.trace());
+}
+
+TEST(FaultInjectorTest, StickyLatchMidBlockFailsTheRestOfTheBlock)
+{
+    FaultInjector block_injector(37);
+    FaultInjector twin(37);
+    for (FaultInjector* injector : {&block_injector, &twin}) {
+        // Two stale (kept) reads, then a sticky failure whose one-roll budget
+        // is spent by the read that latches: only the latch fails the rest.
+        FaultRule stale;
+        stale.path_prefix = kMeterPath;
+        stale.stale_probability = 1.0;
+        stale.max_triggers = 2;
+        injector->AddRule(stale);
+        FaultRule sticky = BusyRule(kMeterPath, 1.0);
+        sticky.errc = FaultErrc::kIo;
+        sticky.duration = FaultDuration::kSticky;
+        sticky.max_triggers = 1;
+        injector->AddRule(sticky);
+    }
+    FaultInjector::PathQuery query(kMeterPath);
+    constexpr int64_t kReads = 10;
+
+    const FaultInjector::ReadBlock block = block_injector.OnReadBlock(query, kReads);
+    EXPECT_EQ(block.kept, 2);
+    EXPECT_EQ(block.last_kept, 1);
+    EXPECT_EQ(block_injector.op_count(), static_cast<uint64_t>(kReads));
+    const std::vector<FaultEvent>& trace = block_injector.trace();
+    ASSERT_EQ(trace.size(), static_cast<size_t>(kReads));
+    EXPECT_TRUE(trace[1].stale);
+    for (size_t i = 2; i < trace.size(); ++i) {
+        EXPECT_EQ(trace[i].errc, FaultErrc::kIo) << "read " << i;
+    }
+
+    const FaultInjector::ReadBlock reference = ReadOneByOne(twin, kMeterPath, kReads);
+    EXPECT_EQ(block.kept, reference.kept);
+    EXPECT_EQ(block.last_kept, reference.last_kept);
+    EXPECT_EQ(block_injector.trace(), twin.trace());
+    // The next block starts latched.
+    EXPECT_EQ(block_injector.OnReadBlock(query, 3).kept, 0);
+    EXPECT_EQ(block_injector.block_counts().read_by_read, 2u);
+}
+
+TEST(FaultInjectorTest, SpentBudgetMidBlockLetsTheRestOfTheBlockPass)
+{
+    FaultInjector block_injector(41);
+    FaultInjector twin(41);
+    for (FaultInjector* injector : {&block_injector, &twin}) {
+        FaultRule drops = BusyRule(kMeterPath, 1.0);
+        drops.max_triggers = 3;
+        injector->AddRule(drops);
+    }
+    FaultInjector::PathQuery query(kMeterPath);
+    constexpr int64_t kReads = 10;
+
+    const FaultInjector::ReadBlock block = block_injector.OnReadBlock(query, kReads);
+    EXPECT_EQ(block.kept, kReads - 3);
+    EXPECT_EQ(block.last_kept, kReads - 1);
+    EXPECT_EQ(block_injector.op_count(), static_cast<uint64_t>(kReads));
+    const std::vector<FaultEvent>& trace = block_injector.trace();
+    ASSERT_EQ(trace.size(), 3u);
+    for (size_t i = 0; i < trace.size(); ++i) {
+        EXPECT_EQ(trace[i].op_index, i);
+        EXPECT_EQ(trace[i].errc, FaultErrc::kBusy);
+    }
+
+    const FaultInjector::ReadBlock reference = ReadOneByOne(twin, kMeterPath, kReads);
+    EXPECT_EQ(block.kept, reference.kept);
+    EXPECT_EQ(block.last_kept, reference.last_kept);
+    EXPECT_EQ(block_injector.trace(), twin.trace());
+    // With the budget spent, the next block is clean from its first read.
+    EXPECT_EQ(block_injector.OnReadBlock(query, 4).kept, 4);
+    EXPECT_EQ(block_injector.block_counts().read_by_read, 1u);
+    EXPECT_EQ(block_injector.block_counts().clean, 1u);
 }
 
 TEST(FaultInjectorTest, ErrcNamesAreErrnoStyle)

@@ -22,7 +22,9 @@
  * events, power changes behind CatchUp() inside events and bare between
  * runs, other-path injector reads and writes inside events, and meter-drop
  * rules (transient, sticky, and a shared-prefix rule with a trigger budget)
- * added, removed and repaired inside events and between runs.
+ * added, removed and repaired inside events and between runs. Across the
+ * seeds, the injector must decide some of the monitor's meter blocks in
+ * O(1) and some read by read, so both paths meet the reference.
  */
 #include "power/monsoon.h"
 
@@ -452,14 +454,23 @@ class Rig {
     std::vector<PowerReading> readings_;
 };
 
+/** What the scripts exercised, summed over seeds. */
+struct ScriptCoverage {
+    /** Runs that Stop() ended early. */
+    int stops = 0;
+    /** The batched monitor's meter blocks, by how the injector decided
+     * them: in O(1) or read by read. */
+    uint64_t clean_blocks = 0;
+    uint64_t read_by_read_blocks = 0;
+};
+
 /**
  * Runs the script for @p seed on the batched monitor at @p noise and on the
  * reference, and checks everything but the noise bit for bit. Returns the
- * readings of both, in script order; @p stops counts the runs Stop() ended
- * early.
+ * readings of both, in script order, and adds to @p coverage.
  */
 std::pair<std::vector<PowerReading>, std::vector<PowerReading>>
-CompareOnScript(uint64_t seed, double noise, int* stops)
+CompareOnScript(uint64_t seed, double noise, ScriptCoverage* coverage)
 {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     const MonsoonConfig config{.sample_hz = 5000.0, .noise_rel_stddev = noise};
@@ -470,7 +481,7 @@ CompareOnScript(uint64_t seed, double noise, int* stops)
     EXPECT_TRUE(batched.sim().sample_clock_running());
     EXPECT_FALSE(per_sample.sim().sample_clock_running());
     for (int phase = 0; phase < 120; ++phase) {
-        *stops += batched.Phase() ? 1 : 0;
+        coverage->stops += batched.Phase() ? 1 : 0;
         per_sample.Phase();
     }
     // Ticks are not events: the batched run dispatches fewer.
@@ -490,15 +501,18 @@ CompareOnScript(uint64_t seed, double noise, int* stops)
     EXPECT_EQ(batched.injector().op_count(), per_sample.injector().op_count());
     EXPECT_EQ(batched.injector().trace(), per_sample.injector().trace());
     EXPECT_EQ(batched.readings().size(), per_sample.readings().size());
+    const FaultInjector::BlockCounts& blocks = batched.injector().block_counts();
+    coverage->clean_blocks += blocks.clean;
+    coverage->read_by_read_blocks += blocks.read_by_read;
     return {batched.readings(), per_sample.readings()};
 }
 
 TEST(MonsoonBatchingPropertyTest, BatchedSamplesMatchPerSampleEvents)
 {
     // Without noise the block sums are the per-sample sums up to rounding.
-    int stops = 0;
+    ScriptCoverage coverage;
     for (uint64_t seed = 1; seed <= 100; ++seed) {
-        const auto [batched, reference] = CompareOnScript(seed, 0.0, &stops);
+        const auto [batched, reference] = CompareOnScript(seed, 0.0, &coverage);
         for (size_t i = 0; i < batched.size() && i < reference.size(); ++i) {
             EXPECT_EQ(batched[i].window, reference[i].window);
             EXPECT_NEAR(batched[i].sum_mw, reference[i].sum_mw,
@@ -506,8 +520,11 @@ TEST(MonsoonBatchingPropertyTest, BatchedSamplesMatchPerSampleEvents)
                 << "seed " << seed << ", reading " << i;
         }
     }
-    // The script must actually exercise Stop() from inside an event.
-    EXPECT_GT(stops, 0);
+    // The script must actually exercise Stop() from inside an event, and
+    // meter blocks decided both in O(1) and read by read.
+    EXPECT_GT(coverage.stops, 0);
+    EXPECT_GT(coverage.clean_blocks, 0u);
+    EXPECT_GT(coverage.read_by_read_blocks, 0u);
 }
 
 /**
@@ -564,9 +581,9 @@ TEST(MonsoonBatchingPropertyTest, BlockNoiseHasThePerSampleLaw)
     // hold disjoint ticks, and every rig draws its own noise stream.
     constexpr double kNoise = 0.004;
     std::vector<double> z;
-    int stops = 0;
+    ScriptCoverage coverage;
     for (uint64_t seed = 1; seed <= 100; ++seed) {
-        const auto [batched, reference] = CompareOnScript(seed, kNoise, &stops);
+        const auto [batched, reference] = CompareOnScript(seed, kNoise, &coverage);
         for (size_t i = 0; i < batched.size() && i < reference.size(); ++i) {
             if (reference[i].window) {
                 z.push_back((batched[i].sum_mw - reference[i].sum_mw) /
