@@ -17,6 +17,8 @@
  *    FaultInjector, caught up by the injector's sync hook when the timer
  *    reads another path through it: one meter decision per sample, one
  *    noise draw per catch-up;
+ *  - meter drops: the same, with a rule that drops half the meter's
+ *    samples, each recorded as a fault-trace event;
  *  - a pinned device: the whole plant on one profiling run's shape, where
  *    every event ends a segment and recomputes its rates and power through
  *    the device's segment memo.
@@ -28,7 +30,7 @@
  *
  * This binary overrides global operator new/delete with a counting hook, so
  * allocations per dispatch are *measured*, not inferred: after warmup the
- * periodic, one-shot, both monitor and the pinned-device paths must report
+ * periodic, one-shot, every monitor and the pinned-device paths must report
  * 0.000 (the property test under tests/sim asserts the same invariant for
  * the event queue; this bench reports it next to the throughput numbers it
  * buys).
@@ -364,6 +366,63 @@ RunInjectedMonitor(uint64_t total)
 }
 
 /**
+ * Meter drops: the injected_monitor set-up plus a rule that fails each
+ * meter sample with probability 0.5, so every sample is decided on its own
+ * and every dropped one appends an event to the fault trace. Warmup records
+ * until the trace's capacity holds an event for each sample of the timed
+ * region, which then covers @p seconds of sampling; its drops must all be
+ * recorded (the trace stays below its limit) without an allocation. The
+ * rate columns count samples, kept and dropped.
+ */
+Scenario
+RunMeterDropMonitor(int64_t seconds)
+{
+    aeo::Simulator sim;
+    aeo::FaultInjector injector(1);
+    aeo::FaultRule rule;
+    rule.path_prefix = "/sys/devices/system/cpu/cpu0/cpufreq";
+    injector.AddRule(rule);
+    aeo::FaultRule drops;
+    drops.path_prefix = aeo::kMonsoonFaultPath;
+    drops.fail_probability = 0.5;
+    injector.AddRule(drops);
+    aeo::MonsoonMonitor monitor(&sim, [] { return aeo::Milliwatts(1000.0); },
+                                1);
+    monitor.SetFaultInjector(&injector);
+    const std::string path =
+        "/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq";
+    sim.ScheduleEvery(aeo::SimTime::Millis(20),
+                      [&injector, &path] { injector.OnRead(path); });
+    monitor.Start();
+    const auto decided = [&monitor] {
+        return monitor.sample_count() + monitor.dropped_sample_count();
+    };
+    const size_t timed_samples = static_cast<size_t>(seconds) * 5000;
+    while (injector.trace().capacity() <
+           injector.trace().size() + timed_samples) {
+        sim.RunFor(aeo::SimTime::Millis(100));
+    }
+
+    const uint64_t start_samples = decided();
+    const uint64_t start_allocs = g_alloc_count.load(std::memory_order_relaxed);
+    const double start = aeo::bench::MonotonicSeconds();
+    sim.RunFor(aeo::SimTime::FromSeconds(seconds));
+    monitor.CatchUp();
+    const double seconds_taken = aeo::bench::MonotonicSeconds() - start;
+    const uint64_t allocs =
+        g_alloc_count.load(std::memory_order_relaxed) - start_allocs;
+    AEO_ASSERT(injector.trace().size() < aeo::FaultInjector::kTraceLimit,
+               "the fault trace filled up, so not every drop was recorded");
+
+    Scenario s;
+    s.name = "meter_drop_monitor";
+    s.dispatches = decided() - start_samples;
+    s.seconds = seconds_taken;
+    s.allocations = allocs;
+    return s;
+}
+
+/**
  * A pinned device in the shape of one Table VI profiling run: AngryBirds on
  * the Exynos 5433 pinned through PinHetConfiguration, msm-adreno-tz on the
  * GPU and the baseline background. Its events are app-phase boundaries and
@@ -445,6 +504,8 @@ main(int argc, char** argv)
     scenarios.push_back(RunScheduleCancel(total / 2));
     scenarios.push_back(RunBatchedMonitor(total));
     scenarios.push_back(RunInjectedMonitor(total));
+    // The trace's kTraceLimit bounds this region, so it is short at any size.
+    scenarios.push_back(RunMeterDropMonitor(10));
     scenarios.push_back(RunPinnedDevice(total / 10));
 
     TextTable table({"Scenario", "Dispatches", "Events/s", "ns/dispatch",

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/math_util.h"
 
 namespace aeo {
 
@@ -131,7 +132,7 @@ AppModel::Advance(SimTime dt, double executed_gi)
                 // below its target frame rate.
                 const double period_s = p.frame_period.seconds();
                 const double into_period =
-                    std::fmod(phase_elapsed_.seconds(), period_s);
+                    NonNegativeFmod(phase_elapsed_.seconds(), period_s);
                 const double slack_s = period_s - into_period;
                 if (slack_s > 1e-6 && slack_s < period_s) {
                     frame_state_ = FrameState::kSlack;

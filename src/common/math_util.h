@@ -1,15 +1,36 @@
 /**
  * @file
  * Numeric helpers shared across modules: clamping, relative comparison,
- * and summary statistics over samples.
+ * an exact remainder, and summary statistics over samples.
  */
 #ifndef AEO_COMMON_MATH_UTIL_H_
 #define AEO_COMMON_MATH_UTIL_H_
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
 namespace aeo {
+
+/**
+ * std::fmod(x, y), bit for bit, for finite x >= 0, y > 0 and x / y < 2^52,
+ * without libm's remainder loop.
+ *
+ * The exact remainder x - n·y, n = trunc(x / y), is representable, so one
+ * fma with the right n returns it exactly. q = floor(fl(x / y)) is n or
+ * n + 1: rounding is monotone and n, n + 1 < 2^53 are doubles, so the
+ * rounded quotient never falls below n nor rises above n + 1. With
+ * q = n + 1 the fma yields a negative value (the exact x - (n + 1)·y lies
+ * in [-y, 0) and cannot round to zero), and a second fma with n gives the
+ * exact remainder. An exact multiple gives +0, as std::fmod does.
+ */
+inline double
+NonNegativeFmod(double x, double y)
+{
+    const double q = std::floor(x / y);
+    const double r = std::fma(-q, y, x);
+    return r < 0.0 ? std::fma(1.0 - q, y, x) : r;
+}
 
 /** Clamps @p v to [lo, hi]. */
 double Clamp(double v, double lo, double hi);

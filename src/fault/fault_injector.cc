@@ -31,7 +31,7 @@ FaultErrcName(FaultErrc errc)
 bool
 operator==(const FaultEvent& a, const FaultEvent& b)
 {
-    return a.op_index == b.op_index && a.path == b.path &&
+    return a.op_index == b.op_index && a.path_id == b.path_id &&
            a.is_write == b.is_write && a.errc == b.errc && a.stale == b.stale &&
            a.latency_us == b.latency_us && a.silent_clamp == b.silent_clamp;
 }
@@ -87,14 +87,16 @@ FaultDecision
 FaultInjector::OnRead(const std::string& path)
 {
     Sync();
-    return Decide(path, /*is_write=*/false);
+    uint32_t path_id = kNoPathId;
+    return Decide(path, path_id, /*is_write=*/false);
 }
 
 FaultDecision
 FaultInjector::OnWrite(const std::string& path)
 {
     Sync();
-    return Decide(path, /*is_write=*/true);
+    uint32_t path_id = kNoPathId;
+    return Decide(path, path_id, /*is_write=*/true);
 }
 
 // aeo: hot-path
@@ -126,11 +128,11 @@ FaultInjector::OnReadBlock(PathQuery& query, int64_t count)
         if (query.latched_) {
             // Every latched operation records a trace event anyway — no
             // point memoizing the map lookups.
-            decision = Decide(query.path_, /*is_write=*/false);
+            decision = Decide(query.path_, query.path_id_, /*is_write=*/false);
         } else {
             ++op_count_;
             decision = Roll(rules_[static_cast<size_t>(query.rule_)], query.path_,
-                            /*is_write=*/false);
+                            query.path_id_, /*is_write=*/false);
         }
         if (decision.ok()) {
             ++block.kept;
@@ -144,6 +146,13 @@ bool
 FaultInjector::IsGone(const std::string& path) const
 {
     return gone_.count(path) != 0;
+}
+
+const std::string&
+FaultInjector::path(uint32_t id) const
+{
+    AEO_ASSERT(id < paths_.size(), "no fault-trace path has id %u", id);
+    return paths_[id];
 }
 
 void
@@ -195,7 +204,7 @@ FaultInjector::FindRule(const std::string& path) const
 }
 
 FaultDecision
-FaultInjector::Decide(const std::string& path, bool is_write)
+FaultInjector::Decide(const std::string& path, uint32_t& path_id, bool is_write)
 {
     ++op_count_;
     FaultDecision decision;
@@ -204,12 +213,12 @@ FaultInjector::Decide(const std::string& path, bool is_write)
     // failure keeps returning its error until repaired.
     if (gone_.count(path) != 0) {
         decision.errc = FaultErrc::kNoEnt;
-        Record(path, is_write, decision);
+        Record(path, path_id, is_write, decision);
         return decision;
     }
     if (const auto it = sticky_.find(path); it != sticky_.end()) {
         decision.errc = it->second;
-        Record(path, is_write, decision);
+        Record(path, path_id, is_write, decision);
         return decision;
     }
 
@@ -217,14 +226,12 @@ FaultInjector::Decide(const std::string& path, bool is_write)
     if (rule < 0) {
         return decision;
     }
-    return Roll(rules_[static_cast<size_t>(rule)], path, is_write);
+    return Roll(rules_[static_cast<size_t>(rule)], path, path_id, is_write);
 }
 
-// aeo: hot-path-stop -- fault-campaign slow path: allocates only when a
-// fault actually fires (gone/sticky bookkeeping, trace events); the no-fault
-// steady state returns a plain decision without touching the containers.
 FaultDecision
-FaultInjector::Roll(FaultRule& rule, const std::string& path, bool is_write)
+FaultInjector::Roll(FaultRule& rule, const std::string& path, uint32_t& path_id,
+                    bool is_write)
 {
     FaultDecision decision;
     const auto consume_trigger = [&] {
@@ -236,20 +243,18 @@ FaultInjector::Roll(FaultRule& rule, const std::string& path, bool is_write)
     if (rule.disappear_probability > 0.0 &&
         rng_.Bernoulli(rule.disappear_probability)) {
         consume_trigger();
-        gone_.insert(path);
-        BumpVersion();
+        Latch(path, /*gone=*/true, FaultErrc::kNoEnt);
         decision.errc = FaultErrc::kNoEnt;
-        Record(path, is_write, decision);
+        Record(path, path_id, is_write, decision);
         return decision;
     }
     if (rule.fail_probability > 0.0 && rng_.Bernoulli(rule.fail_probability)) {
         consume_trigger();
         decision.errc = rule.errc;
         if (rule.duration == FaultDuration::kSticky) {
-            sticky_.emplace(path, rule.errc);
-            BumpVersion();
+            Latch(path, /*gone=*/false, rule.errc);
         }
-        Record(path, is_write, decision);
+        Record(path, path_id, is_write, decision);
         return decision;
     }
     if (is_write && rule.silent_clamp_probability > 0.0 &&
@@ -257,7 +262,7 @@ FaultInjector::Roll(FaultRule& rule, const std::string& path, bool is_write)
         consume_trigger();
         decision.silent_clamp = true;
         decision.clamp_factor = rule.silent_clamp_factor;
-        Record(path, is_write, decision);
+        Record(path, path_id, is_write, decision);
         return decision;
     }
     if (!is_write && rule.stale_probability > 0.0 &&
@@ -271,29 +276,66 @@ FaultInjector::Roll(FaultRule& rule, const std::string& path, bool is_write)
         decision.latency = rule.latency_spike;
     }
     if (decision.stale || decision.latency > SimTime::Zero()) {
-        Record(path, is_write, decision);
+        Record(path, path_id, is_write, decision);
     }
     return decision;
 }
 
-// aeo: hot-path-stop -- bounded fault trace: events are the campaign's
-// output artifact and only accrue when a fault fires.
+// aeo: hot-path-stop -- latching a path: the gone/sticky set copies the path
+// into a new node, once per latch; every later operation on the latched
+// path only looks it up.
 void
-FaultInjector::Record(const std::string& path, bool is_write,
+FaultInjector::Latch(const std::string& path, bool gone, FaultErrc errc)
+{
+    if (gone) {
+        gone_.insert(path);
+    } else {
+        sticky_.emplace(path, errc);
+    }
+    BumpVersion();
+}
+
+void
+FaultInjector::Record(const std::string& path, uint32_t& path_id, bool is_write,
                       const FaultDecision& decision)
 {
     if (trace_.size() >= kTraceLimit) {
         return;
     }
+    if (path_id == kNoPathId) {
+        path_id = PathId(path);
+    }
     FaultEvent event;
     event.op_index = op_count_ - 1;
-    event.path = path;
+    event.path_id = path_id;
     event.is_write = is_write;
     event.errc = decision.errc;
     event.stale = decision.stale;
     event.latency_us = decision.latency.micros();
     event.silent_clamp = decision.silent_clamp;
-    trace_.push_back(std::move(event));
+    // aeo-lint: allow(hot-path-alloc) -- amortized growth of the bounded
+    // trace: it reallocates only past its capacity, at most kTraceLimit events.
+    trace_.push_back(event);
+}
+
+uint32_t
+FaultInjector::PathId(const std::string& path)
+{
+    for (size_t id = 0; id < paths_.size(); ++id) {
+        if (paths_[id] == path) {
+            return static_cast<uint32_t>(id);
+        }
+    }
+    return InternPath(path);
+}
+
+// aeo: hot-path-stop -- first sight of a path in the trace's path table:
+// copies the path once; every later event of the path records its id.
+uint32_t
+FaultInjector::InternPath(const std::string& path)
+{
+    paths_.push_back(path);
+    return static_cast<uint32_t>(paths_.size() - 1);
 }
 
 }  // namespace aeo

@@ -25,6 +25,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/random.h"
@@ -102,17 +103,26 @@ struct FaultDecision {
     bool ok() const { return errc == FaultErrc::kOk; }
 };
 
-/** One non-clean decision, recorded for determinism checks and reports. */
+/**
+ * One non-clean decision, recorded for determinism checks and reports.
+ * Trivially copyable: the path is an id into its injector's path table, so
+ * recording an event copies no string (FaultInjector::path() resolves it).
+ */
 struct FaultEvent {
     uint64_t op_index = 0;
-    std::string path;
+    /** The operation's path, as FaultInjector::path() numbers it. */
+    uint32_t path_id = 0;
     bool is_write = false;
     FaultErrc errc = FaultErrc::kOk;
     bool stale = false;
     int64_t latency_us = 0;
     bool silent_clamp = false;
 };
+static_assert(std::is_trivially_copyable_v<FaultEvent>);
 
+/** Field-wise; paths compare by id. An injector numbers its paths in the
+ * order it first records them, so twin injectors that see the same
+ * operations number them alike. */
 bool operator==(const FaultEvent& a, const FaultEvent& b);
 
 /** Seeded source of injected failures for guarded I/O paths. */
@@ -129,7 +139,9 @@ class FaultInjector {
      * or repaired). The power monitor decides the sample-clock ticks of
      * each catch-up through one of these with OnReadBlock(); the decision
      * stream — RNG draws, op indices, trace — is bit-identical to one
-     * OnRead(path) per tick.
+     * OnRead(path) per tick. From its first recorded event on, the query
+     * also keeps its path's id, so a later event neither searches the path
+     * table nor allocates. A query serves one injector.
      */
     class PathQuery {
       public:
@@ -147,6 +159,9 @@ class FaultInjector {
         int rule_ = -1;
         /** Path has latched sticky/gone state: take the full slow path. */
         bool latched_ = false;
+        /** The path's id in the trace's path table; kNoPathId until the
+         * first event of the path is recorded through this query. */
+        uint32_t path_id_ = kNoPathId;
     };
 
     /** What OnReadBlock() decided for a block of reads. */
@@ -242,8 +257,15 @@ class FaultInjector {
         return op_count_;
     }
 
-    /** Non-clean decisions, in operation order. The first kTraceLimit are
-     * kept; later ones are dropped. */
+    /** Events the trace keeps; later ones are dropped. */
+    static constexpr size_t kTraceLimit = 100000;
+
+    /**
+     * Non-clean decisions, in operation order; the first kTraceLimit are
+     * kept. Each event names its path by id; path() resolves it while this
+     * injector lives, so a trace that outlives its injector still compares
+     * but no longer resolves.
+     */
     const std::vector<FaultEvent>&
     trace()
     {
@@ -251,8 +273,12 @@ class FaultInjector {
         return trace_;
     }
 
+    /** The path of the trace's events whose path_id is @p id. */
+    const std::string& path(uint32_t id) const;
+
   private:
-    static constexpr size_t kTraceLimit = 100000;
+    /** PathQuery::path_id_ before its path is in the table. */
+    static constexpr uint32_t kNoPathId = ~uint32_t{0};
 
     void
     Sync()
@@ -262,14 +288,25 @@ class FaultInjector {
         }
     }
 
-    FaultDecision Decide(const std::string& path, bool is_write);
+    /**
+     * Decides one operation on @p path. @p path_id caches the path's id in
+     * the path table (kNoPathId until known); Roll() and Record() take and
+     * fill it the same way.
+     */
+    FaultDecision Decide(const std::string& path, uint32_t& path_id,
+                         bool is_write);
     /** First active, unspent rule whose prefix covers @p path; -1 none. */
     int FindRule(const std::string& path) const;
     /** Rolls the probability cascade for a matched rule. */
     FaultDecision Roll(FaultRule& rule, const std::string& path,
-                       bool is_write);
-    void Record(const std::string& path, bool is_write,
+                       uint32_t& path_id, bool is_write);
+    /** Latches @p path as gone, or else as failing sticky with @p errc. */
+    void Latch(const std::string& path, bool gone, FaultErrc errc);
+    void Record(const std::string& path, uint32_t& path_id, bool is_write,
                 const FaultDecision& decision);
+    /** The path table's id for @p path; adds the path on first sight. */
+    uint32_t PathId(const std::string& path);
+    uint32_t InternPath(const std::string& path);
     /** Invalidates outstanding PathQuery memos. */
     void BumpVersion() { ++topology_version_; }
 
@@ -286,6 +323,9 @@ class FaultInjector {
     uint64_t op_count_ = 0;
     BlockCounts block_counts_;
     std::vector<FaultEvent> trace_;
+    /** The trace's distinct paths, in the order they were first recorded;
+     * a FaultEvent's path_id indexes it. */
+    std::vector<std::string> paths_;
     std::function<void()> sync_hook_;
 };
 

@@ -169,7 +169,7 @@ TEST(FaultInjectorTest, TraceRecordsOpIndexAndKind)
     EXPECT_EQ(event.op_index, 1u);
     EXPECT_TRUE(event.is_write);
     EXPECT_EQ(event.errc, FaultErrc::kBusy);
-    EXPECT_EQ(event.path, "/sys/x/n");
+    EXPECT_EQ(injector.path(event.path_id), "/sys/x/n");
 }
 
 TEST(FaultInjectorTest, ClearDropsRulesAndLatchedState)
@@ -216,7 +216,8 @@ TEST(FaultInjectorTest, SyncHookRunsBeforeEveryStreamOperation)
     EXPECT_EQ(syncs_in([&] { injector.OnRead("/sys/x/n"); }), 0);
 }
 
-/** The meter's path, which none of the sysfs rules below cover. */
+/** The meter's path (power/monsoon.h's kMonsoonFaultPath, longer than a
+ * small-string buffer), which none of the sysfs rules below cover. */
 constexpr char kMeterPath[] = "/dev/monsoon/sample";
 
 /** Decides @p count reads of @p path one OnRead(path) at a time, the way
@@ -340,6 +341,68 @@ TEST(FaultInjectorTest, SpentBudgetMidBlockLetsTheRestOfTheBlockPass)
     EXPECT_EQ(block_injector.OnReadBlock(query, 4).kept, 4);
     EXPECT_EQ(block_injector.block_counts().read_by_read, 1u);
     EXPECT_EQ(block_injector.block_counts().clean, 1u);
+}
+
+TEST(FaultInjectorTest, MeterDropsShareOneInternedPath)
+{
+    FaultInjector injector(43);
+    injector.AddRule(BusyRule(kMeterPath, 1.0));
+    FaultInjector::PathQuery query(kMeterPath);
+    constexpr int64_t kReads = 1000;
+
+    EXPECT_EQ(injector.OnReadBlock(query, kReads).kept, 0);
+    const std::vector<FaultEvent>& trace = injector.trace();
+    ASSERT_EQ(trace.size(), static_cast<size_t>(kReads));
+    for (const FaultEvent& event : trace) {
+        EXPECT_EQ(event.path_id, trace.front().path_id);
+    }
+    EXPECT_EQ(injector.path(trace.front().path_id), kMeterPath);
+}
+
+TEST(FaultInjectorTest, SysfsAndMeterEventsResolveToTheirOwnPaths)
+{
+    FaultInjector block_injector(47);
+    FaultInjector twin(47);
+    for (FaultInjector* injector : {&block_injector, &twin}) {
+        injector->AddRule(BusyRule("/sys/x", 1.0));
+        injector->AddRule(BusyRule(kMeterPath, 0.5));
+    }
+    FaultInjector::PathQuery query(kMeterPath);
+    // The meter's first drop comes after a sysfs event and before another
+    // sysfs path's first event, so the ids follow first-record order.
+    const auto script = [&](FaultInjector& injector, bool blocks) {
+        const auto meter = [&](int64_t reads) {
+            if (blocks) {
+                injector.OnReadBlock(query, reads);
+            } else {
+                ReadOneByOne(injector, kMeterPath, reads);
+            }
+        };
+        injector.OnWrite("/sys/x/a");
+        meter(40);
+        injector.OnRead("/sys/x/b");
+        injector.OnWrite("/sys/x/a");
+        meter(40);
+    };
+    script(block_injector, /*blocks=*/true);
+    script(twin, /*blocks=*/false);
+
+    const std::vector<FaultEvent>& trace = block_injector.trace();
+    ASSERT_GT(trace.size(), 4u);
+    EXPECT_EQ(block_injector.path(0), "/sys/x/a");
+    EXPECT_EQ(block_injector.path(1), kMeterPath);
+    EXPECT_EQ(block_injector.path(2), "/sys/x/b");
+    for (const FaultEvent& event : trace) {
+        const std::string& path = block_injector.path(event.path_id);
+        if (event.is_write) {
+            EXPECT_EQ(path, "/sys/x/a") << "op " << event.op_index;
+        } else if (event.op_index == 41) {  // after a write and 40 meter reads
+            EXPECT_EQ(path, "/sys/x/b");
+        } else {
+            EXPECT_EQ(path, kMeterPath) << "op " << event.op_index;
+        }
+    }
+    EXPECT_EQ(block_injector.trace(), twin.trace());
 }
 
 TEST(FaultInjectorTest, ErrcNamesAreErrnoStyle)

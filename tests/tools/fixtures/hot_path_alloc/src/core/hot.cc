@@ -1,18 +1,26 @@
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace aeo {
 std::vector<int> g_log;
 
+struct Event {
+    std::string path;
+};
+
 void Helper();
 void Refill();
+void Stamp(Event& event, std::string& path);
 
 // aeo: hot-path
 void
-RunCycle()
+RunCycle(Event& event, std::string& path)
 {
     Helper();
     Refill();
+    Stamp(event, path);
 }
 
 void
@@ -31,6 +39,14 @@ void
 Refill()
 {
     g_log.push_back(2);
+}
+
+// Copying into a string member can allocate; moving hands the buffer over.
+void
+Stamp(Event& event, std::string& path)
+{
+    event.path = path;
+    event.path = std::move(path);
 }
 }  // namespace aeo
 

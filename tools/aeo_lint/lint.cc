@@ -953,7 +953,7 @@ IsAllocFreeExternal(const std::string& name)
         // <algorithm>/<cmath>/<utility> value helpers.
         "min", "max", "abs", "fabs", "clamp", "floor", "ceil", "round",
         "lround", "llround", "sqrt", "pow", "exp", "exp2", "log", "log2",
-        "log10", "isnan", "isinf", "isfinite", "fmod", "trunc", "hypot",
+        "log10", "isnan", "isinf", "isfinite", "fmod", "fma", "trunc", "hypot",
         "move", "swap", "forward", "get", "tie", "exchange", "distance",
         "lower_bound", "upper_bound", "sort", "nth_element", "fill",
         "copy", "count_if", "any_of", "all_of", "none_of", "accumulate",
@@ -1074,6 +1074,24 @@ CheckHotFunction(const std::vector<AnalyzedFile>& files,
                 "std container in " + where,
                 "growth can reallocate; reserve out of the hot path or use "
                 "fixed-capacity storage"});
+            continue;
+        }
+        // Copy-assignment into a member whose name this file declares with
+        // a std container or string type (same-file scope, as for `+=`):
+        // `recv.member = expr` copies the source's elements and may allocate
+        // (a std::string past its small-string buffer always does). A move
+        // hands the buffer over instead.
+        if (i + 2 < fn.body_end && IsPunct(toks[i + 1], "=") &&
+            (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->")) &&
+            file.tu.growable_vars.count(t.text) > 0 &&
+            !(toks[i + 2].kind == TokKind::kIdent &&
+              (toks[i + 2].text == "std" || toks[i + 2].text == "move"))) {
+            findings->push_back(Finding{
+                "hot-path-alloc", file.tu.rel_path, t.line,
+                "`" + t.text + " = ...` copies into a std container or "
+                "string in " + where,
+                "copying a string or container can allocate; store an id or "
+                "index into storage built outside the hot path"});
             continue;
         }
         // String growth via `+=` on a receiver declared growable in this

@@ -1,22 +1,27 @@
 #!/usr/bin/env python3
 """Wall-clock record of the eight snapshot-gated benches (BENCH_gates.json).
 
-Runs each gated bench at --fast, with --jobs=1 and --jobs=4, five times,
+Runs each gated bench at --fast, with --jobs=1 and --jobs=4, ten times,
 from a temporary directory, and reads the wall time each run writes to its
 <snapshot>.perf.json sidecar. Each LABEL=BENCH_DIR argument names one
 build of the benches (CI and the committed rows use Release builds) and
 becomes one row of BENCH_gates.json at the repository root; a row with the
 same label is replaced. With several builds the runs alternate between
-them, so a slow spell of a shared machine hits every row alike:
+them, one round at a time, so a slow spell of a shared machine hits every
+row alike:
 
     python3 tools/bench_gates.py "before=../parent/build/bench" "after=build/bench"
 
 A row holds, per (bench, jobs), the median and quartiles of the sidecar's
 wall_seconds (wall_s), of the whole process's wall time (process_s) and of
 its user + system CPU time (cpu_s, the work done whatever the worker
-count), next to the machine's hardware_threads. A bench that writes no
-sidecar, as the robustness benches did before they gained one, gets wall_s
-null.
+count), next to the machine's hardware_threads and its repetitions. A
+bench that writes no sidecar, as the robustness benches did before they
+gained one, gets wall_s null. Every row after the first also holds, per
+(bench, jobs) and per measure, the number of rounds in which its run took
+less than the first row's run of the same round (wins_vs_first, with the
+first row's label in compared_with): quartiles of a shared machine can
+part by chance, but a change that wins 9 or 10 of 10 rounds is not noise.
 """
 
 import argparse
@@ -40,7 +45,8 @@ BENCHES = (
     "robustness_chaos_campaign",
 )
 JOBS = (1, 4)
-REPETITIONS = 5
+REPETITIONS = 10
+MEASURES = ("wall_s", "process_s", "cpu_s")
 
 
 def summary(values):
@@ -78,14 +84,24 @@ def run_once(binary, jobs, workdir):
         return elapsed, cpu, json.load(text)
 
 
+def wins(sample, first):
+    """Rounds, per measure, in which @p sample ran faster than @p first."""
+    return {key: sum(mine < theirs for mine, theirs in zip(sample[key], first[key]))
+            if sample[key] and first[key] else None
+            for key in MEASURES}
+
+
 def measure(builds):
     """Rows for @p builds, a list of (label, bench directory)."""
-    rows = [{"label": label, "hardware_threads": os.cpu_count(), "results": []}
+    rows = [{"label": label, "hardware_threads": os.cpu_count(),
+             "repetitions": REPETITIONS, "results": []}
             for label, _ in builds]
+    for row in rows[1:]:
+        row["compared_with"] = builds[0][0]
     with tempfile.TemporaryDirectory() as workdir:
         for bench in BENCHES:
             for jobs in JOBS:
-                samples = [{"wall_s": [], "process_s": [], "cpu_s": []} for _ in builds]
+                samples = [{key: [] for key in MEASURES} for _ in builds]
                 for _ in range(REPETITIONS):
                     for (_, bench_dir), row, sample in zip(builds, rows, samples):
                         binary = os.path.abspath(os.path.join(bench_dir, bench))
@@ -95,9 +111,11 @@ def measure(builds):
                         if perf is not None:
                             sample["wall_s"].append(float(perf["wall_seconds"]))
                             row["hardware_threads"] = perf["hardware_threads"]
-                for row, sample in zip(rows, samples):
+                for index, (row, sample) in enumerate(zip(rows, samples)):
                     result = {"bench": bench, "jobs": jobs}
                     result.update({key: summary(values) for key, values in sample.items()})
+                    if index > 0:
+                        result["wins_vs_first"] = wins(sample, samples[0])
                     row["results"].append(result)
     return rows
 
@@ -117,10 +135,14 @@ def main(argv):
     rows = measure(builds)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.path.join(root, "BENCH_gates.json")
-    doc = {"bench": "gates", "fast": True, "repetitions": REPETITIONS, "rows": []}
+    doc = {"bench": "gates", "fast": True, "rows": []}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as text:
             doc = json.load(text)
+    # Rows carry their own repetitions; older files kept one for all rows.
+    legacy = doc.pop("repetitions", None)
+    for row in doc["rows"]:
+        row.setdefault("repetitions", legacy)
     labels = {row["label"] for row in rows}
     doc["rows"] = [row for row in doc["rows"] if row["label"] not in labels] + rows
     with open(path, "w", encoding="utf-8") as out:
