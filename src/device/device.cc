@@ -6,12 +6,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "kernel/governors/cpufreq_interactive.h"
-#include "kernel/governors/cpufreq_lulzactive.h"
-#include "kernel/governors/cpufreq_ondemand.h"
-#include "kernel/governors/devfreq_adreno_tz.h"
-#include "kernel/governors/devfreq_cpubw_hwmon.h"
-#include "kernel/governors/passive.h"
 #include "soc/nexus6.h"
 
 namespace aeo {
@@ -55,18 +49,6 @@ WriteTargetLevel(Sysfs& sysfs, const DvfsPolicy& policy, int level)
     sysfs.Write(policy.Open(&DvfsSysfsNames::set_freq), policy.FormatLevel(level));
 }
 
-/** Registers the stock governor set on a cpufreq policy. */
-void
-RegisterStockCpufreqGovernors(CpufreqPolicy* policy)
-{
-    policy->RegisterGovernor("interactive", MakeCpufreqInteractiveFactory());
-    policy->RegisterGovernor("ondemand", MakeCpufreqOndemandFactory());
-    policy->RegisterGovernor("performance", MakePerformanceFactory());
-    policy->RegisterGovernor("powersave", MakePowersaveFactory());
-    policy->RegisterGovernor("userspace", MakeUserspaceFactory());
-    policy->RegisterGovernor("lulzactive", MakeCpufreqLulzactiveFactory());
-}
-
 }  // namespace
 
 Device::ClusterDomain::ClusterDomain(const ClusterSpec& cluster_spec)
@@ -88,27 +70,22 @@ Device::Device(DeviceConfig config)
     // admissible placement.
     placement_ = topology_.AdmissiblePlacements().back();
 
+    clusters_.reserve(topology_.num_clusters());
     for (int i = 0; i < topology_.num_clusters(); ++i) {
         const ClusterSpec& spec = topology_.cluster(i);
+        AEO_ASSERT(clusters_.size() < clusters_.capacity(),
+                   "a cluster domain would move out from under its policy");
         ClusterDomain& domain = clusters_.emplace_back(spec);
         domain.cpufreq = std::make_unique<CpufreqPolicy>(
             &sim_, &domain.cluster, &domain.load_meter, &sysfs_,
             CpufreqRoot(spec.first_cpu, topology_.num_clusters()));
-        RegisterStockCpufreqGovernors(domain.cpufreq.get());
     }
 
     devfreq_ = std::make_unique<DevfreqPolicy>(&sim_, &bus_, &traffic_meter_,
                                                &sysfs_, kDevfreqSysfsRoot);
-    devfreq_->RegisterGovernor("cpubw_hwmon", MakeDevfreqCpubwHwmonFactory());
-    devfreq_->RegisterGovernor("performance", MakePerformanceFactory());
-    devfreq_->RegisterGovernor("powersave", MakePowersaveFactory());
-    devfreq_->RegisterGovernor("userspace", MakeUserspaceFactory());
 
     gpufreq_ = std::make_unique<GpuFreqPolicy>(&sim_, &gpu_, &gpu_meter_, &sysfs_,
                                                kGpuSysfsRoot);
-    gpufreq_->RegisterGovernor("msm-adreno-tz", MakeAdrenoTzFactory());
-    gpufreq_->RegisterGovernor("userspace", MakeUserspaceFactory());
-    gpufreq_->RegisterGovernor("performance", MakePerformanceFactory());
 
     perf_ = std::make_unique<PerfTool>(&sim_, &pmu_, seeder.Fork().NextU64(),
                                        config_.perf);

@@ -24,7 +24,6 @@
 #define AEO_DEVICE_DEVICE_H_
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -347,9 +346,10 @@ class Device {
     Simulator sim_;
     Sysfs sysfs_;
 
-    /** One entry per topology cluster, in topology order. A deque keeps
-     * each domain at a fixed address: its policy points into it. */
-    std::deque<ClusterDomain> clusters_;
+    /** One entry per topology cluster, in topology order, in storage
+     * reserved once: each domain stays at a fixed address, because its
+     * policy points into it. */
+    std::vector<ClusterDomain> clusters_;
     MemoryBus bus_;
     GpuDomain gpu_;
     ExecutionEngine engine_;

@@ -3,6 +3,10 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "kernel/governors/cpufreq_interactive.h"
+#include "kernel/governors/cpufreq_lulzactive.h"
+#include "kernel/governors/cpufreq_ondemand.h"
+#include "kernel/governors/passive.h"
 
 namespace aeo {
 
@@ -20,12 +24,24 @@ constexpr DvfsSysfsNames kCpufreqNames = {
     .set_freq_needs_userspace = true,
 };
 
+/** The stock cpufreq governors. */
+constexpr DvfsGovernorEntry kCpufreqGovernors[] = {
+    {"interactive", MakeCpufreqInteractiveGovernor},
+    {"lulzactive", MakeCpufreqLulzactiveGovernor},
+    {"ondemand", MakeCpufreqOndemandGovernor},
+    {"performance", MakePerformanceGovernor},
+    {"powersave", MakePowersaveGovernor},
+    {"userspace", MakeUserspaceGovernor},
+};
+static_assert(SortedByName(kCpufreqGovernors));
+
 }  // namespace
 
 CpufreqPolicy::CpufreqPolicy(Simulator* sim, CpuCluster* cluster,
                              const CpuLoadMeter* load_meter, Sysfs* sysfs,
                              std::string sysfs_root)
-    : DvfsPolicy(sim, cluster, sysfs, std::move(sysfs_root), kCpufreqNames),
+    : DvfsPolicy(sim, cluster, sysfs, std::move(sysfs_root), kCpufreqNames,
+                 kCpufreqGovernors),
       cluster_(cluster),
       load_meter_(load_meter)
 {

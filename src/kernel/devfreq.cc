@@ -3,6 +3,9 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "kernel/governors/devfreq_adreno_tz.h"
+#include "kernel/governors/devfreq_cpubw_hwmon.h"
+#include "kernel/governors/passive.h"
 
 namespace aeo {
 
@@ -32,12 +35,30 @@ constexpr DvfsSysfsNames kKgslNames = {
     .set_freq_needs_userspace = false,
 };
 
+/** The memory bus's stock devfreq governors. */
+constexpr DvfsGovernorEntry kDevfreqGovernors[] = {
+    {"cpubw_hwmon", MakeDevfreqCpubwHwmonGovernor},
+    {"performance", MakePerformanceGovernor},
+    {"powersave", MakePowersaveGovernor},
+    {"userspace", MakeUserspaceGovernor},
+};
+static_assert(SortedByName(kDevfreqGovernors));
+
+/** The GPU's stock kgsl governors. */
+constexpr DvfsGovernorEntry kKgslGovernors[] = {
+    {"msm-adreno-tz", MakeAdrenoTzGovernor},
+    {"performance", MakePerformanceGovernor},
+    {"userspace", MakeUserspaceGovernor},
+};
+static_assert(SortedByName(kKgslGovernors));
+
 }  // namespace
 
 DevfreqPolicy::DevfreqPolicy(Simulator* sim, MemoryBus* bus,
                              const BusTrafficMeter* traffic_meter, Sysfs* sysfs,
                              std::string sysfs_root)
-    : DvfsPolicy(sim, bus, sysfs, std::move(sysfs_root), kDevfreqNames),
+    : DvfsPolicy(sim, bus, sysfs, std::move(sysfs_root), kDevfreqNames,
+                 kDevfreqGovernors),
       bus_(bus),
       traffic_meter_(traffic_meter)
 {
@@ -59,7 +80,8 @@ DevfreqPolicy::LevelOfValue(long long mbps) const
 GpuFreqPolicy::GpuFreqPolicy(Simulator* sim, GpuDomain* gpu,
                              const GpuBusyMeter* meter, Sysfs* sysfs,
                              std::string sysfs_root)
-    : DvfsPolicy(sim, gpu, sysfs, std::move(sysfs_root), kKgslNames),
+    : DvfsPolicy(sim, gpu, sysfs, std::move(sysfs_root), kKgslNames,
+                 kKgslGovernors),
       gpu_(gpu),
       meter_(meter)
 {

@@ -9,12 +9,14 @@
 namespace aeo {
 
 DvfsPolicy::DvfsPolicy(Simulator* sim, LevelDomain* domain, Sysfs* sysfs,
-                       std::string sysfs_root, const DvfsSysfsNames& names)
+                       std::string sysfs_root, const DvfsSysfsNames& names,
+                       std::span<const DvfsGovernorEntry> governors)
     : sim_(sim),
       domain_(domain),
       sysfs_(sysfs),
       sysfs_root_(std::move(sysfs_root)),
-      names_(&names)
+      names_(&names),
+      governors_(governors)
 {
     AEO_ASSERT(sim_ != nullptr && domain_ != nullptr && sysfs_ != nullptr,
                "DVFS policy '%s' wired with null dependency", sysfs_root_.c_str());
@@ -30,29 +32,20 @@ DvfsPolicy::~DvfsPolicy()
     }
 }
 
-void
-DvfsPolicy::RegisterGovernor(const std::string& name, DvfsGovernorFactory factory)
-{
-    AEO_ASSERT(factory != nullptr, "null governor factory for '%s'", name.c_str());
-    const auto [it, inserted] = factories_.emplace(name, std::move(factory));
-    (void)it;
-    AEO_ASSERT(inserted, "governor '%s' registered twice on '%s'", name.c_str(),
-               sysfs_root_.c_str());
-}
-
 bool
 DvfsPolicy::SetGovernor(const std::string& name)
 {
-    const auto it = factories_.find(name);
-    if (it == factories_.end()) {
+    const auto it = std::find_if(
+        governors_.begin(), governors_.end(),
+        [&name](const DvfsGovernorEntry& entry) { return name == entry.name; });
+    if (it == governors_.end()) {
         return false;
     }
     if (governor_) {
         governor_->Stop();
         governor_.reset();
     }
-    governor_ = it->second(this);
-    AEO_ASSERT(governor_ != nullptr, "factory for '%s' returned null", name.c_str());
+    governor_ = it->make(this);
     governor_->Start();
     return true;
 }
@@ -66,12 +59,14 @@ DvfsPolicy::governor_name() const
 std::string
 DvfsPolicy::AvailableGovernors() const
 {
-    std::vector<std::string> names;
-    names.reserve(factories_.size());
-    for (const auto& [name, factory] : factories_) {
-        names.push_back(name);
+    std::string names;
+    for (const DvfsGovernorEntry& entry : governors_) {
+        if (!names.empty()) {
+            names += ' ';
+        }
+        names += entry.name;
     }
-    return Join(names, " ");
+    return names;
 }
 
 void

@@ -1,11 +1,12 @@
 /**
  * @file
  * Linux's DVFS policy framework (§II-A), written once for every frequency
- * domain: separation of policy (pluggable governors, selected by name
- * through sysfs — exactly the interface the paper's controller uses to take
- * over frequency control) and mechanism (the domain's level), the scaling
- * limits and the kernel-owned thermal cap under one clamp rule, and the
- * sysfs files, named per directory from a constant table.
+ * domain: separation of policy (governors selected by name through sysfs,
+ * from a constant table per policy kind — exactly the interface the paper's
+ * controller uses to take over frequency control) and mechanism (the
+ * domain's level), the scaling limits and the kernel-owned thermal cap
+ * under one clamp rule, and the sysfs files, named per directory from a
+ * constant table.
  *
  * cpufreq (a CPU cluster), devfreq (the memory bus) and kgsl (the GPU) are
  * thin subclasses: each adds its typed table, its meter, and the codec
@@ -19,9 +20,10 @@
 #define AEO_KERNEL_DVFS_POLICY_H_
 
 #include <functional>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "common/logging.h"
 #include "kernel/sysfs.h"
@@ -60,9 +62,26 @@ class DvfsGovernor {
     virtual bool SetTargetLevel(int) { return false; }
 };
 
-/** Factory producing a governor bound to a policy. */
-using DvfsGovernorFactory =
-    std::function<std::unique_ptr<DvfsGovernor>(DvfsPolicy*)>;
+/** One governor a policy kind offers: its sysfs name and its constructor,
+ * which binds it to a policy of that kind. */
+struct DvfsGovernorEntry {
+    const char* name;
+    std::unique_ptr<DvfsGovernor> (*make)(DvfsPolicy* policy);
+};
+
+/** True when @p governors are in strictly ascending name order, the order
+ * the available-governors file lists them in. */
+constexpr bool
+SortedByName(std::span<const DvfsGovernorEntry> governors)
+{
+    for (size_t i = 1; i < governors.size(); ++i) {
+        if (std::string_view(governors[i - 1].name) >=
+            std::string_view(governors[i].name)) {
+            return false;
+        }
+    }
+    return true;
+}
 
 /**
  * The file names of one policy directory. A null name means the directory
@@ -91,16 +110,15 @@ class DvfsPolicy {
     DvfsPolicy(const DvfsPolicy&) = delete;
     DvfsPolicy& operator=(const DvfsPolicy&) = delete;
 
-    /** Registers a governor under its name; panics on duplicates. */
-    void RegisterGovernor(const std::string& name, DvfsGovernorFactory factory);
-
-    /** Switches governors; returns false for an unknown name. */
+    /** Switches governors; returns false for a name the policy kind's
+     * table does not hold. */
     bool SetGovernor(const std::string& name);
 
     /** Name of the active governor ("none" before the first SetGovernor). */
     std::string governor_name() const;
 
-    /** Names of all registered governors, space-separated (sysfs format). */
+    /** Names of the policy kind's governors, space-separated (sysfs
+     * format). */
     std::string AvailableGovernors() const;
 
     // --- Interface used by governors -------------------------------------
@@ -191,9 +209,11 @@ class DvfsPolicy {
      * @param sysfs_root Directory for the files, e.g.
      *                   "/sys/devices/system/cpu/cpu0/cpufreq".
      * @param names      The directory's file names.
+     * @param governors  The policy kind's governor table, SortedByName().
      */
     DvfsPolicy(Simulator* sim, LevelDomain* domain, Sysfs* sysfs,
-               std::string sysfs_root, const DvfsSysfsNames& names);
+               std::string sysfs_root, const DvfsSysfsNames& names,
+               std::span<const DvfsGovernorEntry> governors);
 
   private:
     void RegisterSysfsFiles();
@@ -207,7 +227,8 @@ class DvfsPolicy {
     std::string sysfs_root_;
     /** The directory's constant name table. */
     const DvfsSysfsNames* names_;
-    std::map<std::string, DvfsGovernorFactory> factories_;
+    /** The policy kind's constant governor table. */
+    std::span<const DvfsGovernorEntry> governors_;
     std::unique_ptr<DvfsGovernor> governor_;
     std::function<void()> sync_hook_;
     int min_level_limit_ = 0;
@@ -216,8 +237,8 @@ class DvfsPolicy {
 };
 
 /**
- * The typed policy a governor factory binds to. Panics when a governor is
- * registered on the wrong kind of policy (a CPU governor on the bus).
+ * The typed policy a governor binds to. Panics when a governor table holds
+ * a governor of another kind of policy (a CPU governor on the bus).
  */
 template <typename Policy>
 Policy*
@@ -225,7 +246,7 @@ PolicyAs(DvfsPolicy* policy)
 {
     Policy* typed = dynamic_cast<Policy*>(policy);
     AEO_ASSERT(typed != nullptr,
-               "governor registered on the wrong kind of policy ('%s')",
+               "governor made on the wrong kind of policy ('%s')",
                policy->sysfs_root().c_str());
     return typed;
 }

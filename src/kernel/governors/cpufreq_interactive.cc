@@ -88,13 +88,11 @@ CpufreqInteractiveGovernor::Sample()
     at_or_above_hispeed_ = now_hispeed;
 }
 
-DvfsGovernorFactory
-MakeCpufreqInteractiveFactory(InteractiveParams params)
+std::unique_ptr<DvfsGovernor>
+MakeCpufreqInteractiveGovernor(DvfsPolicy* policy)
 {
-    return [params](DvfsPolicy* policy) {
-        return std::make_unique<CpufreqInteractiveGovernor>(
-            PolicyAs<CpufreqPolicy>(policy), params);
-    };
+    return std::make_unique<CpufreqInteractiveGovernor>(
+        PolicyAs<CpufreqPolicy>(policy));
 }
 
 }  // namespace aeo

@@ -65,8 +65,8 @@ class CpufreqInteractiveGovernor : public DvfsGovernor {
     bool at_or_above_hispeed_ = false;
 };
 
-/** Factory with default parameters. */
-DvfsGovernorFactory MakeCpufreqInteractiveFactory(InteractiveParams params = {});
+/** The governor, with default parameters, on @p policy (a CpufreqPolicy). */
+std::unique_ptr<DvfsGovernor> MakeCpufreqInteractiveGovernor(DvfsPolicy* policy);
 
 }  // namespace aeo
 

@@ -65,13 +65,11 @@ CpufreqLulzactiveGovernor::Sample()
     }
 }
 
-DvfsGovernorFactory
-MakeCpufreqLulzactiveFactory(LulzactiveParams params)
+std::unique_ptr<DvfsGovernor>
+MakeCpufreqLulzactiveGovernor(DvfsPolicy* policy)
 {
-    return [params](DvfsPolicy* policy) {
-        return std::make_unique<CpufreqLulzactiveGovernor>(
-            PolicyAs<CpufreqPolicy>(policy), params);
-    };
+    return std::make_unique<CpufreqLulzactiveGovernor>(
+        PolicyAs<CpufreqPolicy>(policy));
 }
 
 }  // namespace aeo

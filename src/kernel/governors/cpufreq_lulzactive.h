@@ -63,8 +63,8 @@ class CpufreqLulzactiveGovernor : public DvfsGovernor {
     SimTime last_change_time_;
 };
 
-/** Factory with default parameters. */
-DvfsGovernorFactory MakeCpufreqLulzactiveFactory(LulzactiveParams params = {});
+/** The governor, with default parameters, on @p policy (a CpufreqPolicy). */
+std::unique_ptr<DvfsGovernor> MakeCpufreqLulzactiveGovernor(DvfsPolicy* policy);
 
 }  // namespace aeo
 

@@ -48,13 +48,11 @@ CpufreqOndemandGovernor::Sample()
     policy_->RequestFrequencyAtOrAbove(Gigahertz(f_needed));
 }
 
-DvfsGovernorFactory
-MakeCpufreqOndemandFactory(OndemandParams params)
+std::unique_ptr<DvfsGovernor>
+MakeCpufreqOndemandGovernor(DvfsPolicy* policy)
 {
-    return [params](DvfsPolicy* policy) {
-        return std::make_unique<CpufreqOndemandGovernor>(
-            PolicyAs<CpufreqPolicy>(policy), params);
-    };
+    return std::make_unique<CpufreqOndemandGovernor>(
+        PolicyAs<CpufreqPolicy>(policy));
 }
 
 }  // namespace aeo

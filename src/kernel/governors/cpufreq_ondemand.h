@@ -48,8 +48,8 @@ class CpufreqOndemandGovernor : public DvfsGovernor {
     std::optional<CpuLoadWindow> window_;
 };
 
-/** Factory with default parameters. */
-DvfsGovernorFactory MakeCpufreqOndemandFactory(OndemandParams params = {});
+/** The governor, with default parameters, on @p policy (a CpufreqPolicy). */
+std::unique_ptr<DvfsGovernor> MakeCpufreqOndemandGovernor(DvfsPolicy* policy);
 
 }  // namespace aeo
 

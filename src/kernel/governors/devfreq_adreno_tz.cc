@@ -48,13 +48,10 @@ AdrenoTzGovernor::Sample()
     }
 }
 
-DvfsGovernorFactory
-MakeAdrenoTzFactory(AdrenoTzParams params)
+std::unique_ptr<DvfsGovernor>
+MakeAdrenoTzGovernor(DvfsPolicy* policy)
 {
-    return [params](DvfsPolicy* policy) {
-        return std::make_unique<AdrenoTzGovernor>(PolicyAs<GpuFreqPolicy>(policy),
-                                                  params);
-    };
+    return std::make_unique<AdrenoTzGovernor>(PolicyAs<GpuFreqPolicy>(policy));
 }
 
 }  // namespace aeo

@@ -7,6 +7,7 @@
 #ifndef AEO_KERNEL_GOVERNORS_DEVFREQ_ADRENO_TZ_H_
 #define AEO_KERNEL_GOVERNORS_DEVFREQ_ADRENO_TZ_H_
 
+#include <memory>
 #include <string>
 
 #include "kernel/devfreq.h"
@@ -42,8 +43,8 @@ class AdrenoTzGovernor : public DvfsGovernor {
     SimTime last_elapsed_;
 };
 
-/** Factory with default parameters. */
-DvfsGovernorFactory MakeAdrenoTzFactory(AdrenoTzParams params = {});
+/** The governor, with default parameters, on @p policy (a GpuFreqPolicy). */
+std::unique_ptr<DvfsGovernor> MakeAdrenoTzGovernor(DvfsPolicy* policy);
 
 }  // namespace aeo
 

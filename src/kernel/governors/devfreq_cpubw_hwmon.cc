@@ -78,13 +78,11 @@ DevfreqCpubwHwmonGovernor::Sample()
     low_samples_ = 0;
 }
 
-DvfsGovernorFactory
-MakeDevfreqCpubwHwmonFactory(CpubwHwmonParams params)
+std::unique_ptr<DvfsGovernor>
+MakeDevfreqCpubwHwmonGovernor(DvfsPolicy* policy)
 {
-    return [params](DvfsPolicy* policy) {
-        return std::make_unique<DevfreqCpubwHwmonGovernor>(
-            PolicyAs<DevfreqPolicy>(policy), params);
-    };
+    return std::make_unique<DevfreqCpubwHwmonGovernor>(
+        PolicyAs<DevfreqPolicy>(policy));
 }
 
 }  // namespace aeo

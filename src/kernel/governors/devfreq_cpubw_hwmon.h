@@ -62,8 +62,8 @@ class DevfreqCpubwHwmonGovernor : public DvfsGovernor {
     int required_low_samples_ = 0;
 };
 
-/** Factory with default parameters. */
-DvfsGovernorFactory MakeDevfreqCpubwHwmonFactory(CpubwHwmonParams params = {});
+/** The governor, with default parameters, on @p policy (a DevfreqPolicy). */
+std::unique_ptr<DvfsGovernor> MakeDevfreqCpubwHwmonGovernor(DvfsPolicy* policy);
 
 }  // namespace aeo
 

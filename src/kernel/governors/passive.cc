@@ -56,28 +56,22 @@ class PowersaveGovernor : public DvfsGovernor {
 
 }  // namespace
 
-DvfsGovernorFactory
-MakeUserspaceFactory()
+std::unique_ptr<DvfsGovernor>
+MakeUserspaceGovernor(DvfsPolicy* policy)
 {
-    return [](DvfsPolicy* policy) {
-        return std::make_unique<UserspaceGovernor>(policy);
-    };
+    return std::make_unique<UserspaceGovernor>(policy);
 }
 
-DvfsGovernorFactory
-MakePerformanceFactory()
+std::unique_ptr<DvfsGovernor>
+MakePerformanceGovernor(DvfsPolicy* policy)
 {
-    return [](DvfsPolicy* policy) {
-        return std::make_unique<PerformanceGovernor>(policy);
-    };
+    return std::make_unique<PerformanceGovernor>(policy);
 }
 
-DvfsGovernorFactory
-MakePowersaveFactory()
+std::unique_ptr<DvfsGovernor>
+MakePowersaveGovernor(DvfsPolicy* policy)
 {
-    return [](DvfsPolicy* policy) {
-        return std::make_unique<PowersaveGovernor>(policy);
-    };
+    return std::make_unique<PowersaveGovernor>(policy);
 }
 
 }  // namespace aeo

@@ -10,14 +10,16 @@
 #ifndef AEO_KERNEL_GOVERNORS_PASSIVE_H_
 #define AEO_KERNEL_GOVERNORS_PASSIVE_H_
 
+#include <memory>
+
 #include "kernel/dvfs_policy.h"
 
 namespace aeo {
 
-/** Factories for registration with any policy. */
-DvfsGovernorFactory MakeUserspaceFactory();
-DvfsGovernorFactory MakePerformanceFactory();
-DvfsGovernorFactory MakePowersaveFactory();
+/** The passive governors, on a policy of any kind. */
+std::unique_ptr<DvfsGovernor> MakeUserspaceGovernor(DvfsPolicy* policy);
+std::unique_ptr<DvfsGovernor> MakePerformanceGovernor(DvfsPolicy* policy);
+std::unique_ptr<DvfsGovernor> MakePowersaveGovernor(DvfsPolicy* policy);
 
 }  // namespace aeo
 

@@ -1,14 +1,6 @@
 #include "kernel/loadavg.h"
 
-#include <cmath>
-
-#include "common/logging.h"
-
 namespace aeo {
-
-namespace {
-constexpr double kWindowSeconds = 60.0;
-}  // namespace
 
 LoadAvg::LoadAvg(double resident_tasks)
     : resident_tasks_(resident_tasks), value_(resident_tasks)
@@ -17,13 +9,15 @@ LoadAvg::LoadAvg(double resident_tasks)
 }
 
 void
-LoadAvg::Advance(double runnable, SimTime dt)
+LoadAvg::Fold(double runnable)
 {
     AEO_ASSERT(runnable >= 0.0, "negative runnable count");
-    AEO_ASSERT(dt >= SimTime::Zero(), "negative interval");
-    const double alpha = std::exp(-dt.seconds() / kWindowSeconds);
-    const double target = resident_tasks_ + runnable;
-    value_ = value_ * alpha + target * (1.0 - alpha);
+    // calc_load(): load·EXP_1 + active·(FIXED_1 − EXP_1), over FIXED_1.
+    const double active = resident_tasks_ + runnable;
+    while (since_fold_ >= kLoadFreq) {
+        since_fold_ -= kLoadFreq;
+        value_ = value_ * kDecay + active * (1.0 - kDecay);
+    }
 }
 
 }  // namespace aeo

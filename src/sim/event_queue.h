@@ -23,8 +23,9 @@
 #ifndef AEO_SIM_EVENT_QUEUE_H_
 #define AEO_SIM_EVENT_QUEUE_H_
 
+#include <bit>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -90,11 +91,11 @@ class EventQueue {
     Cancel(EventId id)
     {
         const uint64_t raw_slot = (id & 0xffffffffULL);
-        if (raw_slot == 0 || raw_slot > slots_.size()) {
+        if (raw_slot == 0 || raw_slot > slab_size_) {
             return false;
         }
         const auto slot = static_cast<uint32_t>(raw_slot - 1);
-        Slot& s = slots_[slot];
+        Slot& s = SlotAt(slot);
         if (!s.armed || s.generation != static_cast<uint32_t>(id >> 32)) {
             return false;
         }
@@ -159,7 +160,7 @@ class EventQueue {
         DropStaleHead();
         AEO_ASSERT(!heap_.empty(), "RunNext() on empty event queue");
         const HeapEntry entry = heap_.front();
-        Slot& s = slots_[entry.slot];
+        Slot& s = SlotAt(entry.slot);
         ++executed_count_;
         if (s.period > SimTime::Zero()) {
             // Repeating: re-arm the same record before delivering, so a
@@ -200,14 +201,19 @@ class EventQueue {
     /** Total events executed so far (for instrumentation). */
     uint64_t executed_count() const { return executed_count_; }
 
-    /** Slab capacity (for tests: bounded by peak concurrency, not churn). */
-    size_t SlabSize() const { return slots_.size(); }
+    /** Slab records handed out so far (for tests: bounded by peak
+     * concurrency, not churn). */
+    size_t SlabSize() const { return slab_size_; }
+
+    /** Records per slab chunk: a pinned device run holds 2 at its peak and
+     * a stock run 5, so one chunk serves either. */
+    static constexpr uint32_t kChunkSlots = 8;
 
   private:
     /**
-     * One slab record. Lives in a deque so addresses are stable: a
-     * repeating callback is invoked in place while the callback itself may
-     * grow the slab by scheduling.
+     * One slab record. Lives in a chunk that never moves, so addresses are
+     * stable: a repeating callback is invoked in place while the callback
+     * itself may grow the slab by scheduling.
      */
     struct Slot {
         EventCallback fn;
@@ -305,7 +311,7 @@ class EventQueue {
             AEO_ASSERT(static_cast<bool>(fn), "scheduling a null callback");
         }
         const uint32_t slot = Acquire();
-        Slot& s = slots_[slot];
+        Slot& s = SlotAt(slot);
         s.fn = EventCallback(std::forward<F>(fn));
         s.period = period;
         s.armed = true;
@@ -325,13 +331,28 @@ class EventQueue {
     {
         if (free_head_ != kNoFreeSlot) {
             const uint32_t slot = free_head_;
-            free_head_ = slots_[slot].next_free;
+            free_head_ = SlotAt(slot).next_free;
             return slot;
         }
-        // aeo-lint: allow(hot-path-alloc) -- pool growth: taken only when
-        // the free list is empty; the steady state recycles slots.
-        slots_.emplace_back();
-        return static_cast<uint32_t>(slots_.size() - 1);
+        if ((slab_size_ & kChunkMask) == 0) {
+            // aeo-lint: allow(hot-path-alloc) -- pool growth: taken only when
+            // the free list is empty; the steady state recycles slots.
+            chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+        }
+        return slab_size_++;
+    }
+
+    /** The record at slab index @p slot: a shift and a mask. */
+    Slot&
+    SlotAt(uint32_t slot)
+    {
+        return chunks_[slot >> kChunkShift][slot & kChunkMask];
+    }
+
+    const Slot&
+    SlotAt(uint32_t slot) const
+    {
+        return chunks_[slot >> kChunkShift][slot & kChunkMask];
     }
 
     /** Destroys the slot's callback and returns it to the free list. The
@@ -339,7 +360,7 @@ class EventQueue {
     void
     Release(uint32_t slot)
     {
-        Slot& s = slots_[slot];
+        Slot& s = SlotAt(slot);
         s.fn.Reset();
         s.next_free = free_head_;
         free_head_ = slot;
@@ -360,7 +381,7 @@ class EventQueue {
     {
         while (!heap_.empty()) {
             const HeapEntry& top = heap_.front();
-            const Slot& s = slots_[top.slot];
+            const Slot& s = SlotAt(top.slot);
             if (s.armed && s.generation == top.generation) {
                 return;
             }
@@ -368,8 +389,16 @@ class EventQueue {
         }
     }
 
-    /** Stable-address slab of event records. */
-    std::deque<Slot> slots_;
+    static_assert(std::has_single_bit(kChunkSlots),
+                  "slab chunks hold a power of two of records");
+    static constexpr uint32_t kChunkShift = std::countr_zero(kChunkSlots);
+    static constexpr uint32_t kChunkMask = kChunkSlots - 1;
+
+    /** The slab: fixed-size chunks that never move, so a record keeps its
+     * address while the slab grows. */
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
+    /** Records handed out; the next fresh record's index. */
+    uint32_t slab_size_ = 0;
     /** Binary heap over live (and lazily-dropped stale) entries. */
     mutable std::vector<HeapEntry> heap_;
     uint32_t free_head_ = kNoFreeSlot;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "kernel/governors/passive.h"
 #include "soc/nexus6.h"
 
 namespace aeo {
@@ -14,9 +13,6 @@ class CpufreqTest : public ::testing::Test {
         : cluster_(MakeNexus6FrequencyTable(), 4),
           policy_(&sim_, &cluster_, &meter_, &sysfs_, "/sys/cpufreq")
     {
-        policy_.RegisterGovernor("userspace", MakeUserspaceFactory());
-        policy_.RegisterGovernor("performance", MakePerformanceFactory());
-        policy_.RegisterGovernor("powersave", MakePowersaveFactory());
     }
 
     Simulator sim_;

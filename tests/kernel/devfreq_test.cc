@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "kernel/governors/passive.h"
 #include "soc/nexus6.h"
 
 namespace aeo {
@@ -14,9 +13,6 @@ class DevfreqTest : public ::testing::Test {
         : bus_(MakeNexus6BandwidthTable()),
           policy_(&sim_, &bus_, &meter_, &sysfs_, "/sys/devfreq")
     {
-        policy_.RegisterGovernor("userspace", MakeUserspaceFactory());
-        policy_.RegisterGovernor("performance", MakePerformanceFactory());
-        policy_.RegisterGovernor("powersave", MakePowersaveFactory());
     }
 
     Simulator sim_;

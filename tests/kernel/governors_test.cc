@@ -10,10 +10,6 @@
 
 #include "kernel/cpufreq.h"
 #include "kernel/devfreq.h"
-#include "kernel/governors/cpufreq_interactive.h"
-#include "kernel/governors/cpufreq_lulzactive.h"
-#include "kernel/governors/cpufreq_ondemand.h"
-#include "kernel/governors/devfreq_cpubw_hwmon.h"
 #include "kernel/mpdecision.h"
 #include "soc/nexus6.h"
 
@@ -54,7 +50,6 @@ class OndemandTest : public ::testing::Test {
           policy_(&sim_, &cluster_, &meter_, &sysfs_, "/sys/cpufreq"),
           driver_(&sim_, &meter_)
     {
-        policy_.RegisterGovernor("ondemand", MakeCpufreqOndemandFactory());
         policy_.SetGovernor("ondemand");
     }
 
@@ -98,7 +93,6 @@ class InteractiveTest : public ::testing::Test {
           policy_(&sim_, &cluster_, &meter_, &sysfs_, "/sys/cpufreq"),
           driver_(&sim_, &meter_)
     {
-        policy_.RegisterGovernor("interactive", MakeCpufreqInteractiveFactory());
         policy_.SetGovernor("interactive");
     }
 
@@ -162,7 +156,6 @@ class CpubwHwmonTest : public ::testing::Test {
         : bus_(MakeNexus6BandwidthTable()),
           policy_(&sim_, &bus_, &meter_, &sysfs_, "/sys/devfreq")
     {
-        policy_.RegisterGovernor("cpubw_hwmon", MakeDevfreqCpubwHwmonFactory());
         policy_.SetGovernor("cpubw_hwmon");
     }
 
@@ -226,7 +219,6 @@ class LulzactiveTest : public ::testing::Test {
           policy_(&sim_, &cluster_, &meter_, &sysfs_, "/sys/cpufreq"),
           driver_(&sim_, &meter_)
     {
-        policy_.RegisterGovernor("lulzactive", MakeCpufreqLulzactiveFactory());
         policy_.SetGovernor("lulzactive");
     }
 
@@ -298,7 +290,6 @@ TEST(LulzactiveWithMpdecisionTest, PeggedSingleThreadMaxesFreqWhileCoresOffline)
     CpuLoadMeter meter;
     Sysfs sysfs;
     CpufreqPolicy policy(&sim, &cluster, &meter, &sysfs, "/sys/cpufreq");
-    policy.RegisterGovernor("lulzactive", MakeCpufreqLulzactiveFactory());
     policy.SetGovernor("lulzactive");
     Mpdecision hotplug(&sim, &cluster, &meter);
     hotplug.Start();

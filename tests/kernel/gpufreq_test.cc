@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "kernel/devfreq.h"
-#include "kernel/governors/devfreq_adreno_tz.h"
-#include "kernel/governors/passive.h"
 
 namespace aeo {
 namespace {
@@ -13,9 +11,6 @@ class GpuFreqTest : public ::testing::Test {
         : gpu_(MakeAdreno420()),
           policy_(&sim_, &gpu_, &meter_, &sysfs_, "/sys/kgsl")
     {
-        policy_.RegisterGovernor("msm-adreno-tz", MakeAdrenoTzFactory());
-        policy_.RegisterGovernor("userspace", MakeUserspaceFactory());
-        policy_.RegisterGovernor("performance", MakePerformanceFactory());
     }
 
     /** Feeds a constant busy fraction and runs the clock. */

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "kernel/governors/passive.h"
 #include "soc/nexus6.h"
 
 namespace aeo {
@@ -15,7 +14,6 @@ class InputBoostTest : public ::testing::Test {
           policy_(&sim_, &cluster_, &meter_, &sysfs_, "/sys/cpufreq"),
           boost_(&sim_, &policy_)
     {
-        policy_.RegisterGovernor("userspace", MakeUserspaceFactory());
         policy_.SetGovernor("userspace");
     }
 

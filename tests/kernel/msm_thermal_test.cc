@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/strings.h"
-#include "kernel/governors/passive.h"
 #include "soc/nexus6.h"
 
 namespace aeo {
@@ -28,7 +27,6 @@ class MsmThermalTest : public ::testing::Test {
           policy_(&sim_, &cluster_, &meter_, &sysfs_, "/sys/cpufreq"),
           thermal_(&sim_, &policy_, &model_, &sysfs_, TestParams())
     {
-        policy_.RegisterGovernor("userspace", MakeUserspaceFactory());
         sysfs_.Write("/sys/cpufreq/scaling_governor", "userspace");
         thermal_.Start();
     }

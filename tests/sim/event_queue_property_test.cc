@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -326,6 +327,109 @@ TEST(EventQueuePropertyTest, CancelOwnSeriesMidFireDefersSlotFree)
     queue.Schedule(SimTime::Millis(5), [&fires] { ++fires; });
     queue.RunNext();
     EXPECT_EQ(fires, 2);
+}
+
+TEST(EventQueuePropertyTest, SlabGrowsUnderALiveRepeatingCallback)
+{
+    // A repeating callback runs in place in its slab record. Here it arms,
+    // while firing, more one-shots than one slab chunk holds, so the slab
+    // grows new chunks mid-dispatch: the record must stay where it is, the
+    // dispatch order must match the reference model, and the slab must
+    // stay bounded by peak concurrency, not by churn.
+    EventQueue queue;
+    ReferenceQueue ref;
+    std::vector<std::pair<int, SimTime>> real_log;
+    std::vector<std::pair<int, SimTime>> ref_log;
+    // One-shots the series armed during the last dispatch, for the test to
+    // mirror into the reference in the same (seq) order.
+    std::vector<std::pair<SimTime, int>> armed;
+    std::vector<const void*> record_addresses;
+    static constexpr int kSeriesTag = -1;
+    const int burst = 2 * static_cast<int>(EventQueue::kChunkSlots) + 3;
+    size_t peak_pending = 0;
+
+    struct Series {
+        EventQueue* queue;
+        std::vector<std::pair<int, SimTime>>* log;
+        std::vector<std::pair<SimTime, int>>* armed;
+        std::vector<const void*>* addresses;
+        size_t* peak_pending;
+        Rng* rng;
+        int burst;
+        int fires = 0;
+        int next_tag = 0;
+        SimTime now = SimTime::Micros(100);
+
+        void
+        operator()()
+        {
+            addresses->push_back(this);
+            log->emplace_back(kSeriesTag, SimTime::Zero());
+            // Two bursts whose one-shots overlap in time.
+            if (fires < 2) {
+                for (int i = 0; i < burst; ++i) {
+                    const SimTime when =
+                        now + SimTime::Micros(rng->UniformInt(0, 250));
+                    const int tag = next_tag++;
+                    queue->Schedule(when, [tag, this] {
+                        log->emplace_back(tag, SimTime::Zero());
+                    });
+                    armed->emplace_back(when, tag);
+                }
+                *peak_pending = std::max(*peak_pending, queue->PendingCount());
+            }
+            ++fires;
+            now = now + SimTime::Micros(100);
+        }
+    };
+    Rng rng(2017);
+    const EventId series = queue.ScheduleEvery(
+        SimTime::Micros(100), SimTime::Micros(100),
+        Series{&queue, &real_log, &armed, &record_addresses, &peak_pending,
+               &rng, burst});
+    ref.Schedule(SimTime::Micros(100), SimTime::Micros(100), kSeriesTag);
+    EXPECT_EQ(queue.SlabSize(), 1u);
+
+    const auto step = [&] {
+        const SimTime fired_at = queue.RunNext();
+        ASSERT_FALSE(real_log.empty());
+        real_log.back().second = fired_at;
+        ref_log.push_back(ref.RunNext());
+        for (const auto& [when, tag] : armed) {
+            ref.Schedule(when, SimTime::Zero(), tag);
+        }
+        armed.clear();
+    };
+    // Dispatch until every one-shot of both bursts has fired.
+    const auto one_shots_fired = [&] {
+        return std::count_if(real_log.begin(), real_log.end(),
+                             [](const auto& entry) { return entry.first >= 0; });
+    };
+    while (one_shots_fired() < 2 * burst) {
+        step();
+    }
+    EXPECT_EQ(real_log, ref_log);
+    EXPECT_TRUE(queue.Cancel(series));
+    EXPECT_TRUE(queue.Empty());
+
+    // The series' record never moved while the slab grew beneath it.
+    ASSERT_GE(record_addresses.size(), 2u);
+    for (const void* address : record_addresses) {
+        EXPECT_EQ(address, record_addresses.front());
+    }
+    EXPECT_GT(queue.SlabSize(), static_cast<size_t>(EventQueue::kChunkSlots));
+    EXPECT_LE(queue.SlabSize(), peak_pending);
+
+    // A later wave as large as a burst and its series reuses the freed
+    // records: churn does not grow the slab.
+    const size_t grown = queue.SlabSize();
+    for (int i = 0; i < burst + 1; ++i) {
+        queue.Schedule(SimTime::Millis(10) + SimTime::Micros(i), [] {});
+    }
+    while (!queue.Empty()) {
+        queue.RunNext();
+    }
+    EXPECT_EQ(queue.SlabSize(), grown);
 }
 
 TEST(EventQueuePropertyTest, SteadyStateDispatchDoesNotAllocate)
