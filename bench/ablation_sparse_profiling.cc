@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/app_registry.h"
 #include "bench_common.h"
 #include "common/logging.h"
 #include "common/strings.h"
@@ -63,53 +62,46 @@ main(int argc, char** argv)
                        "Sparse (2 bandwidths + interpolation) vs dense (13) "
                        "profiling");
 
-    const ExperimentHarness harness;
-    std::string grid_notes;
-    TextTable table({"App", "Max power err", "Mean power err", "Max speedup err",
-                     "Energy (sparse)", "Energy (dense)"});
-
-    for (const std::string& app : {std::string("AngryBirds"), std::string("Spotify")}) {
+    // One plan for both apps and both grids: each app's stock run and each
+    // profile are measured once. The interpolation error compares the
+    // unpruned tables; the controller runs use them pruned as in the real
+    // pipeline.
+    std::vector<ComparisonJob> jobs;
+    for (const std::string app : {"AngryBirds", "Spotify"}) {
         ExperimentOptions sparse_options;
         sparse_options.profile_runs = args.ProfileRuns();
         sparse_options.seed = args.SeedOr(2017);
         sparse_options.sparse_profiling = true;
-        sparse_options.prune_epsilon = 0.0;  // compare raw tables
-        // The dense grid dominates this bench; fan its (config, run) jobs
-        // across the batch layer (the tables are bit-identical).
-        sparse_options.batch = args.batch;
-
         ExperimentOptions dense_options = sparse_options;
         dense_options.sparse_profiling = false;
+        jobs.push_back({app, sparse_options});
+        jobs.push_back({app, dense_options});
+    }
+    const std::vector<ExperimentOutcome> outcomes =
+        ExperimentHarness().RunComparisons(jobs, args.batch);
 
-        const ProfileTable sparse = harness.ProfileApp(app, sparse_options);
-        const ProfileTable dense = harness.ProfileApp(app, dense_options);
-
+    std::string grid_notes;
+    TextTable table({"App", "Max power err", "Mean power err", "Max speedup err",
+                     "Energy (sparse)", "Energy (dense)"});
+    for (size_t i = 0; i < jobs.size(); i += 2) {
+        const ExperimentOutcome& sparse = outcomes[i];
+        const ExperimentOutcome& dense = outcomes[i + 1];
+        const std::string& app = jobs[i].app_name;
         double max_perr = 0.0;
         double mean_perr = 0.0;
         double max_serr = 0.0;
-        CompareTables(sparse, dense, &max_perr, &mean_perr, &max_serr);
-
-        // End-to-end: controller outcomes with either table (pruned as in
-        // the real pipeline), in one plan so their shared stock run is
-        // measured once.
-        std::vector<ComparisonJob> jobs = {{app, sparse_options},
-                                           {app, dense_options}};
-        for (ComparisonJob& job : jobs) {
-            job.options.prune_epsilon = 0.01;
-        }
-        const std::vector<ExperimentOutcome> outcomes =
-            harness.RunComparisons(jobs, args.batch);
-
+        CompareTables(sparse.unpruned_table, dense.unpruned_table, &max_perr,
+                      &mean_perr, &max_serr);
         table.AddRow({app, StrFormat("%.2f%%", max_perr * 100.0),
                       StrFormat("%.2f%%", mean_perr * 100.0),
                       StrFormat("%.2f%%", max_serr * 100.0),
-                      StrFormat("%.1f%%", outcomes[0].energy_savings_pct),
-                      StrFormat("%.1f%%", outcomes[1].energy_savings_pct)});
-        std::fflush(stdout);
+                      StrFormat("%.1f%%", sparse.energy_savings_pct),
+                      StrFormat("%.1f%%", dense.energy_savings_pct)});
         const size_t sparse_configs =
-            OfflineProfiler::Grid(ProfilerOptionsFor(app, sparse_options)).size();
+            OfflineProfiler::Grid(ProfilerOptionsFor(app, jobs[i].options)).size();
         const size_t dense_configs =
-            OfflineProfiler::Grid(ProfilerOptionsFor(app, dense_options)).size();
+            OfflineProfiler::Grid(ProfilerOptionsFor(app, jobs[i + 1].options))
+                .size();
         grid_notes += StrFormat("%s measures %zu of %zu configurations (%.1fx less "
                                 "profiling time).\n",
                                 app.c_str(), sparse_configs, dense_configs,

@@ -13,6 +13,7 @@
 #include "power/monsoon.h"
 #include "platform/sim_platform.h"
 #include "sim/simulator.h"
+#include "soc/thermal_model.h"
 
 namespace aeo::chaos {
 
@@ -185,7 +186,7 @@ RunCampaign(const CampaignOptions& options, const ChaosScenario& scenario)
     Device device(device_config);
     device.LaunchApp(MakeAppSpecByName(options.app));
     if (options.enable_thermal) {
-        device.EnableThermal(options.thermal, options.msm_thermal);
+        device.EnableThermal(ThermalParams{}, options.msm_thermal);
     }
 
     platform::SimPlatform sim_platform(&device);
@@ -215,7 +216,7 @@ RunCampaign(const CampaignOptions& options, const ChaosScenario& scenario)
 
     // --- Monitors on the cycle-observer seam ------------------------------
     std::vector<std::unique_ptr<InvariantMonitor>> monitors =
-        MakeDefaultMonitors(options.monitors);
+        MakeDefaultMonitors();
     uint64_t cycle_index = 0;
     controller.AddCycleObserver(
         [&](const ControlCycleRecord& record,
@@ -370,8 +371,7 @@ RunCampaign(const CampaignOptions& options, const ChaosScenario& scenario)
         report.verdicts.push_back(std::move(verdict));
     }
     const std::vector<ControlCycleRecord>& history = controller.history();
-    const size_t tail =
-        std::min(options.history_tail, history.size());
+    const size_t tail = std::min(kCampaignHistoryTail, history.size());
     report.cycle_tail.assign(history.end() - static_cast<long>(tail),
                              history.end());
     return report;

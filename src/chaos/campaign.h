@@ -29,9 +29,11 @@
 #include "core/profile_table.h"
 #include "kernel/msm_thermal.h"
 #include "platform/platform.h"
-#include "soc/thermal_model.h"
 
 namespace aeo::chaos {
+
+/** Control-cycle records kept in a report (the crash-bundle tail). */
+inline constexpr size_t kCampaignHistoryTail = 32;
 
 /** Everything a campaign run needs besides the scenario itself. */
 struct CampaignOptions {
@@ -45,17 +47,13 @@ struct CampaignOptions {
     uint64_t device_seed = 0;
     /** Spec the scenario was generated under (campaign duration). */
     CampaignSpec spec;
-    /** Invariant-monitor tuning. */
-    MonitorConfig monitors;
     /** Controller tuning; target_gips is overridden from above. */
     ControllerConfig controller;
-    /** Enable the thermal subsystem (required for kThermalCap actions). */
+    /** Enable the thermal subsystem (required for kThermalCap actions),
+     * with the default package model. */
     bool enable_thermal = true;
-    /** Thermal package and msm_thermal tuning used when enabled. */
-    ThermalParams thermal;
+    /** msm_thermal tuning used when enabled. */
     MsmThermalParams msm_thermal;
-    /** Control-cycle records kept in the report (the crash-bundle tail). */
-    size_t history_tail = 32;
     /**
      * Optional platform decorator for planted-bug fixtures: receives the
      * real SimPlatform and returns the platform the controller sees (see

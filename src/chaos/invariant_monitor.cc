@@ -1,6 +1,5 @@
 #include "chaos/invariant_monitor.h"
 
-#include "common/logging.h"
 #include "common/strings.h"
 
 namespace aeo::chaos {
@@ -22,30 +21,27 @@ InvariantMonitor::Report(uint64_t cycle, double time_s, std::string message)
 
 // --- thermal-envelope -------------------------------------------------------
 
-ThermalEnvelopeMonitor::ThermalEnvelopeMonitor(const MonitorConfig& config)
-    : InvariantMonitor("thermal-envelope"), limit_c_(config.thermal_limit_c)
+ThermalEnvelopeMonitor::ThermalEnvelopeMonitor()
+    : InvariantMonitor("thermal-envelope")
 {
 }
 
 void
 ThermalEnvelopeMonitor::OnCycle(const CycleContext& context)
 {
-    if (context.record->temp_c > limit_c_) {
+    if (context.record->temp_c > kLimitC) {
         Report(context.cycle_index, context.record->time_s,
                StrFormat("zone temperature %.1f C exceeds the %.1f C "
                          "never-exceed envelope",
-                         context.record->temp_c, limit_c_));
+                         context.record->temp_c, kLimitC));
     }
 }
 
 // --- qos-violation-run ------------------------------------------------------
 
-QosViolationRunMonitor::QosViolationRunMonitor(const MonitorConfig& config)
-    : InvariantMonitor("qos-violation-run"),
-      max_run_(config.max_qos_violation_run),
-      tolerance_frac_(config.qos_tolerance_frac)
+QosViolationRunMonitor::QosViolationRunMonitor()
+    : InvariantMonitor("qos-violation-run")
 {
-    AEO_ASSERT(max_run_ > 0, "QoS run bound must be positive");
 }
 
 void
@@ -64,32 +60,29 @@ QosViolationRunMonitor::OnCycle(const CycleContext& context)
     }
     const bool shortfall =
         record.measured_gips <
-        (1.0 - tolerance_frac_) * context.target_gips;
+        (1.0 - kToleranceFrac) * context.target_gips;
     if (!shortfall) {
         run_ = 0;
         reported_this_run_ = false;
         return;
     }
     ++run_;
-    if (run_ > max_run_ && !reported_this_run_) {
+    if (run_ > kMaxRun && !reported_this_run_) {
         reported_this_run_ = true;
         Report(context.cycle_index, record.time_s,
                StrFormat("measured %.2f GIPS stayed >%.0f%% under the "
                          "%.2f GIPS target for %d consecutive healthy "
                          "cycles (bound %d)",
-                         record.measured_gips, tolerance_frac_ * 100.0,
-                         context.target_gips, run_, max_run_));
+                         record.measured_gips, kToleranceFrac * 100.0,
+                         context.target_gips, run_, kMaxRun));
     }
 }
 
 // --- actuation-consistency --------------------------------------------------
 
-ActuationConsistencyMonitor::ActuationConsistencyMonitor(
-    const MonitorConfig& config)
-    : InvariantMonitor("actuation-consistency"),
-      grace_cycles_(config.cap_belief_grace_cycles)
+ActuationConsistencyMonitor::ActuationConsistencyMonitor()
+    : InvariantMonitor("actuation-consistency")
 {
-    AEO_ASSERT(grace_cycles_ >= 0, "cap-belief grace must be non-negative");
 }
 
 void
@@ -146,7 +139,7 @@ ActuationConsistencyMonitor::OnCycle(const CycleContext& context)
                                : context.true_cpu_cap_level;
     if (believed > advertised) {
         ++divergence_run_;
-        if (divergence_run_ > grace_cycles_ && !reported_divergence_) {
+        if (divergence_run_ > kCapBeliefGraceCycles && !reported_divergence_) {
             reported_divergence_ = true;
             Report(context.cycle_index, context.record->time_s,
                    StrFormat("controller believes cpu cap level %d while "
@@ -154,7 +147,7 @@ ActuationConsistencyMonitor::OnCycle(const CycleContext& context)
                              "mask admits unreachable rows (%d consecutive "
                              "cycles, grace %d)",
                              believed, advertised, divergence_run_,
-                             grace_cycles_));
+                             kCapBeliefGraceCycles));
         }
     } else {
         divergence_run_ = 0;
@@ -193,9 +186,8 @@ StateLegalityMonitor::OnCycle(const CycleContext& context)
 
 // --- watchdog-liveness ------------------------------------------------------
 
-WatchdogLivenessMonitor::WatchdogLivenessMonitor(const MonitorConfig& config)
-    : InvariantMonitor("watchdog-liveness"),
-      grace_periods_(config.liveness_grace_periods)
+WatchdogLivenessMonitor::WatchdogLivenessMonitor()
+    : InvariantMonitor("watchdog-liveness")
 {
 }
 
@@ -229,7 +221,7 @@ WatchdogLivenessMonitor::OnFinish(const FinishContext& context)
     }
     const double fallback_span_s = context.elapsed_s - fallback_at_s;
     if (context.probe_period_s <= 0.0 ||
-        fallback_span_s < grace_periods_ * context.probe_period_s) {
+        fallback_span_s < kGracePeriods * context.probe_period_s) {
         return;  // The run ended before a probe was due.
     }
     if (context.probes == 0) {
@@ -245,11 +237,9 @@ WatchdogLivenessMonitor::OnFinish(const FinishContext& context)
 
 // --- deadline-miss-run ------------------------------------------------------
 
-DeadlineMissRunMonitor::DeadlineMissRunMonitor(const MonitorConfig& config)
-    : InvariantMonitor("deadline-miss-run"),
-      max_run_(config.max_deadline_miss_run)
+DeadlineMissRunMonitor::DeadlineMissRunMonitor()
+    : InvariantMonitor("deadline-miss-run")
 {
-    AEO_ASSERT(max_run_ > 0, "deadline-miss run bound must be positive");
 }
 
 void
@@ -265,13 +255,13 @@ DeadlineMissRunMonitor::OnCycle(const CycleContext& context)
         return;
     }
     ++run_;
-    if (run_ > max_run_ && !reported_this_run_) {
+    if (run_ > kMaxRun && !reported_this_run_) {
         reported_this_run_ = true;
         Report(context.cycle_index, record.time_s,
                StrFormat("control tick missed its deadline %d cycles in a "
                          "row (bound %d, last lateness %.2f s) without "
                          "degrading to the stock governors",
-                         run_, max_run_, record.tick_lateness_s));
+                         run_, kMaxRun, record.tick_lateness_s));
     }
 }
 
@@ -308,15 +298,15 @@ StaleActuationMonitor::OnCycle(const CycleContext& context)
 }
 
 std::vector<std::unique_ptr<InvariantMonitor>>
-MakeDefaultMonitors(const MonitorConfig& config)
+MakeDefaultMonitors()
 {
     std::vector<std::unique_ptr<InvariantMonitor>> monitors;
-    monitors.push_back(std::make_unique<ThermalEnvelopeMonitor>(config));
-    monitors.push_back(std::make_unique<QosViolationRunMonitor>(config));
-    monitors.push_back(std::make_unique<ActuationConsistencyMonitor>(config));
+    monitors.push_back(std::make_unique<ThermalEnvelopeMonitor>());
+    monitors.push_back(std::make_unique<QosViolationRunMonitor>());
+    monitors.push_back(std::make_unique<ActuationConsistencyMonitor>());
     monitors.push_back(std::make_unique<StateLegalityMonitor>());
-    monitors.push_back(std::make_unique<WatchdogLivenessMonitor>(config));
-    monitors.push_back(std::make_unique<DeadlineMissRunMonitor>(config));
+    monitors.push_back(std::make_unique<WatchdogLivenessMonitor>());
+    monitors.push_back(std::make_unique<DeadlineMissRunMonitor>());
     monitors.push_back(std::make_unique<StaleActuationMonitor>());
     return monitors;
 }

@@ -12,8 +12,8 @@
  *
  * The catalogue (DESIGN.md §12):
  *
- *  - thermal-envelope   — zone temperature never exceeds the configured
- *                         never-exceed limit.
+ *  - thermal-envelope   — zone temperature never exceeds the 55 °C
+ *                         envelope.
  *  - qos-violation-run  — while the controller *believes* it is meeting the
  *                         target (not degraded/safe-mode/fallback), the
  *                         measured shortfall never persists longer than a
@@ -52,6 +52,7 @@
 
 #include "core/controller_state_machine.h"
 #include "core/online_controller.h"
+#include "kernel/msm_thermal.h"
 #include "platform/actuation_types.h"
 #include "platform/platform.h"
 
@@ -152,54 +153,33 @@ class InvariantMonitor {
     std::vector<Violation> violations_;
 };
 
-/** Tuning for the default monitor set. */
-struct MonitorConfig {
-    /** Never-exceed zone temperature, °C. */
-    double thermal_limit_c = 55.0;
-    /** Longest tolerated run of consecutive under-target cycles while the
-     * controller believes it is meeting the target. */
-    int max_qos_violation_run = 15;
-    /** Relative shortfall below target counting as a QoS violation. */
-    double qos_tolerance_frac = 0.25;
-    /** Grace period (in probe periods) before a fallback with zero probes
-     * counts as a liveness violation. */
-    double liveness_grace_periods = 2.0;
-    /**
-     * Consecutive cycles the controller's believed CPU cap may sit above
-     * the kernel's advertised cap before it counts as a feasible-set-mask
-     * violation. The cap is polled mid-cycle and the ground truth read at
-     * cycle end, so a staged descent legitimately diverges for a cycle or
-     * two; a mask bug diverges for the whole throttled window.
-     */
-    int cap_belief_grace_cycles = 2;
-    /**
-     * Longest tolerated run of consecutive deadline-missed cycles without
-     * the controller degrading to the stock governors. Must sit above the
-     * controller's deadline_storm_threshold or healthy storms would be
-     * flagged before the controller is allowed to react.
-     */
-    int max_deadline_miss_run = 6;
-};
-
-/** temp_c <= thermal_limit_c on every cycle. */
+/** temp_c <= kLimitC on every cycle. */
 class ThermalEnvelopeMonitor final : public InvariantMonitor {
   public:
-    explicit ThermalEnvelopeMonitor(const MonitorConfig& config);
-    void OnCycle(const CycleContext& context) override;
+    /** Never-exceed zone temperature, °C: above msm_thermal's throttling
+     * trigger, so the driver must contain what it is designed to contain. */
+    static constexpr double kLimitC = 55.0;
+    static_assert(kLimitC > MsmThermalParams{}.trigger_temp_c,
+                  "the envelope must sit above the throttling trigger");
 
-  private:
-    double limit_c_;
+    ThermalEnvelopeMonitor();
+    void OnCycle(const CycleContext& context) override;
 };
 
 /** Bounded runs of measured shortfall while control claims to be healthy. */
 class QosViolationRunMonitor final : public InvariantMonitor {
   public:
-    explicit QosViolationRunMonitor(const MonitorConfig& config);
+    /** Longest tolerated run of consecutive under-target cycles while the
+     * controller believes it is meeting the target. */
+    static constexpr int kMaxRun = 15;
+    /** Relative shortfall below target counting as a QoS violation. */
+    static constexpr double kToleranceFrac = 0.25;
+    static_assert(kMaxRun > 0, "QoS run bound must be positive");
+
+    QosViolationRunMonitor();
     void OnCycle(const CycleContext& context) override;
 
   private:
-    int max_run_;
-    double tolerance_frac_;
     int run_ = 0;
     bool reported_this_run_ = false;
 };
@@ -207,11 +187,21 @@ class QosViolationRunMonitor final : public InvariantMonitor {
 /** Delivery read-backs are coherent; believed cap tracks the kernel's. */
 class ActuationConsistencyMonitor final : public InvariantMonitor {
   public:
-    explicit ActuationConsistencyMonitor(const MonitorConfig& config = {});
+    /**
+     * Consecutive cycles the controller's believed CPU cap may sit above
+     * the kernel's advertised cap before it counts as a feasible-set-mask
+     * violation. The cap is polled mid-cycle and the ground truth read at
+     * cycle end, so a staged descent legitimately diverges for a cycle or
+     * two; a mask bug diverges for the whole throttled window.
+     */
+    static constexpr int kCapBeliefGraceCycles = 2;
+    static_assert(kCapBeliefGraceCycles >= 0,
+                  "cap-belief grace must be non-negative");
+
+    ActuationConsistencyMonitor();
     void OnCycle(const CycleContext& context) override;
 
   private:
-    int grace_cycles_;
     int divergence_run_ = 0;
     bool reported_divergence_ = false;
 };
@@ -229,12 +219,15 @@ class StateLegalityMonitor final : public InvariantMonitor {
 /** A watchdog fallback always eventually re-probes. */
 class WatchdogLivenessMonitor final : public InvariantMonitor {
   public:
-    explicit WatchdogLivenessMonitor(const MonitorConfig& config);
+    /** Grace period (in probe periods) before a fallback with zero probes
+     * counts as a liveness violation. */
+    static constexpr double kGracePeriods = 2.0;
+
+    WatchdogLivenessMonitor();
     void OnCycle(const CycleContext& context) override;
     void OnFinish(const FinishContext& context) override;
 
   private:
-    double grace_periods_;
     bool saw_fallback_ = false;
     uint64_t fallback_cycle_ = 0;
     double fallback_time_s_ = 0.0;
@@ -243,11 +236,20 @@ class WatchdogLivenessMonitor final : public InvariantMonitor {
 /** Bounded runs of missed deadlines: past the bound, control must yield. */
 class DeadlineMissRunMonitor final : public InvariantMonitor {
   public:
-    explicit DeadlineMissRunMonitor(const MonitorConfig& config);
+    /**
+     * Longest tolerated run of consecutive deadline-missed cycles without
+     * the controller degrading to the stock governors. Must sit above the
+     * controller's deadline_storm_threshold or healthy storms would be
+     * flagged before the controller is allowed to react.
+     */
+    static constexpr int kMaxRun = 6;
+    static_assert(kMaxRun > ControllerConfig{}.deadline_storm_threshold,
+                  "the miss-run bound must let the deadline storm react first");
+
+    DeadlineMissRunMonitor();
     void OnCycle(const CycleContext& context) override;
 
   private:
-    int max_run_;
     int run_ = 0;
     bool reported_this_run_ = false;
 };
@@ -260,8 +262,7 @@ class StaleActuationMonitor final : public InvariantMonitor {
 };
 
 /** The full catalogue, one instance of each monitor. */
-std::vector<std::unique_ptr<InvariantMonitor>> MakeDefaultMonitors(
-    const MonitorConfig& config);
+std::vector<std::unique_ptr<InvariantMonitor>> MakeDefaultMonitors();
 
 }  // namespace aeo::chaos
 

@@ -20,7 +20,6 @@ class ForwardingPlatform : public platform::Platform {
   public:
     explicit ForwardingPlatform(platform::Platform* inner) : inner_(inner) {}
 
-    Simulator& sim() override { return inner_->sim(); }
     platform::Clock& clock() override { return inner_->clock(); }
     platform::TickScheduler& ticks() override { return inner_->ticks(); }
     platform::PerfReader& perf() override { return inner_->perf(); }

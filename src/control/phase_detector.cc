@@ -7,14 +7,6 @@
 
 namespace aeo {
 
-PhaseDetector::PhaseDetector(PhaseDetectorParams params) : params_(params)
-{
-    AEO_ASSERT(params_.max_phases >= 1, "need at least one phase slot");
-    AEO_ASSERT(params_.match_tolerance > 0.0, "tolerance must be positive");
-    AEO_ASSERT(params_.centroid_alpha > 0.0 && params_.centroid_alpha <= 1.0,
-               "alpha out of (0, 1]");
-}
-
 int
 PhaseDetector::Classify(double measurement)
 {
@@ -33,15 +25,15 @@ PhaseDetector::Classify(double measurement)
         }
     }
 
-    if (best >= 0 && best_dist <= params_.match_tolerance) {
+    if (best >= 0 && best_dist <= kMatchTolerance) {
         PhaseInfo& phase = phases_[static_cast<size_t>(best)];
-        phase.centroid += params_.centroid_alpha * (measurement - phase.centroid);
+        phase.centroid += kCentroidAlpha * (measurement - phase.centroid);
         ++phase.hits;
         phase.last_seen = samples_;
-    } else if (static_cast<int>(phases_.size()) < params_.max_phases) {
+    } else if (static_cast<int>(phases_.size()) < kMaxPhases) {
         best = static_cast<int>(phases_.size());
         phases_.push_back(PhaseInfo{measurement, 1, samples_});
-    } else if (params_.evict_stale) {
+    } else {
         // Replace the least-recently-seen phase.
         size_t stalest = 0;
         for (size_t i = 1; i < phases_.size(); ++i) {
@@ -52,7 +44,6 @@ PhaseDetector::Classify(double measurement)
         phases_[stalest] = PhaseInfo{measurement, 1, samples_};
         best = static_cast<int>(stalest);
     }
-    // else: forced into the nearest phase despite the distance.
 
     if (best != current_ && current_ != -1) {
         ++switches_;

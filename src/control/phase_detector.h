@@ -22,18 +22,6 @@
 
 namespace aeo {
 
-/** Tunables of the phase detector. */
-struct PhaseDetectorParams {
-    /** Maximum number of tracked phases. */
-    int max_phases = 4;
-    /** A sample within this relative distance joins an existing phase. */
-    double match_tolerance = 0.25;
-    /** EWMA weight of a new sample on its phase centroid. */
-    double centroid_alpha = 0.2;
-    /** Evict the least-recently-seen phase when full and nothing matches. */
-    bool evict_stale = true;
-};
-
 /** One tracked phase. */
 struct PhaseInfo {
     /** Centroid of the phase's measured rate. */
@@ -44,10 +32,23 @@ struct PhaseInfo {
     uint64_t last_seen = 0;
 };
 
-/** Online clustering of a one-dimensional measurement stream. */
+/**
+ * Online clustering of a one-dimensional measurement stream. When all
+ * kMaxPhases slots are taken and nothing matches, the least-recently-seen
+ * phase is evicted.
+ */
 class PhaseDetector {
   public:
-    explicit PhaseDetector(PhaseDetectorParams params = {});
+    /** Maximum number of tracked phases. */
+    static constexpr int kMaxPhases = 4;
+    /** A sample within this relative distance joins an existing phase. */
+    static constexpr double kMatchTolerance = 0.25;
+    /** EWMA weight of a new sample on its phase centroid. */
+    static constexpr double kCentroidAlpha = 0.2;
+    static_assert(kMaxPhases >= 1, "need at least one phase slot");
+    static_assert(kMatchTolerance > 0.0, "tolerance must be positive");
+    static_assert(kCentroidAlpha > 0.0 && kCentroidAlpha <= 1.0,
+                  "alpha out of (0, 1]");
 
     /**
      * Classifies @p measurement, updating the matched (or newly created)
@@ -71,7 +72,6 @@ class PhaseDetector {
     uint64_t sample_count() const { return samples_; }
 
   private:
-    PhaseDetectorParams params_;
     std::vector<PhaseInfo> phases_;
     int current_ = -1;
     uint64_t switches_ = 0;

@@ -241,7 +241,8 @@ ExperimentHarness::RunComparisons(const std::vector<ComparisonJob>& jobs,
         const double epsilon = jobs[j].options.prune_epsilon;
         outcomes.push_back(ExperimentOutcome{
             default_run, RunResult{},
-            epsilon > 0.0 ? table.PruneEpsilonDominated(epsilon) : table});
+            epsilon > 0.0 ? table.PruneEpsilonDominated(epsilon) : table,
+            table});
     }
 
     // Stage 2: the controller runs, longest first. Each targets its stock

@@ -81,7 +81,12 @@ struct ComparisonJob {
 struct ExperimentOutcome {
     RunResult default_run;
     RunResult controller_run;
+    /** The table the controller ran with: the profile, ε-pruned by the
+     * job's prune_epsilon. */
     ProfileTable table;
+    /** The profile as measured and reduced, before pruning. Jobs that
+     * share a profile share this table. */
+    ProfileTable unpruned_table;
     /** Performance change, percent (positive = controller faster). */
     double perf_delta_pct = 0.0;
     /** Energy savings, percent (positive = controller saves energy). */

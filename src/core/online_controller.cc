@@ -14,9 +14,6 @@ namespace {
 constexpr double kKalmanProcessVar = 1e-5;
 constexpr double kKalmanMeasurementVar = 1e-4;
 
-/** Retry/backoff policy handed to the platform's actuator. */
-constexpr platform::ActuationRetryPolicy kActuationRetry{};
-
 /**
  * Plausibility ceiling for a measured performance sample, as a multiple of
  * (base-speed estimate × max profiled speedup). A window average above this
@@ -31,17 +28,6 @@ constexpr double kPlausibilityFactor = 4.0;
  * scaling_max_freq refreshes every cycle and needs no expiry.)
  */
 constexpr int kCapRecheckCycles = 5;
-
-/**
- * Deadline thresholds of the control tick (DESIGN.md §13). Lateness up to
- * kTickJitterTolerance × T is jitter (same epoch, data usable); at least
- * kSuspendGapPeriods × T is a suspend gap; in between the epoch slipped (a
- * deadline miss), handled per ControllerConfig::deadline_miss_policy.
- */
-constexpr double kTickJitterTolerance = 0.25;
-constexpr double kSuspendGapPeriods = 3.0;
-static_assert(kSuspendGapPeriods > kTickJitterTolerance,
-              "suspend threshold must exceed the jitter tolerance");
 
 RegulatorConfig
 MakeRegulatorConfig(const ProfileTable& table, const ControllerConfig& config)
@@ -106,7 +92,7 @@ OnlineController::OnlineController(platform::Platform* platform,
         config_index_.emplace(entry.config, i);
     }
     platform::Actuator& actuator = platform_->actuator();
-    actuator.ConfigureActuation(config_.min_dwell, kActuationRetry);
+    actuator.ConfigureActuation(config_.min_dwell);
     actuator.SetReadbackVerification(config_.readback_verification);
 }
 
@@ -146,18 +132,7 @@ OnlineController::Start()
         return;
     }
 
-    cycle_tick_.Start(CyclePolicy());
-}
-
-platform::DeadlinePolicy
-OnlineController::CyclePolicy() const
-{
-    platform::DeadlinePolicy policy;
-    policy.period = config_.control_cycle;
-    policy.jitter_tolerance = kTickJitterTolerance;
-    policy.suspend_gap_periods = kSuspendGapPeriods;
-    policy.miss_policy = config_.deadline_miss_policy;
-    return policy;
+    cycle_tick_.Start(config_.control_cycle);
 }
 
 void
@@ -214,10 +189,7 @@ OnlineController::EngageFallback(ControllerEvent trigger)
         // Keep probing the actuation path; once it stays healthy long
         // enough the controller takes the device back. Probe lateness is
         // irrelevant — the callback ignores the tick classification.
-        platform::DeadlinePolicy probe_policy;
-        probe_policy.period =
-            config_.control_cycle * config_.reengage_probe_cycles;
-        probe_tick_.Start(probe_policy);
+        probe_tick_.Start(config_.control_cycle * config_.reengage_probe_cycles);
     }
 }
 
@@ -490,11 +462,10 @@ OnlineController::RunCycle(const platform::TickInfo& tick)
             break;
         }
     }
-    // Stale-data guard: a window that straddles a suspend gap (or feeds a
-    // catch-up backlog tick) is not one epoch of the running app; steering
-    // on it would actuate from pre-suspend data.
-    const bool stale_guard =
-        config_.suspend_resync && (suspend_gap || tick.catch_up);
+    // Stale-data guard: a window that straddles a suspend gap is not one
+    // epoch of the running app; steering on it would actuate from
+    // pre-suspend data.
+    const bool stale_guard = config_.suspend_resync && suspend_gap;
     if (stale_guard) {
         ++stale_guard_cycle_count_;
     }
@@ -528,8 +499,7 @@ OnlineController::RunCycle(const platform::TickInfo& tick)
     // the sleep must not count toward the watchdog after it.
     const std::vector<platform::DwellDelivery> deliveries =
         platform_->actuator().cycle_deliveries();
-    const bool quarantine_deliveries = config_.suspend_resync && suspend_gap;
-    if (quarantine_deliveries) {
+    if (stale_guard) {
         platform_->actuator().ResetFailureTracking();
     } else {
         ConsumeDeliveries(deliveries, window.avg_gips, measured_power_mw,
@@ -615,7 +585,7 @@ OnlineController::RunCycle(const platform::TickInfo& tick)
     // experiment's output artifact; growth here IS the product.
     history_.push_back(record);
 
-    if (!quarantine_deliveries &&
+    if (!stale_guard &&
         platform_->actuator().consecutive_failed_applies() >=
             config_.watchdog_threshold) {
         EngageFallback(ControllerEvent::kWatchdogTrip);

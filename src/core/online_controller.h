@@ -128,20 +128,13 @@ struct ControllerConfig {
     int reengage_probe_cycles = 5;
     int reengage_successes = 3;
     /**
-     * Deadline policy for the control tick (DESIGN.md §13): how a tick that
-     * is late past the jitter tolerance but short of a suspend gap (a
-     * deadline miss) is handled.
-     */
-    platform::DeadlineMissPolicy deadline_miss_policy =
-        platform::DeadlineMissPolicy::kSkipAndResync;
-    /**
      * Deadline storm: after this many consecutive missed ticks the loop
      * cannot hold its epoch and degrades to the stock governors (temporal
      * analogue of the actuation watchdog).
      */
     int deadline_storm_threshold = 4;
     /**
-     * Suspend/catch-up hardening: quarantine perf data that straddles a
+     * Suspend hardening: quarantine perf data that straddles a
      * suspend gap (hold the estimate, reuse the schedule, skip delivery
      * accounting) and forgive pre-suspend watchdog strikes. Off, the
      * controller consumes the stretched window as if it were one epoch —
@@ -182,7 +175,7 @@ struct ControlCycleRecord {
     /** Whole control epochs the lateness spans (suspend gap length). */
     int64_t epochs_skipped = 0;
     /** True when the stale-data guard quarantined this cycle's measurement
-     * (suspend gap or catch-up backlog tick under suspend_resync). */
+     * (a suspend gap under suspend_resync). */
     bool stale_guard = false;
 };
 
@@ -304,9 +297,6 @@ class OnlineController {
 
   private:
     void RunCycle(const platform::TickInfo& tick);
-
-    /** Deadline policy of the control tick, from the config. */
-    platform::DeadlinePolicy CyclePolicy() const;
 
     /** Resolves @p schedule's slots against the active table and hands the
      * dwell plan to the platform's actuator. */

@@ -8,24 +8,16 @@
 namespace aeo {
 
 ProfileDriftDetector::ProfileDriftDetector(size_t table_size, DriftConfig config)
-    : config_(config), states_(table_size)
+    : enabled_(config.enabled), states_(table_size)
 {
     AEO_ASSERT(table_size > 0, "drift detector over an empty table");
-    AEO_ASSERT(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0,
-               "drift EWMA alpha out of (0, 1]");
-    AEO_ASSERT(config_.threshold >= 0.0, "negative drift threshold");
-    AEO_ASSERT(config_.min_weight >= 0.0, "negative drift min weight");
-    AEO_ASSERT(config_.min_correction > 0.0 &&
-                   config_.min_correction <= 1.0 &&
-                   config_.max_correction >= 1.0,
-               "drift correction bounds must bracket 1");
 }
 
 void
 ProfileDriftDetector::Observe(double time_s, size_t entry_index, double weight,
                               double power_residual, double speedup_residual)
 {
-    if (!config_.enabled) {
+    if (!enabled_) {
         return;
     }
     AEO_ASSERT(entry_index < states_.size(), "drift index %zu out of range",
@@ -40,7 +32,7 @@ ProfileDriftDetector::Observe(double time_s, size_t entry_index, double weight,
     // The EWMA starts at 1 (no drift) and blends proportionally to the dwell
     // weight, so a 10 % visit moves the estimate a tenth as far as a full
     // cycle would.
-    const double alpha = std::min(1.0, config_.ewma_alpha * weight);
+    const double alpha = std::min(1.0, kEwmaAlpha * weight);
     state.power_ewma =
         (1.0 - alpha) * state.power_ewma + alpha * power_residual;
     state.speedup_ewma =
@@ -70,11 +62,11 @@ ProfileDriftDetector::Observe(double time_s, size_t entry_index, double weight,
 double
 ProfileDriftDetector::CorrectionFrom(const EntryState& state, double ewma) const
 {
-    if (!config_.enabled || state.weight < config_.min_weight ||
-        std::abs(ewma - 1.0) <= config_.threshold) {
+    if (!enabled_ || state.weight < kMinWeight ||
+        std::abs(ewma - 1.0) <= kThreshold) {
         return 1.0;
     }
-    return std::clamp(ewma, config_.min_correction, config_.max_correction);
+    return std::clamp(ewma, kMinCorrection, kMaxCorrection);
 }
 
 double
@@ -83,7 +75,7 @@ ProfileDriftDetector::PowerCorrection(size_t entry_index) const
     AEO_ASSERT(entry_index < states_.size(), "drift index %zu out of range",
                entry_index);
     const EntryState& state = states_[entry_index];
-    if (state.weight < config_.min_weight) {
+    if (state.weight < kMinWeight) {
         return GlobalPowerCorrection();
     }
     return CorrectionFrom(state, state.power_ewma);
@@ -95,7 +87,7 @@ ProfileDriftDetector::SpeedupCorrection(size_t entry_index) const
     AEO_ASSERT(entry_index < states_.size(), "drift index %zu out of range",
                entry_index);
     const EntryState& state = states_[entry_index];
-    if (state.weight < config_.min_weight) {
+    if (state.weight < kMinWeight) {
         return GlobalSpeedupCorrection();
     }
     return CorrectionFrom(state, state.speedup_ewma);

@@ -28,7 +28,7 @@
 
 namespace aeo {
 
-/** Drift-detector tuning. */
+/** Drift-detector switch. */
 struct DriftConfig {
     /**
      * Master switch; disabled, all corrections are exactly 1. Off by
@@ -39,23 +39,6 @@ struct DriftConfig {
      * default runs bit-identical to the uncorrected controller.
      */
     bool enabled = false;
-    /** EWMA smoothing factor per unit of dwell weight. */
-    double ewma_alpha = 0.25;
-    /**
-     * Dead zone: corrections activate only once |EWMA − 1| exceeds this.
-     * Fault-free residuals sit within a few percent (measurement noise,
-     * quantization), so the default keeps healthy runs untouched.
-     */
-    double threshold = 0.10;
-    /**
-     * Minimum accumulated dwell weight (in control cycles' worth of
-     * residency) before an entry's correction may activate — a few noisy
-     * cycles must not rewrite the table.
-     */
-    double min_weight = 3.0;
-    /** Correction factors are clamped into [min, max]. */
-    double min_correction = 0.5;
-    double max_correction = 2.0;
 };
 
 /** One drift observation, kept for analysis. */
@@ -77,9 +60,34 @@ struct DriftRecord {
 /** Per-configuration EWMA drift state over a profile table's rows. */
 class ProfileDriftDetector {
   public:
+    /** EWMA smoothing factor per unit of dwell weight. */
+    static constexpr double kEwmaAlpha = 0.25;
+    /**
+     * Dead zone: corrections activate only once |EWMA − 1| exceeds this.
+     * Fault-free residuals sit within a few percent (measurement noise,
+     * quantization), so this keeps healthy runs untouched.
+     */
+    static constexpr double kThreshold = 0.10;
+    /**
+     * Minimum accumulated dwell weight (in control cycles' worth of
+     * residency) before an entry's correction may activate — a few noisy
+     * cycles must not rewrite the table.
+     */
+    static constexpr double kMinWeight = 3.0;
+    /** Correction factors are clamped into [kMinCorrection, kMaxCorrection]. */
+    static constexpr double kMinCorrection = 0.5;
+    static constexpr double kMaxCorrection = 2.0;
+    static_assert(kEwmaAlpha > 0.0 && kEwmaAlpha <= 1.0,
+                  "drift EWMA alpha out of (0, 1]");
+    static_assert(kThreshold >= 0.0, "negative drift threshold");
+    static_assert(kMinWeight >= 0.0, "negative drift min weight");
+    static_assert(kMinCorrection > 0.0 && kMinCorrection <= 1.0 &&
+                      kMaxCorrection >= 1.0,
+                  "drift correction bounds must bracket 1");
+
     /**
      * @param table_size Number of rows in the profile table tracked.
-     * @param config     Tuning.
+     * @param config     The on/off switch.
      */
     explicit ProfileDriftDetector(size_t table_size, DriftConfig config = {});
 
@@ -97,7 +105,7 @@ class ProfileDriftDetector {
 
     /**
      * Multiplicative power correction for a row (1 = no correction). Rows
-     * whose own accumulated weight is below min_weight inherit the global
+     * whose own accumulated weight is below kMinWeight inherit the global
      * correction instead.
      */
     double PowerCorrection(size_t entry_index) const;
@@ -124,8 +132,6 @@ class ProfileDriftDetector {
     /** Total observations fed. */
     uint64_t observation_count() const { return trace_.size(); }
 
-    const DriftConfig& config() const { return config_; }
-
   private:
     struct EntryState {
         double weight = 0.0;
@@ -135,7 +141,7 @@ class ProfileDriftDetector {
 
     double CorrectionFrom(const EntryState& state, double ewma) const;
 
-    DriftConfig config_;
+    bool enabled_;
     std::vector<EntryState> states_;
     /** Table-wide residual state, fed by every observation. */
     EntryState global_;

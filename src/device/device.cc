@@ -177,11 +177,11 @@ Device::UseDefaultGovernors()
 }
 
 void
-Device::EnableMpdecision(MpdecisionParams params)
+Device::EnableMpdecision()
 {
     ClusterDomain& primary = clusters_.front();
     mpdecision_ = std::make_unique<Mpdecision>(&sim_, &primary.cluster,
-                                               &primary.load_meter, params);
+                                               &primary.load_meter);
     for (auto it = std::next(clusters_.begin()); it != clusters_.end(); ++it) {
         mpdecision_->AddCluster(&it->cluster, &it->load_meter);
     }
@@ -190,19 +190,20 @@ Device::EnableMpdecision(MpdecisionParams params)
 }
 
 void
-Device::EnableInputBoost(InputBoostParams params)
+Device::EnableInputBoost()
 {
     // The cpu_boost module parameter node only exists on kernels built with
     // the driver (the paper's build compiles it out), so probe it instead of
-    // asserting; absent or unparsable, the params' default floor stands.
+    // asserting; absent or unparsable, the default floor stands.
     // aeo-lint: allow(sysfs-literal) -- optional module node, single probe site.
     const std::string raw = sysfs_.ReadOrDefault(
         "/sys/module/cpu_boost/parameters/input_boost_freq", "");
     long long khz = 0;
+    Gigahertz boost_freq = InputBoost::kDefaultBoostFreq;
     if (!raw.empty() && ParseInt64(raw, &khz) && khz > 0) {
-        params.boost_freq = Gigahertz(static_cast<double>(khz) / 1e6);
+        boost_freq = Gigahertz(static_cast<double>(khz) / 1e6);
     }
-    input_boost_ = std::make_unique<InputBoost>(&sim_, &cpufreq(), params);
+    input_boost_ = std::make_unique<InputBoost>(&sim_, &cpufreq(), boost_freq);
 }
 
 void

@@ -120,13 +120,13 @@ class Device {
      * hotplugging "can lead to inaccurate measurements"); it is off by
      * default and exists to demonstrate that distortion.
      */
-    void EnableMpdecision(MpdecisionParams params = {});
+    void EnableMpdecision();
 
     /**
      * Enables the touch-event frequency boost the paper compiles out
      * (§IV-A). Off by default.
      */
-    void EnableInputBoost(InputBoostParams params = {});
+    void EnableInputBoost();
 
     /** Delivers a touch event (no-op unless input boost is enabled). */
     void NotifyTouch();

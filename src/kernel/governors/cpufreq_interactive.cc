@@ -6,17 +6,10 @@
 
 namespace aeo {
 
-CpufreqInteractiveGovernor::CpufreqInteractiveGovernor(CpufreqPolicy* policy,
-                                                       InteractiveParams params)
-    : policy_(policy),
-      params_(params),
-      timer_(policy->sim(), [this] { Sample(); })
+CpufreqInteractiveGovernor::CpufreqInteractiveGovernor(CpufreqPolicy* policy)
+    : policy_(policy), timer_(policy->sim(), [this] { Sample(); })
 {
     AEO_ASSERT(policy_ != nullptr, "interactive governor needs a policy");
-    AEO_ASSERT(params_.go_hispeed_load > 0.0 && params_.go_hispeed_load <= 1.0,
-               "go_hispeed_load %f out of (0, 1]", params_.go_hispeed_load);
-    AEO_ASSERT(params_.target_load > 0.0 && params_.target_load <= 1.0,
-               "target_load %f out of (0, 1]", params_.target_load);
 }
 
 void
@@ -26,7 +19,7 @@ CpufreqInteractiveGovernor::Start()
     last_raise_time_ = policy_->sim()->Now();
     hispeed_since_ = policy_->sim()->Now();
     at_or_above_hispeed_ = false;
-    timer_.Start(params_.timer_rate);
+    timer_.Start(kTimerRate);
 }
 
 void
@@ -46,10 +39,10 @@ CpufreqInteractiveGovernor::Sample()
     const int cur_level = policy_->current_level();
     const double f_cur = table.FrequencyAt(cur_level).value();
     const int hispeed_level =
-        std::min(table.LevelAtOrAbove(params_.hispeed_freq), policy_->max_level_limit());
+        std::min(table.LevelAtOrAbove(kHispeedFreq), policy_->max_level_limit());
 
     int target_level;
-    if (load >= params_.go_hispeed_load) {
+    if (load >= kGoHispeedLoad) {
         // Burst response: jump at least to hispeed.
         if (cur_level < hispeed_level) {
             target_level = hispeed_level;
@@ -57,8 +50,8 @@ CpufreqInteractiveGovernor::Sample()
             // Already at/above hispeed; may climb further only after the
             // above-hispeed delay has elapsed.
             if (at_or_above_hispeed_ &&
-                now - hispeed_since_ >= params_.above_hispeed_delay) {
-                const double f_needed = f_cur * load / params_.target_load;
+                now - hispeed_since_ >= kAboveHispeedDelay) {
+                const double f_needed = f_cur * load / kTargetLoad;
                 target_level = std::max(
                     cur_level, table.LevelAtOrAbove(Gigahertz(f_needed)));
             } else {
@@ -67,7 +60,7 @@ CpufreqInteractiveGovernor::Sample()
         }
     } else {
         // Steer toward target_load.
-        const double f_needed = f_cur * load / params_.target_load;
+        const double f_needed = f_cur * load / kTargetLoad;
         target_level = table.LevelAtOrAbove(Gigahertz(f_needed));
     }
 
@@ -76,7 +69,7 @@ CpufreqInteractiveGovernor::Sample()
         last_raise_time_ = now;
     } else if (target_level < cur_level) {
         // Only drop after the floor has aged out.
-        if (now - last_raise_time_ >= params_.min_sample_time) {
+        if (now - last_raise_time_ >= kMinSampleTime) {
             policy_->RequestLevel(target_level);
         }
     }

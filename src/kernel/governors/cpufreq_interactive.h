@@ -26,26 +26,30 @@
 
 namespace aeo {
 
-/** Tunables of the interactive governor (AOSP defaults, Nexus 6 values). */
-struct InteractiveParams {
-    /** Load sampling period. */
-    SimTime timer_rate = SimTime::Millis(20);
-    /** Load at which the governor jumps to hispeed_freq. */
-    double go_hispeed_load = 0.85;
-    /** The intermediate "hispeed" frequency (Nexus 6: 1.4976 GHz). */
-    Gigahertz hispeed_freq{1.4976};
-    /** Wait before climbing above hispeed_freq. */
-    SimTime above_hispeed_delay = SimTime::Millis(60);
-    /** Minimum time at a raised frequency before scaling back down. */
-    SimTime min_sample_time = SimTime::Millis(80);
-    /** Load the governor steers toward when picking a target frequency. */
-    double target_load = 0.90;
-};
-
-/** The Android-default responsive load-tracking governor. */
+/**
+ * The Android-default responsive load-tracking governor, at its AOSP
+ * tunables for the Nexus 6.
+ */
 class CpufreqInteractiveGovernor : public DvfsGovernor {
   public:
-    CpufreqInteractiveGovernor(CpufreqPolicy* policy, InteractiveParams params = {});
+    /** Load sampling period. */
+    static constexpr SimTime kTimerRate = SimTime::Millis(20);
+    /** Load at which the governor jumps to kHispeedFreq. */
+    static constexpr double kGoHispeedLoad = 0.85;
+    /** The intermediate "hispeed" frequency (Nexus 6: 1.4976 GHz). */
+    static constexpr Gigahertz kHispeedFreq{1.4976};
+    /** Wait before climbing above kHispeedFreq. */
+    static constexpr SimTime kAboveHispeedDelay = SimTime::Millis(60);
+    /** Minimum time at a raised frequency before scaling back down. */
+    static constexpr SimTime kMinSampleTime = SimTime::Millis(80);
+    /** Load the governor steers toward when picking a target frequency. */
+    static constexpr double kTargetLoad = 0.90;
+    static_assert(kGoHispeedLoad > 0.0 && kGoHispeedLoad <= 1.0,
+                  "kGoHispeedLoad out of (0, 1]");
+    static_assert(kTargetLoad > 0.0 && kTargetLoad <= 1.0,
+                  "kTargetLoad out of (0, 1]");
+
+    explicit CpufreqInteractiveGovernor(CpufreqPolicy* policy);
 
     std::string name() const override { return "interactive"; }
     void Start() override;
@@ -55,17 +59,16 @@ class CpufreqInteractiveGovernor : public DvfsGovernor {
     void Sample();
 
     CpufreqPolicy* policy_;
-    InteractiveParams params_;
     PeriodicTask timer_;
     std::optional<CpuLoadWindow> window_;
-    /** Time of the last frequency raise (for min_sample_time stickiness). */
+    /** Time of the last frequency raise (for kMinSampleTime stickiness). */
     SimTime last_raise_time_;
-    /** Time the frequency first reached hispeed (for above_hispeed_delay). */
+    /** Time the frequency first reached hispeed (for kAboveHispeedDelay). */
     SimTime hispeed_since_;
     bool at_or_above_hispeed_ = false;
 };
 
-/** The governor, with default parameters, on @p policy (a CpufreqPolicy). */
+/** The governor on @p policy (a CpufreqPolicy). */
 std::unique_ptr<DvfsGovernor> MakeCpufreqInteractiveGovernor(DvfsPolicy* policy);
 
 }  // namespace aeo

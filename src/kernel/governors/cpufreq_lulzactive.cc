@@ -6,17 +6,10 @@
 
 namespace aeo {
 
-CpufreqLulzactiveGovernor::CpufreqLulzactiveGovernor(CpufreqPolicy* policy,
-                                                     LulzactiveParams params)
-    : policy_(policy),
-      params_(params),
-      timer_(policy->sim(), [this] { Sample(); })
+CpufreqLulzactiveGovernor::CpufreqLulzactiveGovernor(CpufreqPolicy* policy)
+    : policy_(policy), timer_(policy->sim(), [this] { Sample(); })
 {
     AEO_ASSERT(policy_ != nullptr, "lulzactive governor needs a policy");
-    AEO_ASSERT(params_.inc_cpu_load > 0.0 && params_.inc_cpu_load <= 1.0,
-               "inc_cpu_load %f out of (0, 1]", params_.inc_cpu_load);
-    AEO_ASSERT(params_.pump_up_step >= 1 && params_.pump_down_step >= 1,
-               "pump steps must be at least one level");
 }
 
 void
@@ -24,7 +17,7 @@ CpufreqLulzactiveGovernor::Start()
 {
     window_.emplace(policy_->load_meter());
     last_change_time_ = policy_->sim()->Now();
-    timer_.Start(params_.timer_rate);
+    timer_.Start(kTimerRate);
 }
 
 void
@@ -42,22 +35,22 @@ CpufreqLulzactiveGovernor::Sample()
     const double load = window_->SampleCoreLoad();
     const int cur_level = policy_->current_level();
 
-    if (load >= params_.inc_cpu_load) {
-        if (now - last_change_time_ < params_.up_sample_time) {
+    if (load >= kIncCpuLoad) {
+        if (now - last_change_time_ < kUpSampleTime) {
             return;
         }
         const int target =
-            std::min(cur_level + params_.pump_up_step, policy_->max_level_limit());
+            std::min(cur_level + kPumpUpStep, policy_->max_level_limit());
         if (target > cur_level) {
             policy_->RequestLevel(target);
             last_change_time_ = now;
         }
     } else {
-        if (now - last_change_time_ < params_.down_sample_time) {
+        if (now - last_change_time_ < kDownSampleTime) {
             return;
         }
         const int target =
-            std::max(cur_level - params_.pump_down_step, policy_->min_level_limit());
+            std::max(cur_level - kPumpDownStep, policy_->min_level_limit());
         if (target < cur_level) {
             policy_->RequestLevel(target);
             last_change_time_ = now;

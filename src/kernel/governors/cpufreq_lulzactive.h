@@ -27,26 +27,27 @@
 
 namespace aeo {
 
-/** Tunables of the lulzactive governor (v2 defaults). */
-struct LulzactiveParams {
-    /** Load sampling period. */
-    SimTime timer_rate = SimTime::Millis(10);
-    /** Load at or above which the governor ramps up. */
-    double inc_cpu_load = 0.70;
-    /** Table levels climbed per up decision (the "pump" ramp stage). */
-    int pump_up_step = 2;
-    /** Table levels descended per down decision. */
-    int pump_down_step = 1;
-    /** Minimum dwell after any change before ramping up again. */
-    SimTime up_sample_time = SimTime::Millis(20);
-    /** Minimum dwell after any change before stepping down. */
-    SimTime down_sample_time = SimTime::Millis(40);
-};
-
-/** Fixed-ramp load-threshold governor. */
+/** Fixed-ramp load-threshold governor, at its v2 defaults. */
 class CpufreqLulzactiveGovernor : public DvfsGovernor {
   public:
-    CpufreqLulzactiveGovernor(CpufreqPolicy* policy, LulzactiveParams params = {});
+    /** Load sampling period. */
+    static constexpr SimTime kTimerRate = SimTime::Millis(10);
+    /** Load at or above which the governor ramps up. */
+    static constexpr double kIncCpuLoad = 0.70;
+    /** Table levels climbed per up decision (the "pump" ramp stage). */
+    static constexpr int kPumpUpStep = 2;
+    /** Table levels descended per down decision. */
+    static constexpr int kPumpDownStep = 1;
+    /** Minimum dwell after any change before ramping up again. */
+    static constexpr SimTime kUpSampleTime = SimTime::Millis(20);
+    /** Minimum dwell after any change before stepping down. */
+    static constexpr SimTime kDownSampleTime = SimTime::Millis(40);
+    static_assert(kIncCpuLoad > 0.0 && kIncCpuLoad <= 1.0,
+                  "kIncCpuLoad out of (0, 1]");
+    static_assert(kPumpUpStep >= 1 && kPumpDownStep >= 1,
+                  "pump steps must be at least one level");
+
+    explicit CpufreqLulzactiveGovernor(CpufreqPolicy* policy);
 
     std::string name() const override { return "lulzactive"; }
     void Start() override;
@@ -56,14 +57,13 @@ class CpufreqLulzactiveGovernor : public DvfsGovernor {
     void Sample();
 
     CpufreqPolicy* policy_;
-    LulzactiveParams params_;
     PeriodicTask timer_;
     std::optional<CpuLoadWindow> window_;
     /** Time of the last accepted frequency change (dwell gates). */
     SimTime last_change_time_;
 };
 
-/** The governor, with default parameters, on @p policy (a CpufreqPolicy). */
+/** The governor on @p policy (a CpufreqPolicy). */
 std::unique_ptr<DvfsGovernor> MakeCpufreqLulzactiveGovernor(DvfsPolicy* policy);
 
 }  // namespace aeo

@@ -4,22 +4,17 @@
 
 namespace aeo {
 
-CpufreqOndemandGovernor::CpufreqOndemandGovernor(CpufreqPolicy* policy,
-                                                 OndemandParams params)
-    : policy_(policy),
-      params_(params),
-      timer_(policy->sim(), [this] { Sample(); })
+CpufreqOndemandGovernor::CpufreqOndemandGovernor(CpufreqPolicy* policy)
+    : policy_(policy), timer_(policy->sim(), [this] { Sample(); })
 {
     AEO_ASSERT(policy_ != nullptr, "ondemand governor needs a policy");
-    AEO_ASSERT(params_.up_threshold > 0.0 && params_.up_threshold <= 1.0,
-               "up_threshold %f out of (0, 1]", params_.up_threshold);
 }
 
 void
 CpufreqOndemandGovernor::Start()
 {
     window_.emplace(policy_->load_meter());
-    timer_.Start(params_.sampling_period);
+    timer_.Start(kSamplingPeriod);
 }
 
 void
@@ -34,7 +29,7 @@ CpufreqOndemandGovernor::Sample()
 {
     policy_->SyncMeters();
     const double load = window_->SampleCoreLoad();
-    if (load >= params_.up_threshold) {
+    if (load >= kUpThreshold) {
         policy_->RequestLevel(policy_->max_level_limit());
         return;
     }
@@ -42,8 +37,7 @@ CpufreqOndemandGovernor::Sample()
     // load below (up_threshold - down_differential). busy GHz-equivalent is
     // load × f_cur; required f = busy / target_load.
     const double f_cur = policy_->table().FrequencyAt(policy_->current_level()).value();
-    const double target_load = params_.up_threshold - params_.down_differential;
-    AEO_ASSERT(target_load > 0.0, "down differential leaves no target load");
+    const double target_load = kUpThreshold - kDownDifferential;
     const double f_needed = f_cur * load / target_load;
     policy_->RequestFrequencyAtOrAbove(Gigahertz(f_needed));
 }

@@ -17,23 +17,24 @@
 
 namespace aeo {
 
-/** Tunables of the ondemand governor. */
-struct OndemandParams {
+/** Load-threshold governor that ramps to max and decays proportionally. */
+class CpufreqOndemandGovernor : public DvfsGovernor {
+  public:
     /** Load sampling period. */
-    SimTime sampling_period = SimTime::Millis(50);
+    static constexpr SimTime kSamplingPeriod = SimTime::Millis(50);
     /** Load above which the governor jumps to the maximum frequency. */
-    double up_threshold = 0.80;
+    static constexpr double kUpThreshold = 0.80;
     /**
      * Hysteresis margin: when scaling down, target a frequency that keeps
      * projected load this far below the up-threshold.
      */
-    double down_differential = 0.10;
-};
+    static constexpr double kDownDifferential = 0.10;
+    static_assert(kUpThreshold > 0.0 && kUpThreshold <= 1.0,
+                  "kUpThreshold out of (0, 1]");
+    static_assert(kUpThreshold - kDownDifferential > 0.0,
+                  "down differential leaves no target load");
 
-/** Load-threshold governor that ramps to max and decays proportionally. */
-class CpufreqOndemandGovernor : public DvfsGovernor {
-  public:
-    CpufreqOndemandGovernor(CpufreqPolicy* policy, OndemandParams params = {});
+    explicit CpufreqOndemandGovernor(CpufreqPolicy* policy);
 
     std::string name() const override { return "ondemand"; }
     void Start() override;
@@ -43,12 +44,11 @@ class CpufreqOndemandGovernor : public DvfsGovernor {
     void Sample();
 
     CpufreqPolicy* policy_;
-    OndemandParams params_;
     PeriodicTask timer_;
     std::optional<CpuLoadWindow> window_;
 };
 
-/** The governor, with default parameters, on @p policy (a CpufreqPolicy). */
+/** The governor on @p policy (a CpufreqPolicy). */
 std::unique_ptr<DvfsGovernor> MakeCpufreqOndemandGovernor(DvfsPolicy* policy);
 
 }  // namespace aeo

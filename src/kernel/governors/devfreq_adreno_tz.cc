@@ -6,12 +6,10 @@
 
 namespace aeo {
 
-AdrenoTzGovernor::AdrenoTzGovernor(GpuFreqPolicy* policy, AdrenoTzParams params)
-    : policy_(policy), params_(params), timer_(policy->sim(), [this] { Sample(); })
+AdrenoTzGovernor::AdrenoTzGovernor(GpuFreqPolicy* policy)
+    : policy_(policy), timer_(policy->sim(), [this] { Sample(); })
 {
     AEO_ASSERT(policy_ != nullptr, "adreno-tz governor needs a policy");
-    AEO_ASSERT(params_.down_threshold < params_.up_threshold,
-               "thresholds out of order");
 }
 
 void
@@ -20,7 +18,7 @@ AdrenoTzGovernor::Start()
     policy_->SyncMeters();
     last_busy_seconds_ = policy_->busy_meter()->busy_seconds();
     last_elapsed_ = policy_->busy_meter()->elapsed();
-    timer_.Start(params_.sampling_period);
+    timer_.Start(kSamplingPeriod);
 }
 
 void
@@ -41,9 +39,9 @@ AdrenoTzGovernor::Sample()
     last_elapsed_ = elapsed;
 
     const int level = policy_->current_level();
-    if (busy > params_.up_threshold) {
+    if (busy > kUpThreshold) {
         policy_->RequestLevel(level + 1);
-    } else if (busy < params_.down_threshold) {
+    } else if (busy < kDownThreshold) {
         policy_->RequestLevel(level - 1);
     }
 }

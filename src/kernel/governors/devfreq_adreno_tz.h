@@ -15,19 +15,18 @@
 
 namespace aeo {
 
-/** Tunables of the msm-adreno-tz-like busy-threshold governor. */
-struct AdrenoTzParams {
-    SimTime sampling_period = SimTime::Millis(50);
-    /** Busy fraction above which the clock steps up. */
-    double up_threshold = 0.70;
-    /** Busy fraction below which the clock steps down. */
-    double down_threshold = 0.30;
-};
-
 /** Busy-threshold GPU governor: steps one level per sample. */
 class AdrenoTzGovernor : public DvfsGovernor {
   public:
-    AdrenoTzGovernor(GpuFreqPolicy* policy, AdrenoTzParams params = {});
+    /** Busy sampling period. */
+    static constexpr SimTime kSamplingPeriod = SimTime::Millis(50);
+    /** Busy fraction above which the clock steps up. */
+    static constexpr double kUpThreshold = 0.70;
+    /** Busy fraction below which the clock steps down. */
+    static constexpr double kDownThreshold = 0.30;
+    static_assert(kDownThreshold < kUpThreshold, "thresholds out of order");
+
+    explicit AdrenoTzGovernor(GpuFreqPolicy* policy);
 
     std::string name() const override { return "msm-adreno-tz"; }
     void Start() override;
@@ -37,13 +36,12 @@ class AdrenoTzGovernor : public DvfsGovernor {
     void Sample();
 
     GpuFreqPolicy* policy_;
-    AdrenoTzParams params_;
     PeriodicTask timer_;
     double last_busy_seconds_ = 0.0;
     SimTime last_elapsed_;
 };
 
-/** The governor, with default parameters, on @p policy (a GpuFreqPolicy). */
+/** The governor on @p policy (a GpuFreqPolicy). */
 std::unique_ptr<DvfsGovernor> MakeAdrenoTzGovernor(DvfsPolicy* policy);
 
 }  // namespace aeo

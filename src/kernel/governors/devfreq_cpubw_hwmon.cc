@@ -6,16 +6,10 @@
 
 namespace aeo {
 
-DevfreqCpubwHwmonGovernor::DevfreqCpubwHwmonGovernor(DevfreqPolicy* policy,
-                                                     CpubwHwmonParams params)
-    : policy_(policy),
-      params_(params),
-      timer_(policy->sim(), [this] { Sample(); })
+DevfreqCpubwHwmonGovernor::DevfreqCpubwHwmonGovernor(DevfreqPolicy* policy)
+    : policy_(policy), timer_(policy->sim(), [this] { Sample(); })
 {
     AEO_ASSERT(policy_ != nullptr, "cpubw_hwmon governor needs a policy");
-    AEO_ASSERT(params_.target_utilization > 0.0 && params_.target_utilization <= 1.0,
-               "target utilization %f out of (0, 1]", params_.target_utilization);
-    AEO_ASSERT(params_.initial_down_count >= 1, "down count must be >= 1");
 }
 
 void
@@ -23,8 +17,8 @@ DevfreqCpubwHwmonGovernor::Start()
 {
     window_.emplace(policy_->traffic_meter(), policy_->sim()->Now());
     low_samples_ = 0;
-    required_low_samples_ = params_.initial_down_count;
-    timer_.Start(params_.sampling_period);
+    required_low_samples_ = kInitialDownCount;
+    timer_.Start(kSamplingPeriod);
 }
 
 void
@@ -43,15 +37,15 @@ DevfreqCpubwHwmonGovernor::Sample()
     const int cur_level = policy_->current_level();
     const double provisioned = table.BandwidthAt(cur_level).value();
     // Provision so that measured traffic is target_utilization of the bus.
-    const double wanted_mbps = measured_mbps / params_.target_utilization;
+    const double wanted_mbps = measured_mbps / kTargetUtilization;
 
-    if (measured_mbps > params_.target_utilization * provisioned) {
+    if (measured_mbps > kTargetUtilization * provisioned) {
         // Fast up: provision to the io_percent target immediately.
         const int target = table.LevelAtOrAbove(MegabytesPerSecond(wanted_mbps));
         if (target > cur_level) {
             policy_->RequestLevel(target);
             low_samples_ = 0;
-            required_low_samples_ = params_.initial_down_count;
+            required_low_samples_ = kInitialDownCount;
             return;
         }
         low_samples_ = 0;
@@ -70,7 +64,7 @@ DevfreqCpubwHwmonGovernor::Sample()
                 // Exponential back-off: each further reduction needs twice
                 // as much evidence.
                 required_low_samples_ =
-                    std::min(required_low_samples_ * 2, params_.max_down_count);
+                    std::min(required_low_samples_ * 2, kMaxDownCount);
             }
             return;
         }

@@ -22,30 +22,32 @@
 
 namespace aeo {
 
-/** Tunables of the cpubw_hwmon governor. */
-struct CpubwHwmonParams {
+/** Traffic-monitoring governor with fast-up / exponential-back-off-down. */
+class DevfreqCpubwHwmonGovernor : public DvfsGovernor {
+  public:
     /** Traffic sampling period. */
-    SimTime sampling_period = SimTime::Millis(50);
+    static constexpr SimTime kSamplingPeriod = SimTime::Millis(50);
     /**
      * Target utilization of provisioned bandwidth (the driver's io_percent
      * knob, ~34 % on msm8084): the governor provisions measured/target and
      * raises as soon as utilization exceeds it.
      */
-    double target_utilization = 0.35;
+    static constexpr double kTargetUtilization = 0.35;
     /**
      * Consecutive low samples required before the first down-step; the
      * requirement doubles after every down-step (exponential back-off) and
      * resets on any up-step.
      */
-    int initial_down_count = 2;
+    static constexpr int kInitialDownCount = 2;
     /** Ceiling on the back-off requirement. */
-    int max_down_count = 32;
-};
+    static constexpr int kMaxDownCount = 32;
+    static_assert(kTargetUtilization > 0.0 && kTargetUtilization <= 1.0,
+                  "target utilization out of (0, 1]");
+    static_assert(kInitialDownCount >= 1, "down count must be >= 1");
+    static_assert(kMaxDownCount >= kInitialDownCount,
+                  "back-off ceiling below the first requirement");
 
-/** Traffic-monitoring governor with fast-up / exponential-back-off-down. */
-class DevfreqCpubwHwmonGovernor : public DvfsGovernor {
-  public:
-    DevfreqCpubwHwmonGovernor(DevfreqPolicy* policy, CpubwHwmonParams params = {});
+    explicit DevfreqCpubwHwmonGovernor(DevfreqPolicy* policy);
 
     std::string name() const override { return "cpubw_hwmon"; }
     void Start() override;
@@ -55,14 +57,13 @@ class DevfreqCpubwHwmonGovernor : public DvfsGovernor {
     void Sample();
 
     DevfreqPolicy* policy_;
-    CpubwHwmonParams params_;
     PeriodicTask timer_;
     std::optional<BusTrafficWindow> window_;
     int low_samples_ = 0;
     int required_low_samples_ = 0;
 };
 
-/** The governor, with default parameters, on @p policy (a DevfreqPolicy). */
+/** The governor on @p policy (a DevfreqPolicy). */
 std::unique_ptr<DvfsGovernor> MakeDevfreqCpubwHwmonGovernor(DvfsPolicy* policy);
 
 }  // namespace aeo

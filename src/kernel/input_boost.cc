@@ -4,27 +4,26 @@
 
 namespace aeo {
 
-InputBoost::InputBoost(Simulator* sim, CpufreqPolicy* policy, InputBoostParams params)
-    : sim_(sim), policy_(policy), params_(params)
+InputBoost::InputBoost(Simulator* sim, CpufreqPolicy* policy, Gigahertz boost_freq)
+    : sim_(sim), policy_(policy), boost_freq_(boost_freq)
 {
     AEO_ASSERT(sim_ != nullptr && policy_ != nullptr, "input boost wired with nulls");
-    AEO_ASSERT(params_.duration > SimTime::Zero(), "boost duration must be positive");
 }
 
 void
 InputBoost::OnTouch()
 {
     ++touch_count_;
-    boost_until_ = sim_->Now() + params_.duration;
+    boost_until_ = sim_->Now() + kDuration;
     if (!boosted_) {
         boosted_ = true;
         saved_min_level_ = policy_->min_level_limit();
         const int boost_level =
-            policy_->table().LevelAtOrAbove(params_.boost_freq);
+            policy_->table().LevelAtOrAbove(boost_freq_);
         if (boost_level > saved_min_level_) {
             policy_->SetLevelLimits(boost_level, policy_->max_level_limit());
         }
-        sim_->ScheduleAfter(params_.duration, [this] { Expire(); });
+        sim_->ScheduleAfter(kDuration, [this] { Expire(); });
     }
 }
 

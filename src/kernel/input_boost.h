@@ -19,22 +19,23 @@
 
 namespace aeo {
 
-/** Tunables of the input boost. */
-struct InputBoostParams {
-    /** Frequency floor applied on a touch (Nexus 6 boosts to ~1.5 GHz). */
-    Gigahertz boost_freq{1.4976};
-    /** How long the floor holds after the last touch. */
-    SimTime duration = SimTime::Millis(1500);
-};
-
 /** Raises the cpufreq minimum for a window after each touch event. */
 class InputBoost {
   public:
+    /** Frequency floor applied on a touch when the cpu_boost node names
+     * none (Nexus 6 boosts to ~1.5 GHz). */
+    static constexpr Gigahertz kDefaultBoostFreq{1.4976};
+    /** How long the floor holds after the last touch. */
+    static constexpr SimTime kDuration = SimTime::Millis(1500);
+    static_assert(kDuration > SimTime::Zero(), "boost duration must be positive");
+
     /**
-     * @param sim    Simulation executive; must outlive this.
-     * @param policy The boosted policy; must outlive this.
+     * @param sim        Simulation executive; must outlive this.
+     * @param policy     The boosted policy; must outlive this.
+     * @param boost_freq Frequency floor applied on a touch.
      */
-    InputBoost(Simulator* sim, CpufreqPolicy* policy, InputBoostParams params = {});
+    InputBoost(Simulator* sim, CpufreqPolicy* policy,
+               Gigahertz boost_freq = kDefaultBoostFreq);
 
     /** A touch arrived: apply (or extend) the boost floor. */
     void OnTouch();
@@ -50,7 +51,7 @@ class InputBoost {
 
     Simulator* sim_;
     CpufreqPolicy* policy_;
-    InputBoostParams params_;
+    Gigahertz boost_freq_;
     int saved_min_level_ = 0;
     SimTime boost_until_;
     bool boosted_ = false;

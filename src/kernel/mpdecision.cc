@@ -5,14 +5,11 @@
 namespace aeo {
 
 Mpdecision::Mpdecision(Simulator* sim, CpuCluster* cluster,
-                       const CpuLoadMeter* load_meter, MpdecisionParams params)
-    : sim_(sim), params_(params), timer_(sim, [this] { Sample(); })
+                       const CpuLoadMeter* load_meter)
+    : sim_(sim), timer_(sim, [this] { Sample(); })
 {
     AEO_ASSERT(sim_ != nullptr && cluster != nullptr && load_meter != nullptr,
                "mpdecision wired with null dependency");
-    AEO_ASSERT(params_.min_online >= 1, "at least one core must stay online");
-    AEO_ASSERT(params_.offline_threshold < params_.online_threshold,
-               "thresholds out of order");
     Domain domain;
     domain.cluster = cluster;
     domain.load_meter = load_meter;
@@ -37,7 +34,7 @@ Mpdecision::Start()
     for (Domain& domain : domains_) {
         domain.window.emplace(domain.load_meter);
     }
-    timer_.Start(params_.sampling_period);
+    timer_.Start(kSamplingPeriod);
 }
 
 void
@@ -71,10 +68,10 @@ Mpdecision::SampleDomain(Domain* domain)
     const int online = cluster->online_cores();
     const double load = domain->window->SampleLoad(online);
 
-    if (load > params_.online_threshold && online < cluster->num_cores()) {
+    if (load > kOnlineThreshold && online < cluster->num_cores()) {
         cluster->SetOnlineCores(online + 1);
         ++transition_count_;
-    } else if (load < params_.offline_threshold && online > params_.min_online) {
+    } else if (load < kOfflineThreshold && online > kMinOnline) {
         cluster->SetOnlineCores(online - 1);
         ++transition_count_;
     }

@@ -22,29 +22,26 @@
 
 namespace aeo {
 
-/** Tunables of the hotplug policy. */
-struct MpdecisionParams {
-    /** Load sampling period. */
-    SimTime sampling_period = SimTime::Millis(100);
-    /** Per-online-core busy fraction above which a core is onlined. */
-    double online_threshold = 0.80;
-    /** Per-online-core busy fraction below which a core is offlined. */
-    double offline_threshold = 0.30;
-    /** Cores that always stay online. */
-    int min_online = 1;
-};
-
 /** Load-threshold CPU hotplug, one core per decision. */
 class Mpdecision {
   public:
+    /** Load sampling period. */
+    static constexpr SimTime kSamplingPeriod = SimTime::Millis(100);
+    /** Per-online-core busy fraction above which a core is onlined. */
+    static constexpr double kOnlineThreshold = 0.80;
+    /** Per-online-core busy fraction below which a core is offlined. */
+    static constexpr double kOfflineThreshold = 0.30;
+    /** Cores that always stay online. */
+    static constexpr int kMinOnline = 1;
+    static_assert(kMinOnline >= 1, "at least one core must stay online");
+    static_assert(kOfflineThreshold < kOnlineThreshold, "thresholds out of order");
+
     /**
      * @param sim        Simulation executive; must outlive this.
      * @param cluster    The managed cluster; must outlive this.
      * @param load_meter Busy-time accounting to sample.
-     * @param params     Thresholds.
      */
-    Mpdecision(Simulator* sim, CpuCluster* cluster, const CpuLoadMeter* load_meter,
-               MpdecisionParams params = {});
+    Mpdecision(Simulator* sim, CpuCluster* cluster, const CpuLoadMeter* load_meter);
 
     /**
      * Registers a further hotplug domain (big.LITTLE: one per cluster).
@@ -82,7 +79,6 @@ class Mpdecision {
     void SampleDomain(Domain* domain);
 
     Simulator* sim_;
-    MpdecisionParams params_;
     PeriodicTask timer_;
     std::vector<Domain> domains_;
     std::function<void()> sync_hook_;

@@ -1,11 +1,11 @@
 /**
  * @file
- * Plain data types crossing the platform actuation boundary: retry tuning,
- * health counters, and requested-vs-delivered records. These are the
+ * Plain data types crossing the platform actuation boundary: health
+ * counters and requested-vs-delivered records. These are the
  * vocabulary shared by the controller (policy side) and any Actuator
  * implementation (platform side); they deliberately depend on nothing but
- * the simulated clock and the SystemConfig tuple, so policy code can use
- * them without seeing a single sysfs path.
+ * the SystemConfig tuple, so policy code can use them without seeing a
+ * single sysfs path.
  */
 #ifndef AEO_PLATFORM_ACTUATION_TYPES_H_
 #define AEO_PLATFORM_ACTUATION_TYPES_H_
@@ -15,23 +15,8 @@
 
 #include "common/static_vector.h"
 #include "common/system_config.h"
-#include "sim/time.h"
 
 namespace aeo::platform {
-
-/** Retry/backoff tuning for actuation writes. */
-struct ActuationRetryPolicy {
-    /** Maximum retries per write after the initial attempt. */
-    int max_retries = 4;
-    /** First backoff delay; doubles on each subsequent retry. */
-    SimTime initial_backoff = SimTime::Millis(12);
-    /**
-     * Ceiling on the cumulative backoff (plus injected latency) one write
-     * may consume. Zero = use the actuator's min dwell, keeping retrial
-     * inside the 200 ms dwell budget.
-     */
-    SimTime budget = SimTime::Zero();
-};
 
 /** Counters describing how actuation has gone so far. */
 struct ActuationStats {

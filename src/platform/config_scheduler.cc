@@ -11,12 +11,11 @@
 
 namespace aeo::platform {
 
-ConfigScheduler::ConfigScheduler(Device* device, SimTime min_dwell,
-                                 ActuationRetryPolicy retry)
+ConfigScheduler::ConfigScheduler(Device* device, SimTime min_dwell)
     : device_(device)
 {
     AEO_ASSERT(device_ != nullptr, "scheduler needs a device");
-    ConfigureActuation(min_dwell, retry);
+    ConfigureActuation(min_dwell);
 
     // Precompute every actuation plan once: the OPP tables are immutable for
     // the device's lifetime, so the per-dwell path below never formats a
@@ -58,18 +57,10 @@ ConfigScheduler::PlanFor(const DvfsPolicy& policy)
 }
 
 void
-ConfigScheduler::ConfigureActuation(SimTime min_dwell,
-                                    const ActuationRetryPolicy& retry)
+ConfigScheduler::ConfigureActuation(SimTime min_dwell)
 {
     min_dwell_ = min_dwell;
-    retry_ = retry;
     AEO_ASSERT(min_dwell_ > SimTime::Zero(), "minimum dwell must be positive");
-    AEO_ASSERT(retry_.max_retries >= 0, "negative retry count");
-    AEO_ASSERT(retry_.initial_backoff > SimTime::Zero(),
-               "backoff must be positive");
-    if (retry_.budget <= SimTime::Zero()) {
-        retry_.budget = min_dwell_;
-    }
 }
 
 FaultErrc
@@ -81,14 +72,14 @@ ConfigScheduler::WriteWithRetry(SysfsHandle node, const std::string& value)
     // delays they would have cost are charged against the min-dwell budget
     // so a flaky node can only be retried as often as 200 ms permits.
     SimTime spent = SimTime::Zero();
-    SimTime backoff = retry_.initial_backoff;
+    SimTime backoff = kInitialBackoff;
     FaultErrc errc = sysfs.TryWrite(node, value);
     spent += sysfs.last_injected_latency();
-    for (int attempt = 0; attempt < retry_.max_retries; ++attempt) {
+    for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
         const bool retryable = errc == FaultErrc::kBusy ||
                                errc == FaultErrc::kIo ||
                                errc == FaultErrc::kNoEnt;
-        if (!retryable || spent + backoff > retry_.budget) {
+        if (!retryable || spent + backoff > min_dwell_) {
             break;
         }
         spent += backoff;

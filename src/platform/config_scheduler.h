@@ -49,18 +49,25 @@ namespace aeo::platform {
 /** Applies configuration plans to the simulated device. */
 class ConfigScheduler final : public Actuator {
   public:
+    /** Maximum retries per write after the initial attempt. */
+    static constexpr int kMaxRetries = 4;
+    /** First backoff delay; doubles on each subsequent retry. The
+     * cumulative backoff (plus injected latency) one write may consume is
+     * capped at the min dwell, keeping retrial inside the dwell budget. */
+    static constexpr SimTime kInitialBackoff = SimTime::Millis(12);
+    static_assert(kMaxRetries >= 0, "negative retry count");
+    static_assert(kInitialBackoff > SimTime::Zero(), "backoff must be positive");
+
     /**
      * @param device    The plant; must outlive the scheduler.
-     * @param min_dwell Minimum time at any configuration (200 ms).
-     * @param retry     Retry/backoff tuning for flaky sysfs writes.
+     * @param min_dwell Minimum time at any configuration (200 ms), and the
+     *                  backoff budget of one write.
      */
     explicit ConfigScheduler(Device* device,
-                             SimTime min_dwell = SimTime::Millis(200),
-                             ActuationRetryPolicy retry = {});
+                             SimTime min_dwell = SimTime::Millis(200));
 
-    /** Replaces the dwell/retry tuning (see Actuator). */
-    void ConfigureActuation(SimTime min_dwell,
-                            const ActuationRetryPolicy& retry) override;
+    /** Replaces the min dwell (see Actuator). */
+    void ConfigureActuation(SimTime min_dwell) override;
 
     void Apply(const ActuationPlan& plan) override;
 
@@ -143,7 +150,6 @@ class ConfigScheduler final : public Actuator {
     SubsystemActuator bw_plan_;
     SubsystemActuator gpu_plan_;
     SimTime min_dwell_;
-    ActuationRetryPolicy retry_;
     ActuationStats stats_;
     std::vector<EventId> pending_;
     std::vector<DwellDelivery> cycle_deliveries_;

@@ -38,18 +38,14 @@ DeadlineSupervisor::~DeadlineSupervisor()
 }
 
 void
-DeadlineSupervisor::Start(const DeadlinePolicy& policy)
+DeadlineSupervisor::Start(SimTime period)
 {
-    AEO_ASSERT(policy.period > SimTime::Zero(), "period must be positive");
-    AEO_ASSERT(policy.jitter_tolerance >= 0.0, "jitter tolerance < 0");
-    AEO_ASSERT(policy.suspend_gap_periods > policy.jitter_tolerance,
-               "suspend threshold must exceed jitter tolerance");
+    AEO_ASSERT(period > SimTime::Zero(), "period must be positive");
     Stop();
-    policy_ = policy;
+    period_ = period;
     running_ = true;
     consecutive_misses_ = 0;
-    pending_catch_up_ = false;
-    ScheduleNext(clock_->Now() + policy_.period);
+    ScheduleNext(clock_->Now() + period_);
 }
 
 void
@@ -85,18 +81,16 @@ DeadlineSupervisor::Fire(uint64_t generation)
     info.scheduled = next_deadline_;
     info.actual = clock_->Now();
     info.lateness = std::max(info.actual - info.scheduled, SimTime::Zero());
-    info.catch_up = pending_catch_up_;
-    pending_catch_up_ = false;
 
-    const int64_t period_us = policy_.period.micros();
+    const int64_t period_us = period_.micros();
     const int64_t lateness_us = info.lateness.micros();
     const auto periods_late =
         static_cast<double>(lateness_us) / static_cast<double>(period_us);
     if (lateness_us == 0) {
         info.kind = TickKind::kOnTime;
-    } else if (periods_late >= policy_.suspend_gap_periods) {
+    } else if (periods_late >= kSuspendGapPeriods) {
         info.kind = TickKind::kSuspendGap;
-    } else if (periods_late <= policy_.jitter_tolerance) {
+    } else if (periods_late <= kJitterTolerance) {
         info.kind = TickKind::kJitter;
     } else {
         info.kind = TickKind::kMissed;
@@ -125,30 +119,15 @@ DeadlineSupervisor::Fire(uint64_t generation)
         ++stats_.suspend_gaps;
         break;
     }
-    if (info.catch_up) {
-        ++stats_.catch_up_ticks;
-    }
     stats_.epochs_skipped += info.epochs_skipped;
     stats_.max_lateness = std::max(stats_.max_lateness, info.lateness);
 
-    // Pick the next deadline. Catch-up keeps the grid and works through the
-    // backlog (a past deadline fires immediately via the scheduler clamp);
-    // everything else resyncs to the first grid point strictly after now.
-    SimTime next;
-    if (info.kind == TickKind::kMissed &&
-        policy_.miss_policy == DeadlineMissPolicy::kCatchUp) {
-        next = info.scheduled + policy_.period;
-        pending_catch_up_ = next <= info.actual;
-    } else {
-        // First grid point strictly after `actual` (floor(lateness/p) + 1
-        // periods past the old deadline).
-        next = info.scheduled + policy_.period * (info.epochs_skipped + 1);
-    }
-
     // Reschedule before delivering, mirroring PeriodicTask: the callback may
     // Stop() or restart us, and same-timestamp event order stays identical
-    // to the pre-seam control loop on a clean clock.
-    ScheduleNext(next);
+    // to the pre-seam control loop on a clean clock. The next deadline is
+    // the first grid point strictly after `actual` (floor(lateness/p) + 1
+    // periods past the old deadline).
+    ScheduleNext(info.scheduled + period_ * (info.epochs_skipped + 1));
     fn_(info);
 }
 

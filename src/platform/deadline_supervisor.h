@@ -5,10 +5,11 @@
  * sim::PeriodicTask simply refired every `period`, the supervisor keeps an
  * explicit deadline grid, measures how late each tick was actually
  * delivered, classifies the lateness (on-time / jitter / missed /
- * suspend-gap), and decides where the next deadline goes (resync to the
- * grid, or catch up through the backlog). The classification travels to
- * the callback as a TickInfo so the controller can adjust its estimators
- * and watchdog instead of silently consuming a stretched epoch.
+ * suspend-gap against the fixed thresholds below), and resyncs the next
+ * deadline to the first grid point after the tick: missed epochs are
+ * dropped, never worked through as a backlog. The classification travels
+ * to the callback as a TickInfo so the controller can adjust its
+ * estimators and watchdog instead of silently consuming a stretched epoch.
  *
  * Scheduling order is deliberately identical to PeriodicTask: the next
  * tick is scheduled *before* the callback runs, so same-timestamp event
@@ -26,7 +27,16 @@
 
 namespace aeo::platform {
 
-/** How late a tick was, relative to the deadline policy. */
+/** Lateness up to this fraction of a period is jitter (same epoch, usable
+ * data). */
+inline constexpr double kJitterTolerance = 0.25;
+/** Lateness of at least this many periods is a suspend gap. */
+inline constexpr double kSuspendGapPeriods = 3.0;
+static_assert(kJitterTolerance >= 0.0, "jitter tolerance < 0");
+static_assert(kSuspendGapPeriods > kJitterTolerance,
+              "suspend threshold must exceed jitter tolerance");
+
+/** How late a tick was, against kJitterTolerance and kSuspendGapPeriods. */
 enum class TickKind {
     /** Delivered exactly on its deadline. */
     kOnTime,
@@ -34,31 +44,12 @@ enum class TickKind {
     kJitter,
     /** Late past tolerance but short of a suspend gap: the epoch slipped. */
     kMissed,
-    /** Late by >= suspend_gap_periods epochs: the SoC slept through. */
+    /** Late by >= kSuspendGapPeriods epochs: the SoC slept through. */
     kSuspendGap,
 };
 
 /** Stable lower-case name, for records and JSON. */
 const char* TickKindName(TickKind kind);
-
-/** What to do with the deadlines a missed tick slid past. */
-enum class DeadlineMissPolicy {
-    /** Drop the missed epochs and resync to the next grid point. */
-    kSkipAndResync,
-    /** Work through the backlog: fire immediately until caught up. */
-    kCatchUp,
-};
-
-/** Deadline contract for one supervised periodic activity. */
-struct DeadlinePolicy {
-    /** Nominal tick period; must be positive. */
-    SimTime period = SimTime::Zero();
-    /** Lateness up to this fraction of a period is classified jitter. */
-    double jitter_tolerance = 0.25;
-    /** Lateness of at least this many periods is a suspend gap. */
-    double suspend_gap_periods = 3.0;
-    DeadlineMissPolicy miss_policy = DeadlineMissPolicy::kSkipAndResync;
-};
 
 /** Everything the callback learns about the tick that just fired. */
 struct TickInfo {
@@ -73,8 +64,6 @@ struct TickInfo {
     int64_t epochs_skipped = 0;
     /** Run length of kMissed ticks ending at this one (storm detector). */
     int consecutive_misses = 0;
-    /** True when this tick is a backlog tick under kCatchUp. */
-    bool catch_up = false;
 };
 
 /** Cumulative counters across the supervisor's lifetime. */
@@ -84,7 +73,6 @@ struct DeadlineStats {
     int64_t jitter = 0;
     int64_t missed = 0;
     int64_t suspend_gaps = 0;
-    int64_t catch_up_ticks = 0;
     int64_t epochs_skipped = 0;
     SimTime max_lateness = SimTime::Zero();
 };
@@ -106,17 +94,16 @@ class DeadlineSupervisor {
     DeadlineSupervisor& operator=(const DeadlineSupervisor&) = delete;
 
     /**
-     * (Re)starts ticking under @p policy; the first deadline is one period
-     * from now. Restarting cancels any pending tick first.
+     * (Re)starts ticking every @p period (positive); the first deadline is
+     * one period from now. Restarting cancels any pending tick first.
      */
-    void Start(const DeadlinePolicy& policy);
+    void Start(SimTime period);
 
     /** Cancels the pending tick; idempotent. */
     void Stop();
 
     bool running() const { return running_; }
     const DeadlineStats& stats() const { return stats_; }
-    const DeadlinePolicy& policy() const { return policy_; }
 
   private:
     void Fire(uint64_t generation);
@@ -126,12 +113,11 @@ class DeadlineSupervisor {
     TickScheduler* scheduler_;
     std::function<void(const TickInfo&)> fn_;
 
-    DeadlinePolicy policy_;
+    SimTime period_ = SimTime::Zero();
     bool running_ = false;
     TickHandle pending_ = kInvalidTickHandle;
     SimTime next_deadline_ = SimTime::Zero();
     int consecutive_misses_ = 0;
-    bool pending_catch_up_ = false;
     DeadlineStats stats_;
     /** Bumped by Start/Stop; in-flight ticks from older generations no-op. */
     uint64_t generation_ = 0;

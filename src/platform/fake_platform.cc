@@ -7,7 +7,7 @@
 namespace aeo::platform {
 
 void
-FakeActuator::ConfigureActuation(SimTime min_dwell, const ActuationRetryPolicy&)
+FakeActuator::ConfigureActuation(SimTime min_dwell)
 {
     min_dwell_ = min_dwell;
 }

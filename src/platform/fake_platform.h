@@ -30,8 +30,7 @@ namespace aeo::platform {
 /** Scriptable Actuator half of the fake (exposed for direct assertions). */
 class FakeActuator final : public Actuator {
   public:
-    void ConfigureActuation(SimTime min_dwell,
-                            const ActuationRetryPolicy& retry) override;
+    void ConfigureActuation(SimTime min_dwell) override;
     void SetReadbackVerification(bool on) override { readback_ = on; }
     void Apply(const ActuationPlan& plan) override;
     void CancelPending() override { ++cancel_count_; }
@@ -89,8 +88,10 @@ class FakePlatform final : public Platform,
   public:
     FakePlatform() = default;
 
+    /** The simulator the fake's clock and ticks run on (tests drive it). */
+    Simulator& sim() { return sim_; }
+
     // --- Platform ---------------------------------------------------------
-    Simulator& sim() override { return sim_; }
     Clock& clock() override { return clock_; }
     TickScheduler& ticks() override { return tick_scheduler_; }
     PerfReader& perf() override { return *this; }

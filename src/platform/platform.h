@@ -12,10 +12,11 @@
  *  - GovernorControl — pin the userspace governors / restore stock ones,
  *  - Thermals        — zone temperature and frequency-cap read-back.
  *
- * A Platform aggregates the four plus the simulated clock. SimPlatform
- * (sim_platform.h) implements them over the simulated Nexus 6's sysfs
- * tree; FakePlatform (fake_platform.h) is a scriptable test double that
- * needs no sysfs at all. Policy code includes only this header — never a
+ * A Platform aggregates the four plus the time seam the control tick runs
+ * on (Clock and TickScheduler, clock.h). SimPlatform (sim_platform.h)
+ * implements them over the simulated Nexus 6's sysfs tree; FakePlatform
+ * (fake_platform.h) is a scriptable test double that needs no sysfs at
+ * all. Policy code includes only this header — never a
  * src/kernel/ or src/device/ one — which is what lets the controller port
  * to other backends and be unit-tested hermetically.
  */
@@ -26,10 +27,7 @@
 #include <vector>
 
 #include "platform/actuation_types.h"
-
-namespace aeo {
-class Simulator;
-}  // namespace aeo
+#include "sim/time.h"
 
 namespace aeo::platform {
 
@@ -72,12 +70,10 @@ class Actuator {
     virtual ~Actuator() = default;
 
     /**
-     * Sets the minimum dwell and retry/backoff policy the actuator applies
-     * plans under. Called once by the controller at construction, before
-     * any Apply().
+     * Sets the minimum dwell the actuator applies plans under. Called once
+     * by the controller at construction, before any Apply().
      */
-    virtual void ConfigureActuation(SimTime min_dwell,
-                                    const ActuationRetryPolicy& retry) = 0;
+    virtual void ConfigureActuation(SimTime min_dwell) = 0;
 
     /**
      * Enables/disables post-write read-back verification. Verification
@@ -169,13 +165,10 @@ class Platform {
   public:
     virtual ~Platform() = default;
 
-    /** The clock/event queue control cycles are scheduled on. */
-    virtual Simulator& sim() = 0;
-
     /**
      * Monotonic time as the control loop is allowed to see it. Policy code
-     * must read time here — never from sim() — so chaos decorators can
-     * skew or step the clock under it (DESIGN.md §13).
+     * must read time here — never from a simulator — so chaos decorators
+     * can skew or step the clock under it (DESIGN.md §13).
      */
     virtual Clock& clock() = 0;
 

@@ -30,9 +30,8 @@ class SimClock final : public Clock {
 /**
  * TickScheduler over the Simulator event queue. TickHandle identity-maps
  * EventId (both reserve 0 as the dead value). Deadlines already in the
- * past — e.g. after a catch-up decision or a decorator-injected suspend
- * gap — are clamped to "now" because Simulator::ScheduleAt requires
- * when >= Now().
+ * past — e.g. after a decorator-injected suspend gap — are clamped to
+ * "now" because Simulator::ScheduleAt requires when >= Now().
  */
 class SimTickScheduler final : public TickScheduler {
   public:

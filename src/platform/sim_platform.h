@@ -29,7 +29,6 @@ class SimPlatform final : public Platform,
     explicit SimPlatform(Device* device);
 
     // --- Platform ---------------------------------------------------------
-    Simulator& sim() override { return device_->sim(); }
     Clock& clock() override { return clock_; }
     TickScheduler& ticks() override { return tick_scheduler_; }
     PerfReader& perf() override { return *this; }

@@ -43,7 +43,7 @@ struct CycleFixture {
 
 TEST(InvariantMonitorTest, CatalogueHasExactlyTheDocumentedMonitors)
 {
-    const auto monitors = MakeDefaultMonitors(MonitorConfig{});
+    const auto monitors = MakeDefaultMonitors();
     ASSERT_EQ(monitors.size(), 7u);
     EXPECT_EQ(monitors[0]->name(), "thermal-envelope");
     EXPECT_EQ(monitors[1]->name(), "qos-violation-run");
@@ -56,10 +56,9 @@ TEST(InvariantMonitorTest, CatalogueHasExactlyTheDocumentedMonitors)
 
 TEST(InvariantMonitorTest, ThermalEnvelopeMonitorFiresAboveLimitOnly)
 {
-    MonitorConfig config;
-    config.thermal_limit_c = 55.0;
-    ThermalEnvelopeMonitor monitor(config);
+    ThermalEnvelopeMonitor monitor;
     CycleFixture fixture;
+    fixture.record.temp_c = 55.0;  // at the 55.0 C limit: not over it
     monitor.OnCycle(fixture.context);
     EXPECT_TRUE(monitor.ok());
 
@@ -72,39 +71,42 @@ TEST(InvariantMonitorTest, ThermalEnvelopeMonitorFiresAboveLimitOnly)
 
 TEST(InvariantMonitorTest, QosViolationRunMonitorBoundsHealthyShortfallRuns)
 {
-    MonitorConfig config;
-    config.max_qos_violation_run = 3;
-    config.qos_tolerance_frac = 0.25;
-    QosViolationRunMonitor monitor(config);
+    QosViolationRunMonitor monitor;
     CycleFixture fixture;
-    fixture.record.measured_gips = 0.5;  // 50% under a 1.0 target
 
-    // Three consecutive shortfall cycles: at the bound, not over it.
-    for (uint64_t i = 0; i < 3; ++i) {
+    // Exactly 25% under a 1.0 target is inside the tolerance: no run starts.
+    fixture.record.measured_gips = 0.75;
+    for (uint64_t i = 0; i < 20; ++i) {
+        monitor.OnCycle(fixture.context);
+    }
+    EXPECT_TRUE(monitor.ok());
+
+    // Fifteen consecutive shortfall cycles: at the bound, not over it.
+    fixture.record.measured_gips = 0.74;
+    for (uint64_t i = 0; i < 15; ++i) {
         fixture.context.cycle_index = i;
         monitor.OnCycle(fixture.context);
     }
     EXPECT_TRUE(monitor.ok());
 
-    // The fourth breaks the bound; one report per run, not per cycle.
-    for (uint64_t i = 3; i < 8; ++i) {
+    // The sixteenth breaks the bound; one report per run, not per cycle.
+    for (uint64_t i = 15; i < 20; ++i) {
         fixture.context.cycle_index = i;
         monitor.OnCycle(fixture.context);
     }
     EXPECT_EQ(monitor.violations().size(), 1u);
-    EXPECT_EQ(monitor.first_violation_cycle(), 3);
+    EXPECT_EQ(monitor.first_violation_cycle(), 15);
 }
 
 TEST(InvariantMonitorTest, QosViolationRunMonitorSkipsDegradedAndSafeMode)
 {
-    MonitorConfig config;
-    config.max_qos_violation_run = 2;
-    QosViolationRunMonitor monitor(config);
+    QosViolationRunMonitor monitor;
     CycleFixture fixture;
     fixture.record.measured_gips = 0.1;
 
+    // Each run below outlasts the 15-cycle bound.
     fixture.record.safe_mode = true;  // declared unreachable: not a lie
-    for (uint64_t i = 0; i < 10; ++i) {
+    for (uint64_t i = 0; i < 20; ++i) {
         fixture.context.cycle_index = i;
         monitor.OnCycle(fixture.context);
     }
@@ -112,7 +114,7 @@ TEST(InvariantMonitorTest, QosViolationRunMonitorSkipsDegradedAndSafeMode)
 
     fixture.record.safe_mode = false;
     fixture.record.degraded = true;  // no trustworthy measurement
-    for (uint64_t i = 10; i < 20; ++i) {
+    for (uint64_t i = 20; i < 40; ++i) {
         fixture.context.cycle_index = i;
         monitor.OnCycle(fixture.context);
     }
@@ -149,9 +151,7 @@ TEST(InvariantMonitorTest, ActuationConsistencyMonitorCatchesIncoherence)
 
 TEST(InvariantMonitorTest, ActuationConsistencyMonitorFlagsCapBeliefDrift)
 {
-    MonitorConfig config;
-    config.cap_belief_grace_cycles = 2;
-    ActuationConsistencyMonitor monitor(config);
+    ActuationConsistencyMonitor monitor;
     CycleFixture fixture;
     fixture.record.cpu_cap_level = 4;       // controller's belief...
     fixture.context.true_cpu_cap_level = 3; // ...vs the kernel's cap
@@ -174,7 +174,7 @@ TEST(InvariantMonitorTest, ActuationConsistencyMonitorFlagsCapBeliefDrift)
 
 TEST(InvariantMonitorTest, ActuationConsistencyMonitorToleratesBenignCaps)
 {
-    ActuationConsistencyMonitor monitor{MonitorConfig{}};
+    ActuationConsistencyMonitor monitor;
     CycleFixture fixture;
 
     // Believed below advertised: conservative clamp learning, not a bug.
@@ -240,21 +240,28 @@ TEST(InvariantMonitorTest, StateLegalityMonitorChecksFallbackFlagAgreement)
 
 TEST(InvariantMonitorTest, WatchdogLivenessMonitorWantsProbesAfterFallback)
 {
-    MonitorConfig config;
-    config.liveness_grace_periods = 2.0;
-    WatchdogLivenessMonitor monitor(config);
     CycleFixture fixture;
     fixture.context.fallback_engaged = true;
     fixture.context.cycle_index = 10;
     fixture.record.time_s = 20.0;
-    monitor.OnCycle(fixture.context);
 
     FinishContext finish;
     finish.fallback_engaged = true;
     finish.reengage_enabled = true;
-    finish.elapsed_s = 120.0;     // 100 s in fallback...
-    finish.probe_period_s = 10.0; // ...10 probe periods due...
-    finish.probes = 0;            // ...and not one probe: a silent grave.
+    finish.probe_period_s = 10.0;
+    finish.probes = 0;  // not one probe since the fallback at 20 s
+
+    // 19.9 s in fallback is short of the 2-probe-period grace: no verdict.
+    WatchdogLivenessMonitor early;
+    early.OnCycle(fixture.context);
+    finish.elapsed_s = 39.9;
+    early.OnFinish(finish);
+    EXPECT_TRUE(early.ok());
+
+    // 20 s is two probe periods without a probe: a silent grave.
+    WatchdogLivenessMonitor monitor;
+    monitor.OnCycle(fixture.context);
+    finish.elapsed_s = 40.0;
     monitor.OnFinish(finish);
     EXPECT_FALSE(monitor.ok());
     EXPECT_EQ(monitor.first_violation_cycle(), 10);
@@ -262,7 +269,7 @@ TEST(InvariantMonitorTest, WatchdogLivenessMonitorWantsProbesAfterFallback)
 
 TEST(InvariantMonitorTest, WatchdogLivenessMonitorToleratesProbedFallback)
 {
-    WatchdogLivenessMonitor monitor{MonitorConfig{}};
+    WatchdogLivenessMonitor monitor;
     CycleFixture fixture;
     fixture.context.fallback_engaged = true;
     monitor.OnCycle(fixture.context);
@@ -277,7 +284,7 @@ TEST(InvariantMonitorTest, WatchdogLivenessMonitorToleratesProbedFallback)
     EXPECT_TRUE(monitor.ok());
 
     // With re-engagement configured off, a terminal fallback is fine too.
-    WatchdogLivenessMonitor terminal{MonitorConfig{}};
+    WatchdogLivenessMonitor terminal;
     terminal.OnCycle(fixture.context);
     FinishContext no_reengage = finish;
     no_reengage.reengage_enabled = false;
@@ -288,52 +295,51 @@ TEST(InvariantMonitorTest, WatchdogLivenessMonitorToleratesProbedFallback)
 
 TEST(InvariantMonitorTest, DeadlineMissRunMonitorBoundsMissStorms)
 {
-    MonitorConfig config;
-    config.max_deadline_miss_run = 3;
-    DeadlineMissRunMonitor monitor(config);
+    DeadlineMissRunMonitor monitor;
     CycleFixture fixture;
     fixture.record.tick_kind = platform::TickKind::kMissed;
     fixture.record.tick_lateness_s = 1.5;
 
-    // Three consecutive missed cycles: at the bound, not over it.
-    for (uint64_t i = 0; i < 3; ++i) {
+    // Six consecutive missed cycles: at the bound, not over it.
+    for (uint64_t i = 0; i < 6; ++i) {
         fixture.context.cycle_index = i;
         monitor.OnCycle(fixture.context);
     }
     EXPECT_TRUE(monitor.ok());
 
-    // The fourth breaks the bound; one report per storm, not per cycle.
-    for (uint64_t i = 3; i < 8; ++i) {
+    // The seventh breaks the bound; one report per storm, not per cycle.
+    for (uint64_t i = 6; i < 10; ++i) {
         fixture.context.cycle_index = i;
         monitor.OnCycle(fixture.context);
     }
     EXPECT_EQ(monitor.violations().size(), 1u);
-    EXPECT_EQ(monitor.first_violation_cycle(), 3);
+    EXPECT_EQ(monitor.first_violation_cycle(), 6);
 }
 
 TEST(InvariantMonitorTest, DeadlineMissRunMonitorResetsOnFallbackOrOnTime)
 {
-    MonitorConfig config;
-    config.max_deadline_miss_run = 2;
-    DeadlineMissRunMonitor monitor(config);
+    DeadlineMissRunMonitor monitor;
     CycleFixture fixture;
     fixture.record.tick_kind = platform::TickKind::kMissed;
+    const auto miss = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            monitor.OnCycle(fixture.context);
+        }
+    };
 
-    // Two misses, then a fallback: the controller reacted inside the
+    // Six misses, then a fallback: the controller reacted inside the
     // bound, which is exactly the behaviour the invariant demands.
-    monitor.OnCycle(fixture.context);
-    monitor.OnCycle(fixture.context);
+    miss(6);
     fixture.context.fallback_engaged = true;
     monitor.OnCycle(fixture.context);
     fixture.context.fallback_engaged = false;
 
-    // Two more misses separated by an on-time tick: runs never exceed 2.
-    monitor.OnCycle(fixture.context);
-    monitor.OnCycle(fixture.context);
+    // Six more misses, an on-time tick, six more: runs never exceed 6.
+    miss(6);
     fixture.record.tick_kind = platform::TickKind::kOnTime;
     monitor.OnCycle(fixture.context);
     fixture.record.tick_kind = platform::TickKind::kMissed;
-    monitor.OnCycle(fixture.context);
+    miss(6);
     EXPECT_TRUE(monitor.ok());
 }
 

@@ -56,7 +56,7 @@ class GappyPlatform final : public platform::Platform {
   public:
     GappyPlatform() : scheduler_(&fake_.ticks()) {}
 
-    Simulator& sim() override { return fake_.sim(); }
+    Simulator& sim() { return fake_.sim(); }
     platform::Clock& clock() override { return fake_.clock(); }
     platform::TickScheduler& ticks() override { return scheduler_; }
     platform::PerfReader& perf() override { return fake_.perf(); }

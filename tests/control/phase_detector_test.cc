@@ -53,15 +53,16 @@ TEST(PhaseDetectorTest, CentroidTracksDrift)
 
 TEST(PhaseDetectorTest, EvictsStalePhaseWhenFull)
 {
-    PhaseDetectorParams params;
-    params.max_phases = 2;
-    PhaseDetector detector(params);
-    detector.Classify(1.0);
-    detector.Classify(2.0);
-    // A third, distinct level evicts the least-recently-seen (1.0).
-    const int id = detector.Classify(4.0);
-    EXPECT_GE(id, 0);
-    ASSERT_EQ(detector.phases().size(), 2u);
+    // Four distinct levels fill the detector's 4 slots...
+    PhaseDetector detector;
+    for (const double level : {1.0, 2.0, 4.0, 8.0}) {
+        detector.Classify(level);
+    }
+    ASSERT_EQ(detector.phases().size(), 4u);
+    EXPECT_EQ(detector.phases()[0].centroid, 1.0);
+    // ...and a fifth evicts the least-recently-seen (1.0) from its slot.
+    EXPECT_EQ(detector.Classify(16.0), 0);
+    ASSERT_EQ(detector.phases().size(), 4u);
     for (const PhaseInfo& phase : detector.phases()) {
         EXPECT_NE(phase.centroid, 1.0);
     }

@@ -127,11 +127,16 @@ SerialProcedure(const ExperimentHarness& harness, const ComparisonJob& job)
     RunResult default_run = harness.RunDefault(job.app_name, options.run_load,
                                                options.seed,
                                                options.baseline_cpu_governor);
-    ProfileTable table = harness.ProfileApp(job.app_name, options);
+    ExperimentOptions unpruned = options;
+    unpruned.prune_epsilon = 0.0;
+    ProfileTable profile = harness.ProfileApp(job.app_name, unpruned);
+    ProfileTable table = options.prune_epsilon > 0.0
+                             ? profile.PruneEpsilonDominated(options.prune_epsilon)
+                             : profile;
     RunResult controller_run = harness.RunWithController(
         job.app_name, table, default_run.avg_gips, options, options.seed + 2000);
     ExperimentOutcome outcome{std::move(default_run), std::move(controller_run),
-                              std::move(table)};
+                              std::move(table), std::move(profile)};
     outcome.perf_delta_pct =
         outcome.controller_run.PerformanceDeltaPercent(outcome.default_run);
     outcome.energy_savings_pct =
@@ -225,6 +230,8 @@ TEST(BatchDeterminismTest, RunComparisonsMatchesSerialComparisons)
             ExpectSameRun(plan[i].default_run, expected[i].default_run);
             ExpectSameRun(plan[i].controller_run, expected[i].controller_run);
             EXPECT_EQ(plan[i].table.ToCsv(), expected[i].table.ToCsv());
+            EXPECT_EQ(plan[i].unpruned_table.ToCsv(),
+                      expected[i].unpruned_table.ToCsv());
             EXPECT_EQ(plan[i].perf_delta_pct, expected[i].perf_delta_pct);
             EXPECT_EQ(plan[i].energy_savings_pct, expected[i].energy_savings_pct);
         }

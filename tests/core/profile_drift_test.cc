@@ -74,7 +74,7 @@ TEST(ProfileDriftTest, DeadZoneKeepsSmallResidualsUncorrected)
 
 TEST(ProfileDriftTest, MinWeightGatesActivation)
 {
-    // min_weight = 3: two full-cycle observations are not yet evidence.
+    // kMinWeight = 3: two full-cycle observations are not yet evidence.
     ProfileDriftDetector drift(2, EnabledConfig());
     drift.Observe(0, 0, 1.0, 1.5, 1.5);
     drift.Observe(1, 0, 1.0, 1.5, 1.5);
@@ -97,11 +97,9 @@ TEST(ProfileDriftTest, CorrectionsAreClampedIntoTheConfiguredRange)
 
 TEST(ProfileDriftTest, PartialDwellWeightBlendsProportionally)
 {
-    // alpha_eff = ewma_alpha · weight: a half-cycle visit moves the EWMA
-    // half as far as a full cycle would.
-    DriftConfig config = EnabledConfig();
-    config.ewma_alpha = 0.25;
-    ProfileDriftDetector drift(1, config);
+    // alpha_eff = kEwmaAlpha · weight with the shipped alpha of 0.25: a
+    // half-cycle visit moves the EWMA half as far as a full cycle would.
+    ProfileDriftDetector drift(1, EnabledConfig());
     drift.Observe(0, 0, 0.5, 2.0, 1.0);
     const double alpha = 0.25 * 0.5;
     EXPECT_DOUBLE_EQ(drift.trace().back().power_ewma,

@@ -1,6 +1,7 @@
 #include "platform/config_scheduler.h"
 
 #include <cstdlib>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,6 @@ namespace aeo {
 namespace {
 
 using platform::ActuationPlan;
-using platform::ActuationRetryPolicy;
 using platform::ConfigScheduler;
 using platform::PlannedDwell;
 
@@ -171,8 +171,9 @@ TEST(ConfigSchedulerFaultTest, RetryExhaustionCountsAFailedOp)
     Device device(FaultyDeviceConfig(rule));
     device.UseUserspaceGovernors();
     const int start_level = device.cluster().level();
-    ActuationRetryPolicy policy;  // 4 retries, 12 ms backoff, 200 ms budget
-    ConfigScheduler scheduler(&device, SimTime::Millis(200), policy);
+    // Through a 1 s dwell the retry count binds, not the budget: 4 retries
+    // (12 + 24 + 48 + 96 = 180 ms of backoff), and a fifth would still fit.
+    ConfigScheduler scheduler(&device, SimTime::FromSeconds(1));
 
     EXPECT_FALSE(scheduler.ApplyConfigNow(SystemConfig{9, kBwDefaultGovernor}));
     EXPECT_EQ(device.cluster().level(), start_level);
@@ -187,17 +188,18 @@ TEST(ConfigSchedulerFaultTest, BackoffStaysWithinTheDwellBudget)
     rule.path_prefix = SetspeedPath();
     rule.fail_probability = 1.0;
     rule.errc = FaultErrc::kBusy;
-    Device device(FaultyDeviceConfig(rule));
-    device.UseUserspaceGovernors();
-    // 100 permitted retries, but doubling from 50 ms only 2 fit in 200 ms
-    // (50 + 100 = 150; the next 200 ms step would overrun).
-    ActuationRetryPolicy policy;
-    policy.max_retries = 100;
-    policy.initial_backoff = SimTime::Millis(50);
-    ConfigScheduler scheduler(&device, SimTime::Millis(200), policy);
+    // Through a 50 ms dwell only 2 of the 4 retries fit: 12 + 24 = 36 ms,
+    // and the next 48 ms step would overrun the budget. 36 ms is exactly
+    // the budget the second retry needs; at 35 ms it no longer fits.
+    const std::pair<int, uint64_t> cases[] = {{50, 2}, {36, 2}, {35, 1}};
+    for (const auto& [dwell_ms, retries] : cases) {
+        Device device(FaultyDeviceConfig(rule));
+        device.UseUserspaceGovernors();
+        ConfigScheduler scheduler(&device, SimTime::Millis(dwell_ms));
 
-    EXPECT_FALSE(scheduler.ApplyConfigNow(SystemConfig{9, kBwDefaultGovernor}));
-    EXPECT_EQ(scheduler.stats().retries, 2u);
+        EXPECT_FALSE(scheduler.ApplyConfigNow(SystemConfig{9, kBwDefaultGovernor}));
+        EXPECT_EQ(scheduler.stats().retries, retries) << dwell_ms << " ms dwell";
+    }
 }
 
 TEST(ConfigSchedulerFaultTest, EinvalFallsBackToTheNearestAcceptedFrequency)

@@ -2,8 +2,8 @@
  * DeadlineSupervisor unit tests on a hand-cranked Clock/TickScheduler
  * double: every test delivers ticks at exactly chosen times — on the
  * deadline, a little late, epochs late, or a suspend gap late — and
- * asserts the classification, the grid resync / catch-up choice, and the
- * restart-safety generation guard.
+ * asserts the classification, the grid resync, and the restart-safety
+ * generation guard.
  */
 #include "platform/deadline_supervisor.h"
 
@@ -104,15 +104,7 @@ class ManualScheduler final : public TickScheduler {
     TickHandle next_handle_ = 1;
 };
 
-DeadlinePolicy
-OneSecondPolicy()
-{
-    DeadlinePolicy policy;
-    policy.period = SimTime::FromSeconds(1);
-    policy.jitter_tolerance = 0.25;
-    policy.suspend_gap_periods = 3.0;
-    return policy;
-}
+constexpr SimTime kOneSecond = SimTime::FromSeconds(1);
 
 struct SupervisorFixture {
     ManualClock clock;
@@ -126,7 +118,7 @@ struct SupervisorFixture {
 TEST(DeadlineSupervisorTest, OnTimeTicksStayOnTheGrid)
 {
     SupervisorFixture f;
-    f.supervisor.Start(OneSecondPolicy());
+    f.supervisor.Start(kOneSecond);
 
     for (int i = 1; i <= 3; ++i) {
         ASSERT_EQ(f.scheduler.live_count(), 1u);
@@ -149,7 +141,7 @@ TEST(DeadlineSupervisorTest, OnTimeTicksStayOnTheGrid)
 TEST(DeadlineSupervisorTest, JitterWithinToleranceKeepsTheGrid)
 {
     SupervisorFixture f;
-    f.supervisor.Start(OneSecondPolicy());
+    f.supervisor.Start(kOneSecond);
 
     // 200 ms late on a 1 s period: inside the 0.25 tolerance.
     f.scheduler.Deliver(&f.clock, SimTime::Millis(1200));
@@ -167,7 +159,7 @@ TEST(DeadlineSupervisorTest, JitterWithinToleranceKeepsTheGrid)
 TEST(DeadlineSupervisorTest, MissedTickResyncsToFirstGridPointAfterNow)
 {
     SupervisorFixture f;
-    f.supervisor.Start(OneSecondPolicy());
+    f.supervisor.Start(kOneSecond);
 
     // 1.4 s late: one whole epoch slid past, resync to t=3s (the first
     // grid point strictly after 2.4 s).
@@ -184,7 +176,7 @@ TEST(DeadlineSupervisorTest, MissedTickResyncsToFirstGridPointAfterNow)
 TEST(DeadlineSupervisorTest, ConsecutiveMissesCountAndResetOnRecovery)
 {
     SupervisorFixture f;
-    f.supervisor.Start(OneSecondPolicy());
+    f.supervisor.Start(kOneSecond);
 
     // Two misses in a row (each 0.5 s late), then an on-time tick.
     f.scheduler.Deliver(&f.clock, SimTime::Millis(1500));
@@ -201,7 +193,7 @@ TEST(DeadlineSupervisorTest, ConsecutiveMissesCountAndResetOnRecovery)
 TEST(DeadlineSupervisorTest, SuspendGapClassifiesAndDoesNotCountAsMiss)
 {
     SupervisorFixture f;
-    f.supervisor.Start(OneSecondPolicy());
+    f.supervisor.Start(kOneSecond);
 
     // A 30 s sleep on a 1 s period: a suspend gap, not a 30-deep miss
     // storm. The miss counter stays clear.
@@ -217,35 +209,23 @@ TEST(DeadlineSupervisorTest, SuspendGapClassifiesAndDoesNotCountAsMiss)
     EXPECT_EQ(f.scheduler.last_live().when, SimTime::FromSeconds(32));
 }
 
-TEST(DeadlineSupervisorTest, CatchUpPolicyWorksThroughTheBacklog)
+TEST(DeadlineSupervisorTest, ThresholdsSitAtAQuarterAndThreePeriods)
 {
-    SupervisorFixture f;
-    DeadlinePolicy policy = OneSecondPolicy();
-    policy.miss_policy = DeadlineMissPolicy::kCatchUp;
-    f.supervisor.Start(policy);
-
-    // 2.5 s late: under catch-up the grid is kept, so the next deadline
-    // (t=2s) is already in the past and fires as a backlog tick.
-    f.scheduler.Deliver(&f.clock, SimTime::Millis(3500));
-    ASSERT_EQ(f.ticks.size(), 1u);
-    EXPECT_EQ(f.ticks[0].kind, TickKind::kMissed);
-    EXPECT_EQ(f.ticks[0].catch_up, false);
-    EXPECT_EQ(f.scheduler.last_live().when, SimTime::FromSeconds(2));
-
-    // Deliver the backlog tick "immediately" (clock does not move).
-    f.scheduler.Deliver(&f.clock, SimTime::Millis(3500));
-    ASSERT_EQ(f.ticks.size(), 2u);
-    EXPECT_TRUE(f.ticks[1].catch_up);
-    EXPECT_EQ(f.supervisor.stats().catch_up_ticks, 1);
-
-    // Two more backlog ticks (t=3s, t=4s) and the grid is caught up:
-    // the tick due at t=4s is not late at 3.5 s... deliver at its time.
-    f.scheduler.Deliver(&f.clock, SimTime::Millis(3500));
-    EXPECT_EQ(f.scheduler.last_live().when, SimTime::FromSeconds(4));
-    f.scheduler.Deliver(&f.clock, SimTime::FromSeconds(4));
-    ASSERT_EQ(f.ticks.size(), 4u);
-    EXPECT_FALSE(f.ticks[3].catch_up);
-    EXPECT_EQ(f.ticks[3].kind, TickKind::kOnTime);
+    // One tick per lateness, each on a fresh 1 s grid: 250 ms is the last
+    // jitter, 251 ms a miss; 2.999 s is still a miss, 3 s a suspend gap.
+    const std::pair<SimTime, TickKind> cases[] = {
+        {SimTime::Millis(250), TickKind::kJitter},
+        {SimTime::Millis(251), TickKind::kMissed},
+        {SimTime::Millis(2999), TickKind::kMissed},
+        {SimTime::Millis(3000), TickKind::kSuspendGap},
+    };
+    for (const auto& [lateness, kind] : cases) {
+        SupervisorFixture f;
+        f.supervisor.Start(kOneSecond);
+        f.scheduler.Deliver(&f.clock, kOneSecond + lateness);
+        ASSERT_EQ(f.ticks.size(), 1u);
+        EXPECT_EQ(f.ticks[0].kind, kind) << lateness.micros() << " us late";
+    }
 }
 
 TEST(DeadlineSupervisorTest, ReschedulesBeforeDeliveringTheCallback)
@@ -257,7 +237,7 @@ TEST(DeadlineSupervisorTest, ReschedulesBeforeDeliveringTheCallback)
         &clock, &scheduler, [&](const TickInfo&) {
             live_during_callback = scheduler.live_count();
         });
-    supervisor.Start(OneSecondPolicy());
+    supervisor.Start(kOneSecond);
     scheduler.Deliver(&clock, SimTime::FromSeconds(1));
     // The next tick must already be scheduled when the callback runs —
     // the same-timestamp event-order contract PeriodicTask established.
@@ -267,7 +247,7 @@ TEST(DeadlineSupervisorTest, ReschedulesBeforeDeliveringTheCallback)
 TEST(DeadlineSupervisorTest, StopCancelsThePendingTick)
 {
     SupervisorFixture f;
-    f.supervisor.Start(OneSecondPolicy());
+    f.supervisor.Start(kOneSecond);
     EXPECT_EQ(f.scheduler.live_count(), 1u);
     f.supervisor.Stop();
     EXPECT_FALSE(f.supervisor.running());
@@ -286,13 +266,11 @@ TEST(DeadlineSupervisorTest, RestartFromCallbackNeverDoubleFires)
         if (fires == 1) {
             // Restart mid-delivery: the already-scheduled next tick is
             // from the old generation and must be dead.
-            DeadlinePolicy policy = OneSecondPolicy();
-            policy.period = SimTime::FromSeconds(2);
-            self->Start(policy);
+            self->Start(SimTime::FromSeconds(2));
         }
     });
     self = &supervisor;
-    supervisor.Start(OneSecondPolicy());
+    supervisor.Start(kOneSecond);
 
     scheduler.Deliver(&clock, SimTime::FromSeconds(1));
     EXPECT_EQ(fires, 1);
@@ -311,13 +289,13 @@ TEST(DeadlineSupervisorTest, StaleGenerationTickIsSilentlyDropped)
     int fires = 0;
     DeadlineSupervisor supervisor(&clock, &scheduler,
                                   [&](const TickInfo&) { ++fires; });
-    supervisor.Start(OneSecondPolicy());
+    supervisor.Start(kOneSecond);
 
     // Capture the scheduled callback, then Stop: CancelTick marks it
     // cancelled, but even a scheduler that leaked the callback past the
     // cancel (a real race on device) is neutralized by the generation.
     supervisor.Stop();
-    supervisor.Start(OneSecondPolicy());
+    supervisor.Start(kOneSecond);
     EXPECT_EQ(scheduler.live_count(), 1u);
     scheduler.Deliver(&clock, SimTime::FromSeconds(1));
     EXPECT_EQ(fires, 1);
