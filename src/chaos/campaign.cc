@@ -327,7 +327,6 @@ RunCampaign(const CampaignOptions& options, const ChaosScenario& scenario)
     finish.elapsed_s = options.spec.duration_s;
     finish.probe_period_s = controller_config.control_cycle.seconds() *
                             controller_config.reengage_probe_cycles;
-    finish.fallback_time_s = controller.last_fallback_time_s();
     for (const auto& monitor : monitors) {
         monitor->OnFinish(finish);
     }

@@ -130,6 +130,8 @@ ActuationConsistencyMonitor::OnCycle(const CycleContext& context)
     // believed-below-advertised direction is benign (read-back learning is
     // deliberately conservative); believed-above-advertised beyond the
     // poll-race grace means the mask admits rows the device cannot run.
+    // A fallback tick ends the episode: the stock governors run the device,
+    // and a fallback engaged before steering planned under no cap at all.
     const int ceiling = context.max_cpu_level;
     const int believed = context.record->cpu_cap_level < 0
                              ? ceiling
@@ -137,7 +139,7 @@ ActuationConsistencyMonitor::OnCycle(const CycleContext& context)
     const int advertised = context.true_cpu_cap_level >= ceiling
                                ? ceiling
                                : context.true_cpu_cap_level;
-    if (believed > advertised) {
+    if (believed > advertised && !context.fallback_engaged) {
         ++divergence_run_;
         if (divergence_run_ > kCapBeliefGraceCycles && !reported_divergence_) {
             reported_divergence_ = true;
@@ -197,7 +199,7 @@ WatchdogLivenessMonitor::OnCycle(const CycleContext& context)
     if (context.fallback_engaged && !saw_fallback_) {
         saw_fallback_ = true;
         fallback_cycle_ = context.cycle_index;
-        fallback_time_s_ = context.record->time_s;
+        fallback_at_s_ = context.record->time_s;
     }
 }
 
@@ -210,22 +212,15 @@ WatchdogLivenessMonitor::OnFinish(const FinishContext& context)
     if (!context.reengage_enabled) {
         return;  // Terminal fallback is the configured behaviour.
     }
-    // Prefer the controller's own engagement clock: a storm-triggered
-    // fallback aborts its cycle before the observer hook runs, so OnCycle
-    // can miss the engagement entirely (and the cycle hook only sees it a
-    // cycle late even when control keeps running).
-    double fallback_at_s = saw_fallback_ ? fallback_time_s_ : 0.0;
-    if (context.fallback_time_s >= 0.0) {
-        fallback_at_s = context.fallback_time_s;
-        fallback_time_s_ = context.fallback_time_s;
-    }
-    const double fallback_span_s = context.elapsed_s - fallback_at_s;
+    // A fallback that Start() engaged before the first tick dates from the
+    // campaign's start (fallback_at_s_ stays 0).
+    const double fallback_span_s = context.elapsed_s - fallback_at_s_;
     if (context.probe_period_s <= 0.0 ||
         fallback_span_s < kGracePeriods * context.probe_period_s) {
         return;  // The run ended before a probe was due.
     }
     if (context.probes == 0) {
-        Report(fallback_cycle_, fallback_time_s_,
+        Report(fallback_cycle_, fallback_at_s_,
                StrFormat("watchdog fallback at cycle %llu never re-probed "
                          "the actuation path in %.0f s (probe period "
                          "%.0f s) — degraded mode must not be a silent "

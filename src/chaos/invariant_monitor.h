@@ -3,12 +3,12 @@
  * Runtime invariant monitors for chaos campaigns.
  *
  * A monitor is a passive observer of the control loop: the campaign runner
- * feeds it one CycleContext per completed control cycle (via the
- * controller's cycle-observer seam) and one FinishContext when the
- * campaign ends. A monitor never influences the run — it only records
- * violations, each with the cycle index and a human-readable context
- * message, so a failing campaign pinpoints *when* the property first broke
- * and the shrinker has a yes/no oracle to minimize against.
+ * feeds it one CycleContext per control tick (via the controller's
+ * cycle-observer seam, early fallbacks included) and one FinishContext
+ * when the campaign ends. A monitor never influences the run — it only
+ * records violations, each with the cycle index and a human-readable
+ * context message, so a failing campaign pinpoints *when* the property
+ * first broke and the shrinker has a yes/no oracle to minimize against.
  *
  * The catalogue (DESIGN.md §12):
  *
@@ -58,9 +58,9 @@
 
 namespace aeo::chaos {
 
-/** Everything a monitor may inspect about one completed control cycle. */
+/** Everything a monitor may inspect about one observed control tick. */
 struct CycleContext {
-    /** 0-based index of the completed cycle. */
+    /** 0-based index of the observed tick. */
     uint64_t cycle_index = 0;
     /** The cycle's record (non-null). */
     const ControlCycleRecord* record = nullptr;
@@ -100,10 +100,6 @@ struct FinishContext {
     double elapsed_s = 0.0;
     /** Configured probe period, seconds. */
     double probe_period_s = 0.0;
-    /** Clock time the last fallback engaged, seconds; -1 when none. A
-     * storm-triggered fallback aborts its cycle before the observer hook,
-     * so OnCycle may never witness the engagement. */
-    double fallback_time_s = -1.0;
 };
 
 /** One recorded invariant violation. */
@@ -230,7 +226,7 @@ class WatchdogLivenessMonitor final : public InvariantMonitor {
   private:
     bool saw_fallback_ = false;
     uint64_t fallback_cycle_ = 0;
-    double fallback_time_s_ = 0.0;
+    double fallback_at_s_ = 0.0;
 };
 
 /** Bounded runs of missed deadlines: past the bound, control must yield. */
@@ -239,11 +235,11 @@ class DeadlineMissRunMonitor final : public InvariantMonitor {
     /**
      * Longest tolerated run of consecutive deadline-missed cycles without
      * the controller degrading to the stock governors. Must sit above the
-     * controller's deadline_storm_threshold or healthy storms would be
+     * controller's kDeadlineStormThreshold or healthy storms would be
      * flagged before the controller is allowed to react.
      */
     static constexpr int kMaxRun = 6;
-    static_assert(kMaxRun > ControllerConfig{}.deadline_storm_threshold,
+    static_assert(kMaxRun > kDeadlineStormThreshold,
                   "the miss-run bound must let the deadline storm react first");
 
     DeadlineMissRunMonitor();

@@ -21,7 +21,6 @@ class ForwardingPlatform : public platform::Platform {
     explicit ForwardingPlatform(platform::Platform* inner) : inner_(inner) {}
 
     platform::Clock& clock() override { return inner_->clock(); }
-    platform::TickScheduler& ticks() override { return inner_->ticks(); }
     platform::PerfReader& perf() override { return inner_->perf(); }
     platform::Actuator& actuator() override { return inner_->actuator(); }
     platform::GovernorControl& governors() override

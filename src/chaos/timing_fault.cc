@@ -83,13 +83,12 @@ TimingFaultPlatform::TimingFaultPlatform(platform::Platform* inner,
                                          TimingFaultPlan plan)
     : ForwardingPlatform(inner),
       plan_(std::move(plan)),
-      clock_(&inner->clock(), &plan_),
-      scheduler_(&inner->ticks(), &plan_)
+      clock_(&inner->clock(), &plan_)
 {
 }
 
 SimTime
-TimingFaultPlatform::SkewedClock::Now()
+TimingFaultPlatform::PerturbedClock::Now()
 {
     const SimTime base = base_->Now();
     const double t_s = base.seconds();
@@ -107,9 +106,12 @@ TimingFaultPlatform::SkewedClock::Now()
 }
 
 platform::TickHandle
-TimingFaultPlatform::PerturbedScheduler::ScheduleTick(SimTime when,
-                                                      std::function<void()> fn)
+TimingFaultPlatform::PerturbedClock::ScheduleTick(SimTime when,
+                                                  std::function<void()> fn)
 {
+    // The deadline is on this clock; the inner clock runs behind it by the
+    // skew in force (zero until the first kClockSkew window opens).
+    when = when - (Now() - base_->Now());
     const double t_s = when.seconds();
     const double period_s = plan_->period_hint_s;
     double delay_s = 0.0;

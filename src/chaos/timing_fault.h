@@ -3,11 +3,12 @@
  * Timing fault injection over the platform time seam. The four timing
  * fault classes perturb *when* the control loop runs rather than *what*
  * the platform reports: TimingFaultPlatform wraps an inner platform and
- * substitutes a skewed Clock and a tick scheduler that delivers ticks
- * late (jitter storms, handler overruns) or defers them wholesale past a
- * suspend window. Everything is a pure function of (plan, tick deadline),
- * hashed with a hand-rolled splitmix64 — no libc RNG — so a scenario
- * replays bit-identically across processes and worker counts.
+ * substitutes one perturbed Clock that steps forward inside clock-skew
+ * windows and delivers ticks late (jitter storms, handler overruns) or
+ * defers them wholesale past a suspend window. Everything is a pure
+ * function of (plan, inner tick deadline), hashed with a hand-rolled
+ * splitmix64 — no libc RNG — so a scenario replays bit-identically across
+ * processes and worker counts.
  */
 #ifndef AEO_CHAOS_TIMING_FAULT_H_
 #define AEO_CHAOS_TIMING_FAULT_H_
@@ -45,42 +46,29 @@ TimingFaultPlan ExtractTimingPlan(const ChaosScenario& scenario,
 /**
  * Platform decorator applying a TimingFaultPlan. Non-timing seams forward
  * untouched; clock() gains a forward-only skew inside kClockSkew windows
- * and ticks() delivers late inside jitter/overrun/suspend windows. An
- * empty plan forwards everything verbatim.
+ * and delivers ticks late inside jitter/overrun/suspend windows. An empty
+ * plan forwards everything verbatim.
  */
 class TimingFaultPlatform final : public ForwardingPlatform {
   public:
     TimingFaultPlatform(platform::Platform* inner, TimingFaultPlan plan);
 
     platform::Clock& clock() override { return clock_; }
-    platform::TickScheduler& ticks() override { return scheduler_; }
 
   private:
-    /** Inner clock plus the plan's accumulated forward skew; monotonic by
+    /**
+     * Inner clock plus the plan's accumulated forward skew; monotonic by
      * construction (the skew only grows with inner time) and clamped to be
-     * safe against a perturbed inner clock. */
-    class SkewedClock final : public platform::Clock {
+     * safe against a perturbed inner clock. A tick maps back through the
+     * skew in force to an inner deadline, which the plan then delays.
+     */
+    class PerturbedClock final : public platform::Clock {
       public:
-        SkewedClock(platform::Clock* base, const TimingFaultPlan* plan)
+        PerturbedClock(platform::Clock* base, const TimingFaultPlan* plan)
             : base_(base), plan_(plan)
         {
         }
         SimTime Now() override;
-
-      private:
-        platform::Clock* base_;
-        const TimingFaultPlan* plan_;
-        SimTime last_ = SimTime::Zero();
-    };
-
-    /** Delays each tick by the plan's verdict for its deadline. */
-    class PerturbedScheduler final : public platform::TickScheduler {
-      public:
-        PerturbedScheduler(platform::TickScheduler* base,
-                           const TimingFaultPlan* plan)
-            : base_(base), plan_(plan)
-        {
-        }
         platform::TickHandle ScheduleTick(SimTime when,
                                           std::function<void()> fn) override;
         void CancelTick(platform::TickHandle handle) override
@@ -89,13 +77,13 @@ class TimingFaultPlatform final : public ForwardingPlatform {
         }
 
       private:
-        platform::TickScheduler* base_;
+        platform::Clock* base_;
         const TimingFaultPlan* plan_;
+        SimTime last_ = SimTime::Zero();
     };
 
     TimingFaultPlan plan_;
-    SkewedClock clock_;
-    PerturbedScheduler scheduler_;
+    PerturbedClock clock_;
 };
 
 }  // namespace aeo::chaos

@@ -66,9 +66,9 @@ OnlineController::OnlineController(platform::Platform* platform,
       regulator_(MakeRegulatorConfig(table_, config)),
       drift_(table_.size(), config.drift),
       machine_(MakeStateMachineOptions(config)),
-      cycle_tick_(&platform->clock(), &platform->ticks(),
+      cycle_tick_(&platform->clock(),
                   [this](const platform::TickInfo& tick) { RunCycle(tick); }),
-      probe_tick_(&platform->clock(), &platform->ticks(),
+      probe_tick_(&platform->clock(),
                   [this](const platform::TickInfo&) { ProbeRecovery(); }),
       controls_bandwidth_(table_.entries().front().config.controls_bandwidth()),
       controls_gpu_(table_.entries().front().config.controls_gpu()),
@@ -81,8 +81,6 @@ OnlineController::OnlineController(platform::Platform* platform,
     AEO_ASSERT(config_.cap_confirm_cycles > 0, "cap confirm must be positive");
     AEO_ASSERT(config_.reengage_probe_cycles > 0 && config_.reengage_successes > 0,
                "re-engagement tuning must be positive");
-    AEO_ASSERT(config_.deadline_storm_threshold > 0,
-               "deadline storm threshold must be positive");
     for (size_t i = 0; i < table_.entries().size(); ++i) {
         const ProfileEntry& entry = table_.entries()[i];
         AEO_ASSERT(entry.config.controls_bandwidth() == controls_bandwidth_,
@@ -176,7 +174,6 @@ OnlineController::EngageFallback(ControllerEvent trigger)
         return;
     }
     machine_.Dispatch(trigger);
-    last_fallback_time_s_ = platform_->clock().Now().seconds();
     Warn("watchdog: %d consecutive control cycles failed to actuate; "
          "reverting to the stock governors",
          platform_->actuator().consecutive_failed_applies());
@@ -428,6 +425,37 @@ OnlineController::RunCycle(const platform::TickInfo& tick)
     }
     machine_.Dispatch(ControllerEvent::kCycleStart);
 
+    ControlCycleRecord record;
+    record.time_s = platform_->clock().Now().seconds();
+    record.tick_kind = tick.kind;
+    record.tick_lateness_s = tick.lateness.seconds();
+    record.epochs_skipped = tick.epochs_skipped;
+    std::vector<platform::DwellDelivery> deliveries;
+    if (Steer(tick, &record, &deliveries)) {
+        // aeo-lint: allow(hot-path-alloc) -- the cycle history is the
+        // experiment's output artifact; growth here IS the product.
+        history_.push_back(record);
+        if (!record.stale_guard &&
+            platform_->actuator().consecutive_failed_applies() >=
+                config_.watchdog_threshold) {
+            EngageFallback(ControllerEvent::kWatchdogTrip);
+        }
+    }
+
+    // Observers run last so they see the tick's full effect, including a
+    // fallback it engaged.
+    for (const CycleObserver& observer : cycle_observers_) {
+        // aeo-lint: allow(hot-path-alloc) -- invoking an already-stored
+        // std::function does not allocate; only constructing one does.
+        observer(record, deliveries);
+    }
+}
+
+bool
+OnlineController::Steer(const platform::TickInfo& tick,
+                        ControlCycleRecord* record,
+                        std::vector<platform::DwellDelivery>* deliveries)
+{
     // (0) Deadline accounting. Classification is always recorded; only the
     // *handling* below is gated by suspend_resync, so the pre-hardening
     // behaviour (consume a stretched window as one epoch) stays plantable
@@ -448,13 +476,13 @@ OnlineController::RunCycle(const platform::TickInfo& tick)
             break;
         case platform::TickKind::kMissed:
             machine_.Dispatch(ControllerEvent::kTickMissed);
-            if (tick.consecutive_misses >= config_.deadline_storm_threshold) {
+            if (tick.consecutive_misses >= kDeadlineStormThreshold) {
                 Warn("deadline storm: %d consecutive control ticks missed "
                      "their epoch; handing the device back to the stock "
                      "governors",
                      tick.consecutive_misses);
                 EngageFallback(ControllerEvent::kDeadlineStorm);
-                return;
+                return false;
             }
             break;
         case platform::TickKind::kSuspendGap:
@@ -497,12 +525,11 @@ OnlineController::RunCycle(const platform::TickInfo& tick)
     // straddle the sleep, so clamp evidence and drift residuals derived
     // from them would be gap artefacts, and actuation strikes from before
     // the sleep must not count toward the watchdog after it.
-    const std::vector<platform::DwellDelivery> deliveries =
-        platform_->actuator().cycle_deliveries();
+    *deliveries = platform_->actuator().cycle_deliveries();
     if (stale_guard) {
         platform_->actuator().ResetFailureTracking();
     } else {
-        ConsumeDeliveries(deliveries, window.avg_gips, measured_power_mw,
+        ConsumeDeliveries(*deliveries, window.avg_gips, measured_power_mw,
                           usable);
     }
     const int policy_cap = config_.readback_verification
@@ -515,7 +542,7 @@ OnlineController::RunCycle(const platform::TickInfo& tick)
              "handing the device back to the stock governors",
              cpu_cap);
         EngageFallback(ControllerEvent::kFeasibleSetEmpty);
-        return;
+        return false;
     }
 
     double required;
@@ -560,44 +587,23 @@ OnlineController::RunCycle(const platform::TickInfo& tick)
     // (4) Actuate.
     Actuate(schedule);
 
-    ControlCycleRecord record;
-    record.time_s = platform_->clock().Now().seconds();
-    record.measured_gips = window.avg_gips;
-    record.required_speedup = required;
-    record.base_speed_estimate = regulator_.base_speed_estimate();
-    record.expected_power_mw = schedule.expected_power_mw;
-    record.low_config =
+    record->measured_gips = window.avg_gips;
+    record->required_speedup = required;
+    record->base_speed_estimate = regulator_.base_speed_estimate();
+    record->expected_power_mw = schedule.expected_power_mw;
+    record->low_config =
         active_table_->entries()[schedule.slots.front().entry_index].config;
-    record.high_config =
+    record->high_config =
         active_table_->entries()[schedule.slots.back().entry_index].config;
-    record.perf_samples = window.samples;
-    record.degraded = !usable;
-    record.temp_c = platform_->thermals().ReadZoneTempC();
-    record.cpu_cap_level =
+    record->perf_samples = window.samples;
+    record->degraded = !usable;
+    record->temp_c = platform_->thermals().ReadZoneTempC();
+    record->cpu_cap_level =
         cpu_cap >= platform_->max_cpu_level() ? -1 : cpu_cap;
-    record.safe_mode = safe_mode;
-    record.measured_power_mw = measured_power_mw;
-    record.tick_kind = tick.kind;
-    record.tick_lateness_s = tick.lateness.seconds();
-    record.epochs_skipped = tick.epochs_skipped;
-    record.stale_guard = stale_guard;
-    // aeo-lint: allow(hot-path-alloc) -- the cycle history is the
-    // experiment's output artifact; growth here IS the product.
-    history_.push_back(record);
-
-    if (!stale_guard &&
-        platform_->actuator().consecutive_failed_applies() >=
-            config_.watchdog_threshold) {
-        EngageFallback(ControllerEvent::kWatchdogTrip);
-    }
-
-    // Observers run last so they see the cycle's full effect, including a
-    // watchdog trip this cycle caused.
-    for (const CycleObserver& observer : cycle_observers_) {
-        // aeo-lint: allow(hot-path-alloc) -- invoking an already-stored
-        // std::function does not allocate; only constructing one does.
-        observer(record, deliveries);
-    }
+    record->safe_mode = safe_mode;
+    record->measured_power_mw = measured_power_mw;
+    record->stale_guard = stale_guard;
+    return true;
 }
 
 }  // namespace aeo

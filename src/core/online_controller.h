@@ -66,6 +66,15 @@ inline constexpr Milliwatts kControllerComputePower{25.0};
 inline constexpr Seconds kActuationWriteTime{0.0002};
 inline constexpr Milliwatts kActuationWritePower{14.0};
 
+/**
+ * Deadline storm: after this many consecutive missed ticks the loop cannot
+ * hold its epoch and degrades to the stock governors (temporal analogue of
+ * the actuation watchdog).
+ */
+inline constexpr int kDeadlineStormThreshold = 4;
+static_assert(kDeadlineStormThreshold > 0,
+              "deadline storm threshold must be positive");
+
 /** Controller tuning (paper values as defaults). */
 struct ControllerConfig {
     /** Target performance r, GIPS. Must be set. */
@@ -128,12 +137,6 @@ struct ControllerConfig {
     int reengage_probe_cycles = 5;
     int reengage_successes = 3;
     /**
-     * Deadline storm: after this many consecutive missed ticks the loop
-     * cannot hold its epoch and degrades to the stock governors (temporal
-     * analogue of the actuation watchdog).
-     */
-    int deadline_storm_threshold = 4;
-    /**
      * Suspend hardening: quarantine perf data that straddles a
      * suspend gap (hold the estimate, reuse the schedule, skip delivery
      * accounting) and forgive pre-suspend watchdog strikes. Off, the
@@ -191,9 +194,11 @@ class OnlineController {
                      ControllerConfig config);
 
     /**
-     * Observer invoked at the end of every completed control cycle with the
-     * cycle's record and the delivery read-backs it was derived from. The
-     * seam external harnesses (e.g. chaos invariant monitors) watch the
+     * Observer invoked at the end of every control tick with the tick's
+     * record and the delivery read-backs it was derived from. A tick that
+     * falls back before steering (deadline storm, empty feasible set) sets
+     * only the record's time and tick fields and is no completed cycle, so
+     * history() does not keep it. The seam external harnesses (e.g. chaos invariant monitors) watch the
      * loop through without widening the controller API; observers must not
      * reentrantly drive the controller.
      */
@@ -252,12 +257,6 @@ class OnlineController {
     /** Times the watchdog re-engaged control after a fallback. */
     uint64_t reengage_count() const { return reengage_count_; }
 
-    /** Clock time of the most recent fallback engagement, seconds; -1
-     * before any fallback. A storm-triggered fallback aborts its cycle
-     * before the observer hook runs, so this is the only place liveness
-     * checks can learn when degraded mode actually began. */
-    double last_fallback_time_s() const { return last_fallback_time_s_; }
-
     /** Cycles spent in the safe-mode envelope (target unreachable). */
     uint64_t safe_mode_cycle_count() const { return safe_mode_cycle_count_; }
 
@@ -297,6 +296,11 @@ class OnlineController {
 
   private:
     void RunCycle(const platform::TickInfo& tick);
+
+    /** The control cycle proper: fills @p record and @p deliveries. False
+     * when it engaged the fallback before steering. */
+    bool Steer(const platform::TickInfo& tick, ControlCycleRecord* record,
+               std::vector<platform::DwellDelivery>* deliveries);
 
     /** Resolves @p schedule's slots against the active table and hands the
      * dwell plan to the platform's actuator. */
@@ -353,7 +357,6 @@ class OnlineController {
     uint64_t deadline_miss_cycle_count_ = 0;
     uint64_t suspend_gap_cycle_count_ = 0;
     uint64_t stale_guard_cycle_count_ = 0;
-    double last_fallback_time_s_ = -1.0;
 
     /** Caps learned from read-back mismatches (sentinels = none). */
     int mismatch_cpu_cap_ = platform::kNoCapLevel;

@@ -2,8 +2,8 @@
  * @file
  * The time seam of the platform boundary: policy code (src/core,
  * src/control) never reads the raw Simulator clock or schedules events
- * directly — it consumes time through these two narrow, decoratable
- * interfaces. That is what lets the chaos layer inject tick jitter,
+ * directly — it consumes time through this one narrow, decoratable
+ * interface. That is what lets the chaos layer inject tick jitter,
  * handler overruns, suspend/resume gaps and monotonic-clock steps without
  * the controller knowing, and what DESIGN.md §13's deadline model hangs
  * off (the `time-seam` aeo-lint rule enforces the confinement).
@@ -18,10 +18,20 @@
 
 namespace aeo::platform {
 
+/** Opaque handle to a pending tick; 0 is never a live tick. */
+using TickHandle = uint64_t;
+
+inline constexpr TickHandle kInvalidTickHandle = 0;
+
 /**
- * Monotonic time source for the control loop. On a real device this would
- * be CLOCK_MONOTONIC; here it is the Simulator clock, possibly wrapped by
- * a chaos decorator that steps or skews it. Implementations must never run
+ * Monotonic time source for the control loop, and one-shot deadline
+ * scheduling for its ticks, on one time scale: a tick scheduled for
+ * `when` fires no earlier than Now() reads `when`. On a real device this
+ * would be CLOCK_MONOTONIC and a timer armed on it; here it is the
+ * Simulator clock, possibly wrapped by a chaos decorator that steps the
+ * clock or delivers ticks late (jitter, overrun, suspend deferral) — but a
+ * decorator never delivers a tick early and never drops one. The
+ * DeadlineSupervisor on top classifies the lateness. Now() never runs
  * backwards.
  */
 class Clock {
@@ -30,24 +40,9 @@ class Clock {
 
     /** Current monotonic time. */
     virtual SimTime Now() = 0;
-};
-
-/** Opaque handle to a pending tick; 0 is never a live tick. */
-using TickHandle = uint64_t;
-
-inline constexpr TickHandle kInvalidTickHandle = 0;
-
-/**
- * One-shot deadline scheduling for control-loop ticks. A decorator may
- * deliver a tick late (jitter, overrun, suspend deferral) but never early
- * and never drop it; the DeadlineSupervisor on top classifies the lateness.
- */
-class TickScheduler {
-  public:
-    virtual ~TickScheduler() = default;
 
     /**
-     * Schedules @p fn to run at absolute time @p when (a deadline already
+     * Schedules @p fn to run once Now() reads @p when (a deadline already
      * in the past runs as soon as possible). Returns a handle for
      * CancelTick(); the handle is dead once the tick has fired.
      */

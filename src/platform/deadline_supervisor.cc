@@ -23,12 +23,11 @@ TickKindName(TickKind kind)
     return "unknown";
 }
 
-DeadlineSupervisor::DeadlineSupervisor(Clock* clock, TickScheduler* scheduler,
+DeadlineSupervisor::DeadlineSupervisor(Clock* clock,
                                        std::function<void(const TickInfo&)> fn)
-    : clock_(clock), scheduler_(scheduler), fn_(std::move(fn))
+    : clock_(clock), fn_(std::move(fn))
 {
     AEO_ASSERT(clock_ != nullptr, "DeadlineSupervisor needs a clock");
-    AEO_ASSERT(scheduler_ != nullptr, "DeadlineSupervisor needs a scheduler");
     AEO_ASSERT(fn_ != nullptr, "DeadlineSupervisor needs a callback");
 }
 
@@ -52,7 +51,7 @@ void
 DeadlineSupervisor::Stop()
 {
     if (pending_ != kInvalidTickHandle) {
-        scheduler_->CancelTick(pending_);
+        clock_->CancelTick(pending_);
         pending_ = kInvalidTickHandle;
     }
     running_ = false;
@@ -65,8 +64,8 @@ void
 DeadlineSupervisor::ScheduleNext(SimTime deadline)
 {
     next_deadline_ = deadline;
-    pending_ = scheduler_->ScheduleTick(
-        deadline, [this, gen = generation_] { Fire(gen); });
+    pending_ = clock_->ScheduleTick(deadline,
+                                    [this, gen = generation_] { Fire(gen); });
 }
 
 void

@@ -1,15 +1,17 @@
 /**
  * @file
- * DeadlineSupervisor: the periodic control tick, rebuilt on the
- * Clock/TickScheduler seam with deadline awareness. Where the old
- * sim::PeriodicTask simply refired every `period`, the supervisor keeps an
- * explicit deadline grid, measures how late each tick was actually
- * delivered, classifies the lateness (on-time / jitter / missed /
- * suspend-gap against the fixed thresholds below), and resyncs the next
- * deadline to the first grid point after the tick: missed epochs are
- * dropped, never worked through as a backlog. The classification travels
- * to the callback as a TickInfo so the controller can adjust its
- * estimators and watchdog instead of silently consuming a stretched epoch.
+ * DeadlineSupervisor: the periodic control tick, rebuilt on the Clock
+ * seam with deadline awareness. Where the old sim::PeriodicTask simply
+ * refired every `period`, the supervisor keeps an explicit deadline grid,
+ * measures how late each tick was actually delivered, classifies the
+ * lateness (on-time / jitter / missed / suspend-gap against the fixed
+ * thresholds below), and resyncs the next deadline to the first grid
+ * point after the tick: missed epochs are dropped, never worked through
+ * as a backlog. The classification travels to the callback as a TickInfo
+ * so the controller can adjust its estimators and watchdog instead of
+ * silently consuming a stretched epoch. The grid, the ticks and the
+ * lateness all live on the one Clock, so a clock that steps forward moves
+ * where a tick fires, not how late it reads.
  *
  * Scheduling order is deliberately identical to PeriodicTask: the next
  * tick is scheduled *before* the callback runs, so same-timestamp event
@@ -86,8 +88,7 @@ struct DeadlineStats {
  */
 class DeadlineSupervisor {
   public:
-    DeadlineSupervisor(Clock* clock, TickScheduler* scheduler,
-                       std::function<void(const TickInfo&)> fn);
+    DeadlineSupervisor(Clock* clock, std::function<void(const TickInfo&)> fn);
     ~DeadlineSupervisor();
 
     DeadlineSupervisor(const DeadlineSupervisor&) = delete;
@@ -110,7 +111,6 @@ class DeadlineSupervisor {
     void ScheduleNext(SimTime deadline);
 
     Clock* clock_;
-    TickScheduler* scheduler_;
     std::function<void(const TickInfo&)> fn_;
 
     SimTime period_ = SimTime::Zero();

@@ -1,5 +1,6 @@
 #include "platform/fake_platform.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/strings.h"
@@ -49,6 +50,16 @@ void
 FakeActuator::ScriptDeliveries(std::vector<DwellDelivery> deliveries)
 {
     deliveries_ = std::move(deliveries);
+}
+
+TickHandle
+FakePlatform::ScheduleTick(SimTime when, std::function<void()> fn)
+{
+    if (!tick_delays_.empty()) {
+        when = when + tick_delays_.front();
+        tick_delays_.pop_front();
+    }
+    return sim_.ScheduleAt(std::max(when, sim_.Now()), std::move(fn));
 }
 
 PerfWindow

@@ -10,19 +10,20 @@
  * Scripting model: each Push... or Script... call appends or sets the value the
  * next matching controller call observes; unscripted calls see benign
  * defaults (healthy probe, no clamp, reference temperature, empty perf
- * window). Every interface call is counted or logged so tests can assert
- * on the controller's outward behaviour alone.
+ * window, on-time tick). Every interface call is counted or logged so
+ * tests can assert on the controller's outward behaviour alone.
  */
 #ifndef AEO_PLATFORM_FAKE_PLATFORM_H_
 #define AEO_PLATFORM_FAKE_PLATFORM_H_
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "platform/clock.h"
 #include "platform/platform.h"
-#include "platform/sim_clock.h"
 #include "sim/simulator.h"
 
 namespace aeo::platform {
@@ -82,18 +83,18 @@ class FakeActuator final : public Actuator {
 
 /** The scriptable platform. Owns its own Simulator. */
 class FakePlatform final : public Platform,
+                           public Clock,
                            public PerfReader,
                            public GovernorControl,
                            public Thermals {
   public:
     FakePlatform() = default;
 
-    /** The simulator the fake's clock and ticks run on (tests drive it). */
+    /** The simulator the fake's clock runs on (tests drive it). */
     Simulator& sim() { return sim_; }
 
     // --- Platform ---------------------------------------------------------
-    Clock& clock() override { return clock_; }
-    TickScheduler& ticks() override { return tick_scheduler_; }
+    Clock& clock() override { return *this; }
     PerfReader& perf() override { return *this; }
     Actuator& actuator() override { return actuator_; }
     GovernorControl& governors() override { return *this; }
@@ -105,6 +106,11 @@ class FakePlatform final : public Platform,
         overhead_mw_ = mw;
     }
     void Sync() override {}
+
+    // --- Clock ------------------------------------------------------------
+    SimTime Now() override { return sim_.Now(); }
+    TickHandle ScheduleTick(SimTime when, std::function<void()> fn) override;
+    void CancelTick(TickHandle handle) override { sim_.Cancel(handle); }
 
     // --- PerfReader -------------------------------------------------------
     void StartSampling() override { sampling_ = true; }
@@ -135,6 +141,10 @@ class FakePlatform final : public Platform,
     /** Queues one measured-power window; an exhausted queue serves 0. */
     void PushPowerMw(double mw) { power_windows_.push_back(mw); }
 
+    /** Queues how late the next scheduled tick fires; drained FIFO. An
+     * exhausted queue fires ticks on their deadline. */
+    void PushTickDelay(SimTime delay) { tick_delays_.push_back(delay); }
+
     void ScriptTempC(double temp_c) { temp_c_ = temp_c; }
 
     /** Sets the cap level every cap read reports (kNoCapLevel = uncapped). */
@@ -153,11 +163,10 @@ class FakePlatform final : public Platform,
 
   private:
     Simulator sim_;
-    SimClock clock_{&sim_};
-    SimTickScheduler tick_scheduler_{&sim_};
     FakeActuator actuator_;
     std::deque<PerfWindow> perf_windows_;
     std::deque<double> power_windows_;
+    std::deque<SimTime> tick_delays_;
     std::vector<std::string> governor_log_;
     double temp_c_ = 25.0;
     int cap_level_ = kNoCapLevel;

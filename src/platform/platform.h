@@ -13,12 +13,12 @@
  *  - Thermals        — zone temperature and frequency-cap read-back.
  *
  * A Platform aggregates the four plus the time seam the control tick runs
- * on (Clock and TickScheduler, clock.h). SimPlatform (sim_platform.h)
- * implements them over the simulated Nexus 6's sysfs tree; FakePlatform
- * (fake_platform.h) is a scriptable test double that needs no sysfs at
- * all. Policy code includes only this header — never a
- * src/kernel/ or src/device/ one — which is what lets the controller port
- * to other backends and be unit-tested hermetically.
+ * on (Clock, clock.h). SimPlatform (sim_platform.h) implements them over
+ * the simulated Nexus 6's sysfs tree; FakePlatform (fake_platform.h) is a
+ * scriptable test double that needs no sysfs at all. Policy code includes
+ * only this header — never a src/kernel/ or src/device/ one — which is
+ * what lets the controller port to other backends and be unit-tested
+ * hermetically.
  */
 #ifndef AEO_PLATFORM_PLATFORM_H_
 #define AEO_PLATFORM_PLATFORM_H_
@@ -158,7 +158,6 @@ class Thermals {
 };
 
 class Clock;
-class TickScheduler;
 
 /** The full platform a controller runs against. */
 class Platform {
@@ -166,14 +165,12 @@ class Platform {
     virtual ~Platform() = default;
 
     /**
-     * Monotonic time as the control loop is allowed to see it. Policy code
-     * must read time here — never from a simulator — so chaos decorators
-     * can skew or step the clock under it (DESIGN.md §13).
+     * Monotonic time and control-tick scheduling as the control loop is
+     * allowed to see them. Policy code must read time and arm ticks here —
+     * never on a simulator — so chaos decorators can step the clock or
+     * delay ticks under it (DESIGN.md §13).
      */
     virtual Clock& clock() = 0;
-
-    /** Deadline scheduling for control ticks, same decoration rule. */
-    virtual TickScheduler& ticks() = 0;
 
     virtual PerfReader& perf() = 0;
     virtual Actuator& actuator() = 0;

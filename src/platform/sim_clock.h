@@ -1,8 +1,8 @@
 /**
  * @file
- * Simulator-backed implementations of the Clock/TickScheduler seam. These
- * are the "real" time sources in this repo: SimPlatform hands them to the
- * controller, and chaos decorators wrap them to perturb delivery.
+ * The Simulator-backed Clock: the "real" time source in this repo.
+ * SimPlatform hands it to the controller, and chaos decorators wrap it to
+ * perturb delivery.
  */
 #ifndef AEO_PLATFORM_SIM_CLOCK_H_
 #define AEO_PLATFORM_SIM_CLOCK_H_
@@ -16,29 +16,21 @@
 
 namespace aeo::platform {
 
-/** Clock over the discrete-event Simulator's virtual time. */
-class SimClock final : public Clock {
-  public:
-    explicit SimClock(Simulator* sim) : sim_(sim) {}
-
-    SimTime Now() override { return sim_->Now(); }
-
-  private:
-    Simulator* sim_;
-};
-
 /**
- * TickScheduler over the Simulator event queue. TickHandle identity-maps
- * EventId (both reserve 0 as the dead value). Deadlines already in the
- * past — e.g. after a decorator-injected suspend gap — are clamped to
- * "now" because Simulator::ScheduleAt requires when >= Now().
+ * Clock over the discrete-event Simulator's virtual time and event queue.
+ * TickHandle identity-maps EventId (both reserve 0 as the dead value).
+ * Deadlines already in the past — e.g. after a decorator-injected suspend
+ * gap — are clamped to "now" because Simulator::ScheduleAt requires
+ * when >= Now().
  */
-class SimTickScheduler final : public TickScheduler {
+class SimClock final : public Clock {
   public:
     static_assert(kInvalidTickHandle == kInvalidEventId,
                   "TickHandle identity-maps EventId");
 
-    explicit SimTickScheduler(Simulator* sim) : sim_(sim) {}
+    explicit SimClock(Simulator* sim) : sim_(sim) {}
+
+    SimTime Now() override { return sim_->Now(); }
 
     TickHandle ScheduleTick(SimTime when, std::function<void()> fn) override {
         return sim_->ScheduleAt(std::max(when, sim_->Now()), std::move(fn));

@@ -34,8 +34,7 @@ TrySetGovernor(Sysfs& sysfs, SysfsHandle node, const std::string& value)
 }  // namespace
 
 SimPlatform::SimPlatform(Device* device)
-    : device_(device), scheduler_(device), clock_(&device->sim()),
-      tick_scheduler_(&device->sim())
+    : device_(device), scheduler_(device), clock_(&device->sim())
 {
     AEO_ASSERT(device_ != nullptr, "platform needs a device");
     cap_node_ = device_->cpufreq().Open(&DvfsSysfsNames::max_freq);

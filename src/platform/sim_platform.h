@@ -30,7 +30,6 @@ class SimPlatform final : public Platform,
 
     // --- Platform ---------------------------------------------------------
     Clock& clock() override { return clock_; }
-    TickScheduler& ticks() override { return tick_scheduler_; }
     PerfReader& perf() override { return *this; }
     Actuator& actuator() override { return scheduler_; }
     GovernorControl& governors() override { return *this; }
@@ -62,7 +61,6 @@ class SimPlatform final : public Platform,
     Device* device_;
     ConfigScheduler scheduler_;
     SimClock clock_;
-    SimTickScheduler tick_scheduler_;
     /** Interned sysfs nodes for the per-cycle reads and governor switches
      * (opened once at construction; no path strings built while running). */
     SysfsHandle cap_node_;

@@ -23,7 +23,7 @@ namespace aeo {
 
 /**
  * Capture budget, bytes. Sized so that a std::function<void()> (the
- * TickScheduler seam hands one through) and every kernel/device/chaos
+ * Clock seam hands one through) and every kernel/device/chaos
  * lambda in the tree fit; the dominant hot-path captures (PeriodicTask's
  * [this], Device boundary events) are a single pointer.
  */

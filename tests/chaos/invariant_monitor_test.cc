@@ -172,6 +172,32 @@ TEST(InvariantMonitorTest, ActuationConsistencyMonitorFlagsCapBeliefDrift)
     EXPECT_EQ(monitor.first_violation_cycle(), 2);
 }
 
+TEST(InvariantMonitorTest, ActuationConsistencyMonitorEndsCapEpisodeOnFallback)
+{
+    ActuationConsistencyMonitor monitor;
+    CycleFixture fixture;
+    fixture.record.cpu_cap_level = 4;
+    fixture.context.true_cpu_cap_level = 3;
+
+    // Two divergent cycles, then a fallback tick whose record carries no
+    // cap (an early fallback): no third divergent cycle, no verdict.
+    monitor.OnCycle(fixture.context);
+    monitor.OnCycle(fixture.context);
+    fixture.record.cpu_cap_level = -1;
+    fixture.context.fallback_engaged = true;
+    monitor.OnCycle(fixture.context);
+    EXPECT_TRUE(monitor.ok());
+
+    // After re-engagement the run starts over: two more are still grace.
+    fixture.record.cpu_cap_level = 4;
+    fixture.context.fallback_engaged = false;
+    monitor.OnCycle(fixture.context);
+    monitor.OnCycle(fixture.context);
+    EXPECT_TRUE(monitor.ok());
+    monitor.OnCycle(fixture.context);
+    EXPECT_EQ(monitor.violations().size(), 1u);
+}
+
 TEST(InvariantMonitorTest, ActuationConsistencyMonitorToleratesBenignCaps)
 {
     ActuationConsistencyMonitor monitor;

@@ -9,77 +9,17 @@
 
 #include <cmath>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <random>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "platform/clock.h"
 #include "platform/fake_platform.h"
 
 namespace aeo {
 namespace {
 
 using platform::FakePlatform;
-
-/** Forwards to the fake's scheduler, adding one scripted delay per tick. */
-class DelayingScheduler final : public platform::TickScheduler {
-  public:
-    explicit DelayingScheduler(platform::TickScheduler* base) : base_(base) {}
-
-    platform::TickHandle ScheduleTick(SimTime when,
-                                      std::function<void()> fn) override
-    {
-        SimTime delay = SimTime::Zero();
-        if (!delays_.empty()) {
-            delay = delays_.front();
-            delays_.pop_front();
-        }
-        return base_->ScheduleTick(when + delay, std::move(fn));
-    }
-
-    void CancelTick(platform::TickHandle handle) override
-    {
-        base_->CancelTick(handle);
-    }
-
-    void PushDelay(SimTime delay) { delays_.push_back(delay); }
-
-  private:
-    platform::TickScheduler* base_;
-    std::deque<SimTime> delays_;
-};
-
-class GappyPlatform final : public platform::Platform {
-  public:
-    GappyPlatform() : scheduler_(&fake_.ticks()) {}
-
-    Simulator& sim() { return fake_.sim(); }
-    platform::Clock& clock() override { return fake_.clock(); }
-    platform::TickScheduler& ticks() override { return scheduler_; }
-    platform::PerfReader& perf() override { return fake_.perf(); }
-    platform::Actuator& actuator() override { return fake_.actuator(); }
-    platform::GovernorControl& governors() override
-    {
-        return fake_.governors();
-    }
-    platform::Thermals& thermals() override { return fake_.thermals(); }
-    int max_cpu_level() const override { return fake_.max_cpu_level(); }
-    void SetControllerOverheadPower(double mw) override
-    {
-        fake_.SetControllerOverheadPower(mw);
-    }
-    void Sync() override { fake_.Sync(); }
-
-    FakePlatform& fake() { return fake_; }
-    DelayingScheduler& delays() { return scheduler_; }
-
-  private:
-    FakePlatform fake_;
-    DelayingScheduler scheduler_;
-};
 
 ProfileTable
 ThreeRowTable()
@@ -99,7 +39,7 @@ TEST(SuspendResumePropertyTest, RandomGapSchedulesNeverPoisonTheLoop)
     std::uniform_real_distribution<double> coin(0.0, 1.0);
 
     for (int trial = 0; trial < 24; ++trial) {
-        GappyPlatform plat;
+        FakePlatform plat;
         constexpr int kTicks = 14;
         int gap_count = 0;
         for (int i = 0; i < kTicks; ++i) {
@@ -107,11 +47,11 @@ TEST(SuspendResumePropertyTest, RandomGapSchedulesNeverPoisonTheLoop)
             // 2 s cycle any delay >= 6 s is a suspend gap.
             if (coin(rng) < 0.35) {
                 ++gap_count;
-                plat.delays().PushDelay(SimTime::FromSecondsF(gap_s(rng)));
+                plat.PushTickDelay(SimTime::FromSecondsF(gap_s(rng)));
             } else {
-                plat.delays().PushDelay(SimTime::Zero());
+                plat.PushTickDelay(SimTime::Zero());
             }
-            plat.fake().PushPerfWindow(0.1, 100);
+            plat.PushPerfWindow(0.1, 100);
         }
         ControllerConfig config;
         config.target_gips = 0.1;
@@ -159,19 +99,19 @@ TEST(SuspendResumePropertyTest, ReengagementCompletesAcrossGapSchedules)
     std::uniform_real_distribution<double> coin(0.0, 1.0);
 
     for (int trial = 0; trial < 12; ++trial) {
-        GappyPlatform plat;
+        FakePlatform plat;
         // A healthy first cycle, then the watchdog trips on consecutive
         // failed applies; the probe phase runs under a random gap schedule.
         // The first two ticks are on time so the trip itself is
         // deterministic — the randomness exercises the probes after it.
-        plat.delays().PushDelay(SimTime::Zero());
-        plat.delays().PushDelay(SimTime::Zero());
+        plat.PushTickDelay(SimTime::Zero());
+        plat.PushTickDelay(SimTime::Zero());
         for (int i = 0; i < 38; ++i) {
-            plat.fake().PushPerfWindow(0.1, 100);
+            plat.PushPerfWindow(0.1, 100);
             if (coin(rng) < 0.3) {
-                plat.delays().PushDelay(SimTime::FromSecondsF(gap_s(rng)));
+                plat.PushTickDelay(SimTime::FromSecondsF(gap_s(rng)));
             } else {
-                plat.delays().PushDelay(SimTime::Zero());
+                plat.PushTickDelay(SimTime::Zero());
             }
         }
         ControllerConfig config;
@@ -186,7 +126,7 @@ TEST(SuspendResumePropertyTest, ReengagementCompletesAcrossGapSchedules)
         // later resets the failure tracking, so the trip happens once and
         // the rest of the run exercises probing under the gap schedule.
         plat.sim().RunUntil(SimTime::FromSeconds(3));
-        plat.fake().fake_actuator().ScriptConsecutiveFailures(2);
+        plat.fake_actuator().ScriptConsecutiveFailures(2);
         plat.sim().RunUntil(SimTime::FromSeconds(20 * 60));
         controller.Stop();
 

@@ -1,5 +1,6 @@
 /**
- * Timing fault injection end to end: the decorator's plan extraction, the
+ * Timing fault injection end to end: the decorator's plan extraction, a
+ * clock step that must not cost the control tick its cadence, the
  * determinism of perturbed campaigns, and the headline acceptance fixture —
  * a planted stale-actuation bug (suspend_resync off: the controller steers
  * on the pre-suspend perf window after a 20 s sleep) caught by the
@@ -10,6 +11,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/app_registry.h"
@@ -20,6 +22,8 @@
 #include "core/offline_profiler.h"
 #include "core/scenarios.h"
 #include "gtest/gtest.h"
+#include "platform/deadline_supervisor.h"
+#include "platform/fake_platform.h"
 
 namespace aeo::chaos {
 namespace {
@@ -103,6 +107,49 @@ TEST(TimingFaultTest, IsTimingClassCoversExactlyTheTimingClasses)
     EXPECT_FALSE(IsTimingClass(FaultClass::kPmuDrop));
     EXPECT_FALSE(IsTimingClass(FaultClass::kThermalCap));
     EXPECT_FALSE(IsTimingClass(FaultClass::kActuationBusy));
+}
+
+TEST(TimingFaultTest, TicksReturnOnTimeAfterAClockStep)
+{
+    // The shrunk reproducer of chaos campaign 6 (seed 7002038): one
+    // clock-skew window that steps the clock about 1.56 s forward. Ticks
+    // are armed on the skewed clock itself, so while the skew grows they
+    // are at most jitter late, and once it stops growing they land on
+    // their grid again instead of reading 0.78 periods late forever.
+    constexpr double kStartS = 30.0;
+    constexpr double kDurationS = 17.3377;
+    constexpr double kPeriodS = 2.0;
+    TimingFaultPlan plan;
+    plan.seed = 7002038;
+    plan.period_hint_s = kPeriodS;
+    plan.actions = {{FaultClass::kClockSkew, kStartS, kDurationS, 0.38939}};
+    platform::FakePlatform fake;
+    TimingFaultPlatform skewed(&fake, std::move(plan));
+
+    struct Tick {
+        double inner_s;
+        platform::TickKind kind;
+    };
+    std::vector<Tick> ticks;
+    platform::DeadlineSupervisor supervisor(
+        &skewed.clock(), [&](const platform::TickInfo& info) {
+            ticks.push_back(Tick{fake.sim().Now().seconds(), info.kind});
+        });
+    supervisor.Start(SimTime::FromSecondsF(kPeriodS));
+    fake.sim().RunUntil(SimTime::FromSeconds(120));
+
+    int after_window = 0;
+    for (const Tick& tick : ticks) {
+        EXPECT_NE(tick.kind, platform::TickKind::kMissed)
+            << "tick at " << tick.inner_s << " s";
+        if (tick.inner_s > kStartS + kDurationS + kPeriodS) {
+            ++after_window;
+            EXPECT_EQ(tick.kind, platform::TickKind::kOnTime)
+                << "tick at " << tick.inner_s << " s";
+        }
+    }
+    EXPECT_GE(after_window, 30);
+    EXPECT_EQ(supervisor.stats().missed, 0);
 }
 
 TEST(TimingFaultTest, PerturbedCampaignsAreDeterministic)

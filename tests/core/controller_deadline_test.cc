@@ -1,87 +1,27 @@
 /**
  * @file
  * Controller-side deadline policy, driven through a FakePlatform whose
- * TickScheduler delivers control ticks late on request: jitter stays a
- * healthy cycle, a suspend gap quarantines the stale window (estimate
- * held, watchdog strikes forgiven), a deadline storm degrades to the
- * stock governors, and suspend_resync=false re-opens the pre-hardening
- * behaviour the chaos monitors exist to catch.
+ * clock delivers control ticks late on request: jitter stays a healthy
+ * cycle, a suspend gap quarantines the stale window (estimate held,
+ * watchdog strikes forgiven), a deadline storm degrades to the stock
+ * governors and is observed as one record past the history, and
+ * suspend_resync=false re-opens the pre-hardening behaviour the chaos
+ * monitors exist to catch.
  */
 #include "core/online_controller.h"
 
-#include <deque>
-#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "platform/clock.h"
 #include "platform/fake_platform.h"
 
 namespace aeo {
 namespace {
 
 using platform::FakePlatform;
-
-/** Forwards to the fake's scheduler, adding one scripted delay per tick. */
-class DelayingScheduler final : public platform::TickScheduler {
-  public:
-    explicit DelayingScheduler(platform::TickScheduler* base) : base_(base) {}
-
-    platform::TickHandle ScheduleTick(SimTime when,
-                                      std::function<void()> fn) override
-    {
-        SimTime delay = SimTime::Zero();
-        if (!delays_.empty()) {
-            delay = delays_.front();
-            delays_.pop_front();
-        }
-        return base_->ScheduleTick(when + delay, std::move(fn));
-    }
-
-    void CancelTick(platform::TickHandle handle) override
-    {
-        base_->CancelTick(handle);
-    }
-
-    /** Queues the delay applied to the next scheduled tick (FIFO). */
-    void PushDelay(SimTime delay) { delays_.push_back(delay); }
-
-  private:
-    platform::TickScheduler* base_;
-    std::deque<SimTime> delays_;
-};
-
-/** A FakePlatform whose control ticks can be delivered late. */
-class JitteryPlatform final : public platform::Platform {
-  public:
-    JitteryPlatform() : scheduler_(&fake_.ticks()) {}
-
-    Simulator& sim() { return fake_.sim(); }
-    platform::Clock& clock() override { return fake_.clock(); }
-    platform::TickScheduler& ticks() override { return scheduler_; }
-    platform::PerfReader& perf() override { return fake_.perf(); }
-    platform::Actuator& actuator() override { return fake_.actuator(); }
-    platform::GovernorControl& governors() override
-    {
-        return fake_.governors();
-    }
-    platform::Thermals& thermals() override { return fake_.thermals(); }
-    int max_cpu_level() const override { return fake_.max_cpu_level(); }
-    void SetControllerOverheadPower(double mw) override
-    {
-        fake_.SetControllerOverheadPower(mw);
-    }
-    void Sync() override { fake_.Sync(); }
-
-    FakePlatform& fake() { return fake_; }
-    DelayingScheduler& delays() { return scheduler_; }
-
-  private:
-    FakePlatform fake_;
-    DelayingScheduler scheduler_;
-};
 
 ProfileTable
 ThreeRowTable()
@@ -104,11 +44,11 @@ BaseConfig()
 
 TEST(ControllerDeadlineTest, JitterTickStaysAHealthyCycle)
 {
-    JitteryPlatform plat;
+    FakePlatform plat;
     // 400 ms late on the 2 s cycle: 0.2 periods, inside the tolerance.
-    plat.delays().PushDelay(SimTime::Millis(400));
+    plat.PushTickDelay(SimTime::Millis(400));
     for (int i = 0; i < 3; ++i) {
-        plat.fake().PushPerfWindow(0.1, 100);
+        plat.PushPerfWindow(0.1, 100);
     }
     OnlineController controller(&plat, ThreeRowTable(), BaseConfig());
     controller.Start();
@@ -127,12 +67,12 @@ TEST(ControllerDeadlineTest, JitterTickStaysAHealthyCycle)
 
 TEST(ControllerDeadlineTest, SuspendGapQuarantinesTheStaleWindow)
 {
-    JitteryPlatform plat;
+    FakePlatform plat;
     // Tick 1 on time; tick 2 sleeps 30 s past its deadline (15 epochs).
-    plat.delays().PushDelay(SimTime::Zero());
-    plat.delays().PushDelay(SimTime::FromSeconds(30));
+    plat.PushTickDelay(SimTime::Zero());
+    plat.PushTickDelay(SimTime::FromSeconds(30));
     for (int i = 0; i < 3; ++i) {
-        plat.fake().PushPerfWindow(0.1, 100);
+        plat.PushPerfWindow(0.1, 100);
     }
     OnlineController controller(&plat, ThreeRowTable(), BaseConfig());
     controller.Start();
@@ -141,7 +81,7 @@ TEST(ControllerDeadlineTest, SuspendGapQuarantinesTheStaleWindow)
     plat.sim().RunUntil(SimTime::FromSeconds(3));
     ASSERT_EQ(controller.cycle_count(), 1u);
     const double estimate = controller.base_speed_estimate();
-    plat.fake().fake_actuator().ScriptConsecutiveFailures(3);
+    plat.fake_actuator().ScriptConsecutiveFailures(3);
 
     plat.sim().RunUntil(SimTime::FromSeconds(35));
     controller.Stop();
@@ -160,43 +100,56 @@ TEST(ControllerDeadlineTest, SuspendGapQuarantinesTheStaleWindow)
     EXPECT_FALSE(controller.fallback_engaged());
     EXPECT_DOUBLE_EQ(controller.base_speed_estimate(), estimate);
     // The pre-suspend strikes were explicitly forgiven.
-    EXPECT_GE(plat.fake().fake_actuator().reset_count(), 1u);
-    EXPECT_EQ(plat.fake().fake_actuator().consecutive_failed_applies(), 0);
+    EXPECT_GE(plat.fake_actuator().reset_count(), 1u);
+    EXPECT_EQ(plat.fake_actuator().consecutive_failed_applies(), 0);
 }
 
 TEST(ControllerDeadlineTest, DeadlineStormDegradesToStockGovernors)
 {
-    JitteryPlatform plat;
+    FakePlatform plat;
     // Every tick 3 s late on the 2 s cycle: 1.5 periods, a missed epoch
-    // each time. The second consecutive miss reaches the storm threshold.
-    for (int i = 0; i < 6; ++i) {
-        plat.delays().PushDelay(SimTime::FromSeconds(3));
-        plat.fake().PushPerfWindow(0.1, 100);
+    // each time. The fourth consecutive miss reaches the storm threshold.
+    for (int i = 0; i < 4; ++i) {
+        plat.PushTickDelay(SimTime::FromSeconds(3));
+        plat.PushPerfWindow(0.1, 100);
     }
-    ControllerConfig config = BaseConfig();
-    config.deadline_storm_threshold = 2;
-    OnlineController controller(&plat, ThreeRowTable(), config);
+    OnlineController controller(&plat, ThreeRowTable(), BaseConfig());
+    std::vector<ControlCycleRecord> observed;
+    bool last_observed_fallback = false;
+    controller.AddCycleObserver(
+        [&](const ControlCycleRecord& record,
+            const std::vector<platform::DwellDelivery>&) {
+            observed.push_back(record);
+            last_observed_fallback = controller.fallback_engaged();
+        });
     controller.Start();
     plat.sim().RunUntil(SimTime::FromSeconds(20));
 
     EXPECT_TRUE(controller.fallback_engaged());
-    EXPECT_EQ(controller.deadline_stats().missed, 2);
-    // The storm cycle aborts before measuring: only the first miss
-    // completed as a control cycle, but both misses are accounted.
-    EXPECT_EQ(controller.cycle_count(), 1u);
-    EXPECT_EQ(controller.deadline_miss_cycle_count(), 2u);
-    const std::vector<std::string>& log = plat.fake().governor_log();
+    EXPECT_EQ(controller.deadline_stats().missed, 4);
+    // The storm tick aborts before measuring: only the first three misses
+    // completed as control cycles, but all four are accounted.
+    EXPECT_EQ(controller.cycle_count(), 3u);
+    EXPECT_EQ(controller.deadline_miss_cycle_count(), 4u);
+    // Observers see the storm tick too, as one record past the history,
+    // already in fallback: the tick fired at 17 s, 3 s late.
+    ASSERT_EQ(observed.size(), controller.cycle_count() + 1);
+    EXPECT_TRUE(last_observed_fallback);
+    EXPECT_DOUBLE_EQ(observed.back().time_s, 17.0);
+    EXPECT_EQ(observed.back().tick_kind, platform::TickKind::kMissed);
+    EXPECT_NEAR(observed.back().tick_lateness_s, 3.0, 1e-9);
+    const std::vector<std::string>& log = plat.governor_log();
     ASSERT_FALSE(log.empty());
     EXPECT_EQ(log.back(), "restore-stock");
 }
 
 TEST(ControllerDeadlineTest, SuspendResyncOffReopensTheStaleActuationBug)
 {
-    JitteryPlatform plat;
-    plat.delays().PushDelay(SimTime::Zero());
-    plat.delays().PushDelay(SimTime::FromSeconds(30));
+    FakePlatform plat;
+    plat.PushTickDelay(SimTime::Zero());
+    plat.PushTickDelay(SimTime::FromSeconds(30));
     for (int i = 0; i < 3; ++i) {
-        plat.fake().PushPerfWindow(0.1, 100);
+        plat.PushPerfWindow(0.1, 100);
     }
     ControllerConfig config = BaseConfig();
     config.suspend_resync = false;  // pre-hardening behaviour
@@ -214,7 +167,7 @@ TEST(ControllerDeadlineTest, SuspendResyncOffReopensTheStaleActuationBug)
     EXPECT_FALSE(gap.stale_guard);
     EXPECT_FALSE(gap.degraded);
     EXPECT_EQ(controller.stale_guard_cycle_count(), 0u);
-    EXPECT_EQ(plat.fake().fake_actuator().reset_count(), 0u);
+    EXPECT_EQ(plat.fake_actuator().reset_count(), 0u);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 /**
- * DeadlineSupervisor unit tests on a hand-cranked Clock/TickScheduler
- * double: every test delivers ticks at exactly chosen times — on the
- * deadline, a little late, epochs late, or a suspend gap late — and
- * asserts the classification, the grid resync, and the restart-safety
- * generation guard.
+ * DeadlineSupervisor unit tests on a hand-cranked Clock double: every test
+ * delivers ticks at exactly chosen times — on the deadline, a little late,
+ * epochs late, or a suspend gap late — and asserts the classification, the
+ * grid resync, and the restart-safety generation guard.
  */
 #include "platform/deadline_supervisor.h"
 
@@ -18,19 +17,9 @@
 namespace aeo::platform {
 namespace {
 
-/** A clock the test moves by hand. */
+/** A clock the test moves by hand; it parks ticks for the test to deliver
+ * explicitly. */
 class ManualClock final : public Clock {
-  public:
-    SimTime Now() override { return now_; }
-    void Advance(SimTime dt) { now_ = now_ + dt; }
-    void Set(SimTime t) { now_ = t; }
-
-  private:
-    SimTime now_ = SimTime::Zero();
-};
-
-/** A scheduler that parks ticks for the test to deliver explicitly. */
-class ManualScheduler final : public TickScheduler {
   public:
     struct Pending {
         TickHandle handle = kInvalidTickHandle;
@@ -39,6 +28,8 @@ class ManualScheduler final : public TickScheduler {
         bool cancelled = false;
         bool fired = false;
     };
+
+    SimTime Now() override { return now_; }
 
     TickHandle ScheduleTick(SimTime when, std::function<void()> fn) override
     {
@@ -82,15 +73,15 @@ class ManualScheduler final : public TickScheduler {
         return none;
     }
 
-    /** Delivers the oldest live tick at clock time @p at. */
-    void Deliver(ManualClock* clock, SimTime at)
+    /** Sets the time to @p at and delivers the oldest live tick. */
+    void Deliver(SimTime at)
     {
         for (Pending& pending : ticks_) {
             if (pending.cancelled || pending.fired) {
                 continue;
             }
             pending.fired = true;
-            clock->Set(at);
+            now_ = at;
             // Copy: the callback may reschedule and grow ticks_.
             std::function<void()> fn = pending.fn;
             fn();
@@ -100,6 +91,7 @@ class ManualScheduler final : public TickScheduler {
     }
 
   private:
+    SimTime now_ = SimTime::Zero();
     std::vector<Pending> ticks_;
     TickHandle next_handle_ = 1;
 };
@@ -108,11 +100,9 @@ constexpr SimTime kOneSecond = SimTime::FromSeconds(1);
 
 struct SupervisorFixture {
     ManualClock clock;
-    ManualScheduler scheduler;
     std::vector<TickInfo> ticks;
     DeadlineSupervisor supervisor{
-        &clock, &scheduler,
-        [this](const TickInfo& info) { ticks.push_back(info); }};
+        &clock, [this](const TickInfo& info) { ticks.push_back(info); }};
 };
 
 TEST(DeadlineSupervisorTest, OnTimeTicksStayOnTheGrid)
@@ -121,10 +111,10 @@ TEST(DeadlineSupervisorTest, OnTimeTicksStayOnTheGrid)
     f.supervisor.Start(kOneSecond);
 
     for (int i = 1; i <= 3; ++i) {
-        ASSERT_EQ(f.scheduler.live_count(), 1u);
-        const SimTime due = f.scheduler.last_live().when;
+        ASSERT_EQ(f.clock.live_count(), 1u);
+        const SimTime due = f.clock.last_live().when;
         EXPECT_EQ(due, SimTime::FromSeconds(i));
-        f.scheduler.Deliver(&f.clock, due);
+        f.clock.Deliver(due);
     }
 
     ASSERT_EQ(f.ticks.size(), 3u);
@@ -144,14 +134,14 @@ TEST(DeadlineSupervisorTest, JitterWithinToleranceKeepsTheGrid)
     f.supervisor.Start(kOneSecond);
 
     // 200 ms late on a 1 s period: inside the 0.25 tolerance.
-    f.scheduler.Deliver(&f.clock, SimTime::Millis(1200));
+    f.clock.Deliver(SimTime::Millis(1200));
     ASSERT_EQ(f.ticks.size(), 1u);
     EXPECT_EQ(f.ticks[0].kind, TickKind::kJitter);
     EXPECT_EQ(f.ticks[0].lateness, SimTime::Millis(200));
     EXPECT_EQ(f.ticks[0].epochs_skipped, 0);
 
     // The next deadline is the undisturbed grid point, not now + period.
-    EXPECT_EQ(f.scheduler.last_live().when, SimTime::FromSeconds(2));
+    EXPECT_EQ(f.clock.last_live().when, SimTime::FromSeconds(2));
     EXPECT_EQ(f.supervisor.stats().jitter, 1);
     EXPECT_EQ(f.supervisor.stats().max_lateness, SimTime::Millis(200));
 }
@@ -163,12 +153,12 @@ TEST(DeadlineSupervisorTest, MissedTickResyncsToFirstGridPointAfterNow)
 
     // 1.4 s late: one whole epoch slid past, resync to t=3s (the first
     // grid point strictly after 2.4 s).
-    f.scheduler.Deliver(&f.clock, SimTime::Millis(2400));
+    f.clock.Deliver(SimTime::Millis(2400));
     ASSERT_EQ(f.ticks.size(), 1u);
     EXPECT_EQ(f.ticks[0].kind, TickKind::kMissed);
     EXPECT_EQ(f.ticks[0].epochs_skipped, 1);
     EXPECT_EQ(f.ticks[0].consecutive_misses, 1);
-    EXPECT_EQ(f.scheduler.last_live().when, SimTime::FromSeconds(3));
+    EXPECT_EQ(f.clock.last_live().when, SimTime::FromSeconds(3));
     EXPECT_EQ(f.supervisor.stats().missed, 1);
     EXPECT_EQ(f.supervisor.stats().epochs_skipped, 1);
 }
@@ -179,9 +169,9 @@ TEST(DeadlineSupervisorTest, ConsecutiveMissesCountAndResetOnRecovery)
     f.supervisor.Start(kOneSecond);
 
     // Two misses in a row (each 0.5 s late), then an on-time tick.
-    f.scheduler.Deliver(&f.clock, SimTime::Millis(1500));
-    f.scheduler.Deliver(&f.clock, SimTime::Millis(2500));
-    f.scheduler.Deliver(&f.clock, f.scheduler.last_live().when);
+    f.clock.Deliver(SimTime::Millis(1500));
+    f.clock.Deliver(SimTime::Millis(2500));
+    f.clock.Deliver(f.clock.last_live().when);
 
     ASSERT_EQ(f.ticks.size(), 3u);
     EXPECT_EQ(f.ticks[0].consecutive_misses, 1);
@@ -197,7 +187,7 @@ TEST(DeadlineSupervisorTest, SuspendGapClassifiesAndDoesNotCountAsMiss)
 
     // A 30 s sleep on a 1 s period: a suspend gap, not a 30-deep miss
     // storm. The miss counter stays clear.
-    f.scheduler.Deliver(&f.clock, SimTime::FromSeconds(31));
+    f.clock.Deliver(SimTime::FromSeconds(31));
     ASSERT_EQ(f.ticks.size(), 1u);
     EXPECT_EQ(f.ticks[0].kind, TickKind::kSuspendGap);
     EXPECT_EQ(f.ticks[0].epochs_skipped, 30);
@@ -206,7 +196,7 @@ TEST(DeadlineSupervisorTest, SuspendGapClassifiesAndDoesNotCountAsMiss)
     EXPECT_EQ(f.supervisor.stats().missed, 0);
 
     // Resynced: next deadline is the first grid point after the gap.
-    EXPECT_EQ(f.scheduler.last_live().when, SimTime::FromSeconds(32));
+    EXPECT_EQ(f.clock.last_live().when, SimTime::FromSeconds(32));
 }
 
 TEST(DeadlineSupervisorTest, ThresholdsSitAtAQuarterAndThreePeriods)
@@ -222,7 +212,7 @@ TEST(DeadlineSupervisorTest, ThresholdsSitAtAQuarterAndThreePeriods)
     for (const auto& [lateness, kind] : cases) {
         SupervisorFixture f;
         f.supervisor.Start(kOneSecond);
-        f.scheduler.Deliver(&f.clock, kOneSecond + lateness);
+        f.clock.Deliver(kOneSecond + lateness);
         ASSERT_EQ(f.ticks.size(), 1u);
         EXPECT_EQ(f.ticks[0].kind, kind) << lateness.micros() << " us late";
     }
@@ -231,14 +221,12 @@ TEST(DeadlineSupervisorTest, ThresholdsSitAtAQuarterAndThreePeriods)
 TEST(DeadlineSupervisorTest, ReschedulesBeforeDeliveringTheCallback)
 {
     ManualClock clock;
-    ManualScheduler scheduler;
     size_t live_during_callback = 0;
-    DeadlineSupervisor supervisor(
-        &clock, &scheduler, [&](const TickInfo&) {
-            live_during_callback = scheduler.live_count();
-        });
+    DeadlineSupervisor supervisor(&clock, [&](const TickInfo&) {
+        live_during_callback = clock.live_count();
+    });
     supervisor.Start(kOneSecond);
-    scheduler.Deliver(&clock, SimTime::FromSeconds(1));
+    clock.Deliver(SimTime::FromSeconds(1));
     // The next tick must already be scheduled when the callback runs —
     // the same-timestamp event-order contract PeriodicTask established.
     EXPECT_EQ(live_during_callback, 1u);
@@ -248,20 +236,19 @@ TEST(DeadlineSupervisorTest, StopCancelsThePendingTick)
 {
     SupervisorFixture f;
     f.supervisor.Start(kOneSecond);
-    EXPECT_EQ(f.scheduler.live_count(), 1u);
+    EXPECT_EQ(f.clock.live_count(), 1u);
     f.supervisor.Stop();
     EXPECT_FALSE(f.supervisor.running());
-    EXPECT_EQ(f.scheduler.live_count(), 0u);
+    EXPECT_EQ(f.clock.live_count(), 0u);
     f.supervisor.Stop();  // idempotent
 }
 
 TEST(DeadlineSupervisorTest, RestartFromCallbackNeverDoubleFires)
 {
     ManualClock clock;
-    ManualScheduler scheduler;
     int fires = 0;
     DeadlineSupervisor* self = nullptr;
-    DeadlineSupervisor supervisor(&clock, &scheduler, [&](const TickInfo&) {
+    DeadlineSupervisor supervisor(&clock, [&](const TickInfo&) {
         ++fires;
         if (fires == 1) {
             // Restart mid-delivery: the already-scheduled next tick is
@@ -272,32 +259,30 @@ TEST(DeadlineSupervisorTest, RestartFromCallbackNeverDoubleFires)
     self = &supervisor;
     supervisor.Start(kOneSecond);
 
-    scheduler.Deliver(&clock, SimTime::FromSeconds(1));
+    clock.Deliver(SimTime::FromSeconds(1));
     EXPECT_EQ(fires, 1);
     // Exactly one live tick (the restarted schedule), due at now + 2 s.
-    ASSERT_EQ(scheduler.live_count(), 1u);
-    EXPECT_EQ(scheduler.last_live().when, SimTime::FromSeconds(3));
+    ASSERT_EQ(clock.live_count(), 1u);
+    EXPECT_EQ(clock.last_live().when, SimTime::FromSeconds(3));
 
-    scheduler.Deliver(&clock, SimTime::FromSeconds(3));
+    clock.Deliver(SimTime::FromSeconds(3));
     EXPECT_EQ(fires, 2);
 }
 
 TEST(DeadlineSupervisorTest, StaleGenerationTickIsSilentlyDropped)
 {
     ManualClock clock;
-    ManualScheduler scheduler;
     int fires = 0;
-    DeadlineSupervisor supervisor(&clock, &scheduler,
-                                  [&](const TickInfo&) { ++fires; });
+    DeadlineSupervisor supervisor(&clock, [&](const TickInfo&) { ++fires; });
     supervisor.Start(kOneSecond);
 
     // Capture the scheduled callback, then Stop: CancelTick marks it
-    // cancelled, but even a scheduler that leaked the callback past the
+    // cancelled, but even a clock that leaked the callback past the
     // cancel (a real race on device) is neutralized by the generation.
     supervisor.Stop();
     supervisor.Start(kOneSecond);
-    EXPECT_EQ(scheduler.live_count(), 1u);
-    scheduler.Deliver(&clock, SimTime::FromSeconds(1));
+    EXPECT_EQ(clock.live_count(), 1u);
+    clock.Deliver(SimTime::FromSeconds(1));
     EXPECT_EQ(fires, 1);
     EXPECT_EQ(supervisor.stats().ticks, 1);
 }

@@ -215,8 +215,8 @@ CheckLayering(AnalyzedFile* file)
 }
 
 /** Rule `time-seam`: the policy layers (src/core, src/control) consume time
- * only through the aeo::platform seam — Clock, TickScheduler and
- * DeadlineSupervisor (DESIGN.md §13). */
+ * only through the aeo::platform seam — Clock and DeadlineSupervisor
+ * (DESIGN.md §13). */
 void
 CheckTimeSeam(AnalyzedFile* file)
 {
@@ -237,7 +237,7 @@ CheckTimeSeam(AnalyzedFile* file)
             AddFinding(file, t.line, "time-seam",
                        "src/" + layer +
                            " consumes time only through the aeo::platform "
-                           "seam (Clock, TickScheduler, DeadlineSupervisor)",
+                           "seam (Clock, DeadlineSupervisor)",
                        "do not name Simulator/PeriodicTask or call a raw "
                        "sim() here (DESIGN.md §13)");
         }

@@ -15,10 +15,9 @@
  *                          files.
  *  - `time-seam`         — the policy layers (src/core, src/control)
  *                          consume time only through the aeo::platform
- *                          seam (Clock, TickScheduler, DeadlineSupervisor,
- *                          DESIGN.md §13); naming `Simulator` or
- *                          `PeriodicTask`, or calling a raw `sim()`, is a
- *                          finding there.
+ *                          seam (Clock, DeadlineSupervisor, DESIGN.md
+ *                          §13); naming `Simulator` or `PeriodicTask`, or
+ *                          calling a raw `sim()`, is a finding there.
  *  - `sysfs-literal`     — inline "/sys/..." string literals appear only in
  *                          src/kernel and src/platform; everyone else goes
  *                          through the interned SysfsHandles seam.
